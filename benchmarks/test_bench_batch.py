@@ -10,16 +10,14 @@ One audit-sized dense operating-point grid is priced twice:
 The Bloch–Grüneisen integral (scipy quad, ``lru_cache``'d per unique
 temperature) is primed before either path is timed, so the comparison
 measures the evaluation machinery, not the shared one-off physics
-derivations. The batch path must be at least 50x faster; each run
-appends its numbers to ``BENCH_batch.json`` at the repo root so the
-speedup has a commit-over-commit trajectory.
+derivations. The batch path must be at least 50x faster. The test
+records nothing: the repository's one recorded benchmark is
+``python -m benchmarks.e2e``.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -42,8 +40,6 @@ MIN_SPEEDUP = 50.0
 TEMPERATURES = np.linspace(77.0, 300.0, 150)
 VDDS = (0.8, 1.0, 1.1, 1.25)
 VTHS = (0.25, 0.35)
-
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_batch.json"
 
 WIRE_LENGTH_UM = 2000.0
 
@@ -82,27 +78,6 @@ def _best_of(fn, rounds: int = 3) -> float:
     return best
 
 
-def _append_trajectory(n_points: int, scalar_s: float, batch_s: float) -> None:
-    history = []
-    if BENCH_FILE.exists():
-        try:
-            history = json.loads(BENCH_FILE.read_text())["history"]
-        except (json.JSONDecodeError, KeyError, TypeError):
-            history = []
-    history.append(
-        {
-            "n_points": n_points,
-            "scalar_ms": round(scalar_s * 1e3, 3),
-            "batch_ms": round(batch_s * 1e3, 3),
-            "speedup": round(scalar_s / batch_s, 1),
-        }
-    )
-    BENCH_FILE.write_text(
-        json.dumps({"bench": "batch_vs_scalar", "history": history[-50:]}, indent=2)
-        + "\n"
-    )
-
-
 def test_batch_kernels_beat_memoized_scalar_loop(benchmark):
     batch = _grid()
     points = batch.to_points()
@@ -139,7 +114,6 @@ def test_batch_kernels_beat_memoized_scalar_loop(benchmark):
         f"grid: {len(batch)} points | scalar loop: {scalar_s * 1e3:.1f} ms | "
         f"batch: {batch_s * 1e3:.2f} ms | speedup: {speedup:.0f}x"
     )
-    _append_trajectory(len(batch), scalar_s, batch_s)
 
     # The two paths are the same formulas: bit-identical, not approx.
     assert np.array_equal(scalar_values, batch_values)

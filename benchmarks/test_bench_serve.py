@@ -5,9 +5,8 @@ Boots the server in-process twice via the load-test harness
 fresh operating points, each carrying a global-wire repeater
 optimisation — against a micro-batching server and a
 batching-disabled twin. Micro-batching must be worth at least 2x
-throughput; each run appends its numbers to ``BENCH_serve.json`` at the
-repo root so the trajectory is commit-over-commit, like
-``BENCH_batch.json``.
+throughput. It records nothing: end-to-end serve numbers are recorded
+by ``python -m benchmarks.e2e``.
 
 A short paced diurnal phase rides along to exercise the latency path
 (p50/p99) and the warm-context hit rate without stretching the suite.
@@ -23,12 +22,10 @@ import pytest
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_REPO_ROOT / "tools"))
 
-from loadtest import append_trajectory, run_loadtest  # noqa: E402
+from loadtest import run_loadtest  # noqa: E402
 
 #: Floor pinned by the issue: batched vs unbatched closed-loop throughput.
 MIN_AB_SPEEDUP = 2.0
-
-BENCH_FILE = _REPO_ROOT / "BENCH_serve.json"
 
 
 @pytest.mark.benchmark(group="serve")
@@ -61,7 +58,6 @@ def test_serve_loadtest_smoke(benchmark):
         f"unbatched {ab['unbatched_rps']:.0f} rps = {ab['speedup']:.2f}x "
         f"(mean batch {ab['batched_mean_batch']:.1f})"
     )
-    append_trajectory(BENCH_FILE, report)
 
     assert diurnal["errors"] == 0, f"{diurnal['errors']} request(s) failed"
     assert diurnal["completed"] == diurnal["requests"]

@@ -15,7 +15,7 @@ to scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,39 +86,37 @@ class VoltageOptimizer:
         """
         if total_power_budget <= 0:
             raise ValueError("power budget must be positive")
-        best: Optional[VoltageSearchResult] = None
-        evaluated = 0
-        for vth in self.vth_grid:
-            for vdd in self.vdd_grid:
-                if vdd - vth < min_overdrive_v:
-                    continue
-                op = OperatingPoint(
-                    name=f"{temperature_k:.0f}K Vdd={vdd} Vth={vth}",
-                    temperature_k=temperature_k,
-                    vdd_v=vdd,
-                    vth_v=vth,
-                )
-                evaluated += 1
-                report = self.pipeline.evaluate(config, op)
-                freq = report.frequency_ghz
-                power = self.power.report(config, op, freq)
-                if power.total_rel > total_power_budget:
-                    continue
-                if best is None or freq > best.frequency_ghz:
-                    best = VoltageSearchResult(
-                        operating_point=op,
-                        frequency_ghz=freq,
-                        power=power,
-                        evaluated_points=evaluated,
-                    )
+        grid = [
+            OperatingPoint(
+                name=f"{temperature_k:.0f}K Vdd={vdd} Vth={vth}",
+                temperature_k=temperature_k,
+                vdd_v=vdd,
+                vth_v=vth,
+            )
+            for vth in self.vth_grid
+            for vdd in self.vdd_grid
+            if vdd - vth >= min_overdrive_v
+        ]
+        # One batched pipeline evaluation prices the whole grid; power is
+        # then checked point by point, keeping the first of equally fast
+        # feasible points in grid order.
+        frequencies = self.pipeline.evaluate_batch(config, grid).frequency_ghz
+        best: Optional[Tuple[OperatingPoint, float, CorePowerReport]] = None
+        for op, freq in zip(grid, frequencies.tolist()):
+            power = self.power.report(config, op, freq)
+            if power.total_rel > total_power_budget:
+                continue
+            if best is None or freq > best[1]:
+                best = (op, freq, power)
         if best is None:
             raise RuntimeError(
                 f"no feasible operating point at {temperature_k} K within "
                 f"total power budget {total_power_budget}"
             )
+        op, freq, power = best
         return VoltageSearchResult(
-            operating_point=best.operating_point,
-            frequency_ghz=best.frequency_ghz,
-            power=best.power,
-            evaluated_points=evaluated,
+            operating_point=op,
+            frequency_ghz=freq,
+            power=power,
+            evaluated_points=len(grid),
         )

@@ -26,6 +26,7 @@ from typing import Optional, Tuple
 
 from repro.tech.mosfet import FREEPDK45_CARD, MOSFETCard, cryo_mosfet
 from repro.tech.operating_point import (
+    OP_CRYO,
     OP_ROOM,
     OperatingPointLike,
     as_operating_point,
@@ -171,7 +172,7 @@ class CactiModel:
     def table4_check(self) -> Tuple[float, float, float]:
         """(L1, L2, L3-slice) 77 K speed-ups for the Table 4 sizes."""
         return (
-            self.speedup(32, 77.0),
-            self.speedup(256, 77.0),
-            self.speedup(1024, 77.0),
+            self.speedup(32, OP_CRYO),
+            self.speedup(256, OP_CRYO),
+            self.speedup(1024, OP_CRYO),
         )

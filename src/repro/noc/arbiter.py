@@ -6,6 +6,13 @@ requester that beats every other active requester; it then yields
 priority to everyone (least-recently-served discipline), which makes the
 arbiter starvation-free -- a property the test suite checks exhaustively
 and by hypothesis.
+
+The matrix starts as a total order (lower index wins) and the LRS update
+only moves the winner below everyone else, so it stays a total order
+forever: the order in which requesters were last served. It is stored as
+that order -- one last-served stamp per requester -- so the winner is
+simply the active requester served longest ago, and
+:meth:`MatrixArbiter.priority_snapshot` renders the equivalent matrix.
 """
 
 from __future__ import annotations
@@ -20,52 +27,30 @@ class MatrixArbiter:
         if n < 1:
             raise ValueError("arbiter needs at least one requester")
         self.n = n
-        # priority[i][j] is True when i beats j; initialise to a total
-        # order (lower index wins) so the matrix starts consistent.
-        self._priority: List[List[bool]] = [
-            [i < j for j in range(n)] for i in range(n)
-        ]
-
-    def _beats_all(self, candidate: int, active: List[int]) -> bool:
-        row = self._priority[candidate]
-        return all(row[other] for other in active if other != candidate)
+        # Last-served stamps: a lower stamp beats a higher one. Negative
+        # initial stamps encode the starting order (lower index wins).
+        self._served: List[int] = list(range(-n, 0))
+        self._clock = 0
 
     def grant(self, requests: Iterable[int]) -> Optional[int]:
         """Pick a winner among ``requests`` and rotate its priority.
 
-        Returns ``None`` when nothing is requested. Exactly one winner
-        always exists for a non-empty request set because the priority
-        relation restricted to any subset is a tournament with a unique
-        dominant element under the LRS update rule.
+        Returns ``None`` when nothing is requested; otherwise the
+        requester that beats every other one, which then drops to the
+        lowest priority.
         """
-        active = sorted(set(requests))
+        active = requests if isinstance(requests, (set, frozenset)) else set(requests)
         if not active:
             return None
-        for candidate in active:
-            if candidate >= self.n or candidate < 0:
-                raise ValueError(f"requester {candidate} out of range")
-        winner = None
-        for candidate in active:
-            if self._beats_all(candidate, active):
-                winner = candidate
-                break
-        if winner is None:
-            # The matrix can transiently encode priority cycles among
-            # requesters that were never compared; fall back to the
-            # least-recently-served member (the one beaten by fewest).
-            winner = min(
-                active,
-                key=lambda i: sum(self._priority[j][i] for j in active if j != i),
-            )
-        self._demote(winner)
+        low, high = min(active), max(active)
+        if low < 0 or high >= self.n:
+            raise ValueError(f"requester {low if low < 0 else high} out of range")
+        winner = min(active, key=self._served.__getitem__)
+        self._served[winner] = self._clock
+        self._clock += 1
         return winner
 
-    def _demote(self, winner: int) -> None:
-        for other in range(self.n):
-            if other != winner:
-                self._priority[winner][other] = False
-                self._priority[other][winner] = True
-
     def priority_snapshot(self) -> List[List[bool]]:
-        """Copy of the priority matrix (for tests and debugging)."""
-        return [row[:] for row in self._priority]
+        """The priority matrix: ``[i][j]`` is True when ``i`` beats ``j``."""
+        served = self._served
+        return [[served[i] < served[j] for j in range(self.n)] for i in range(self.n)]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Tuple
 
 from repro.noc.topology import Topology
@@ -253,15 +254,27 @@ def SharedBusDesign(n_nodes: int = 64) -> BusDesign:
     )
 
 
+@lru_cache(maxsize=None)
+def _htree_geometry(n_nodes: int) -> Tuple[int, int, float]:
+    """(worst broadcast hops, total wire hops, average path hops) of the
+    ``n_nodes``-core H-tree, derived once per core count."""
+    tree = HTree(n_nodes)
+    return (
+        tree.worst_broadcast_hops(),
+        tree.total_wire_hops(),
+        tree.average_distance_hops(),
+    )
+
+
 def CryoBusDesign(n_nodes: int = 64, interleave_ways: int = 1) -> BusDesign:
     """CryoBus: H-tree topology + dynamic link connection (Fig. 19)."""
-    tree = HTree(n_nodes)
+    worst, total, average = _htree_geometry(n_nodes)
     design = BusDesign(
         name=f"cryobus_{n_nodes}",
         n_nodes=n_nodes,
-        broadcast_hops_worst=tree.worst_broadcast_hops(),
-        total_wire_hops=tree.total_wire_hops(),
-        average_path_hops=tree.average_distance_hops(),
+        broadcast_hops_worst=worst,
+        total_wire_hops=total,
+        average_path_hops=average,
         arbitration_cycles=2,
         control_cycles=1,
     )
@@ -277,13 +290,13 @@ def HTreeBus300K(n_nodes: int = 64) -> BusDesign:
     300 K wire speed -- topology optimisation alone cannot reach the
     1-cycle broadcast target.
     """
-    tree = HTree(n_nodes)
+    worst, total, average = _htree_geometry(n_nodes)
     return BusDesign(
         name=f"htree_bus_{n_nodes}",
         n_nodes=n_nodes,
-        broadcast_hops_worst=tree.worst_broadcast_hops(),
-        total_wire_hops=tree.total_wire_hops(),
-        average_path_hops=tree.average_distance_hops(),
+        broadcast_hops_worst=worst,
+        total_wire_hops=total,
+        average_path_hops=average,
         arbitration_cycles=2,
         control_cycles=1,
     )

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.noc.bus import BusDesign, CryoBusDesign
+from repro.noc.measure import LoadLatencyPoint, summarise
 from repro.noc.traffic import TrafficPattern
-from repro.noc.simulator import LoadLatencyPoint, _summarise
 
 
 @dataclass(frozen=True)
@@ -167,4 +167,4 @@ class HybridCryoBus:
                 latencies.append(finish - inject)
 
         zero_load = self.zero_load_latency_cycles(hops_per_cycle)
-        return _summarise(injection_rate, latencies, offered, zero_load)
+        return summarise(injection_rate, latencies, offered, zero_load)

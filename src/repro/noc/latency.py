@@ -20,7 +20,7 @@ from typing import Optional
 from repro.noc.bus import BusDesign
 from repro.noc.link import WireLinkModel
 from repro.noc.router import RouterModel
-from repro.noc.topology import RouterTopology
+from repro.noc.topology import RouterTopology, link_cycles
 from repro.tech.constants import T_ROOM
 from repro.tech.operating_point import (
     OperatingPoint,
@@ -34,14 +34,7 @@ RADIX_CLOCK_PENALTY = 0.04
 
 def n_directed_links(topology: RouterTopology) -> int:
     """Directed router-to-router links actually used by the routing."""
-    links = set()
-    for src in range(topology.n_routers):
-        for dst in range(topology.n_routers):
-            if src == dst:
-                continue
-            for frm, to, _ in topology.route(src, dst):
-                links.add((frm, to))
-    return len(links)
+    return topology.n_directed_links()
 
 
 def analytic_simulator_latency(
@@ -179,26 +172,14 @@ class AnalyticNocModel:
             # A bus has no clocked routers; transfers are timed against
             # the reference (core-side) clock.
             self.clock_ghz = reference_clock_ghz
-        # Load-independent topology metrics, filled lazily.
+        # Load-independent zero-load latency, filled lazily.
         self._base_cycles_cache: Optional[float] = None
-        self._avg_hops_cache: Optional[float] = None
-        self._n_links_cache: Optional[int] = None
-
-    def _avg_hops(self) -> float:
-        if self._avg_hops_cache is None:
-            assert self.topology is not None
-            self._avg_hops_cache = self.topology.average_hops()
-        return self._avg_hops_cache
 
     # ------------------------------------------------------------------
     @property
     def name(self) -> str:
         fabric = self.topology.name if self.topology else self.bus.name
         return f"{fabric}@{self.temperature_k:.0f}K"
-
-    def _link_cycles(self, length_mm: float) -> int:
-        hops = max(length_mm / 2.0, 1.0)
-        return max(1, math.ceil(hops / self.hops_per_cycle))
 
     # ------------------------------------------------------------------
     # router networks
@@ -207,7 +188,7 @@ class AnalyticNocModel:
         if self._base_cycles_cache is not None:
             return self._base_cycles_cache
         assert self.topology is not None and self.router is not None
-        avg_hops = self._avg_hops()
+        avg_hops = self.topology.average_hops()
         # Mean link cycles, weighted over routes (hop lengths may vary).
         total = count = 0
         for src in range(0, self.topology.n_nodes, 7):  # sampled pairs
@@ -217,7 +198,7 @@ class AnalyticNocModel:
                 for _, _, length in self.topology.route(
                     self.topology.router_of(src), self.topology.router_of(dst)
                 ):
-                    total += self._link_cycles(length)
+                    total += link_cycles(length, self.hops_per_cycle)
                     count += 1
         mean_link = total / count if count else 1.0
         per_hop = self.router.pipeline_cycles + mean_link
@@ -226,20 +207,14 @@ class AnalyticNocModel:
 
     def _router_queueing_cycles(self, aggregate_rate: float) -> float:
         assert self.topology is not None and self.router is not None
-        avg_hops = self._avg_hops()
+        avg_hops = self.topology.average_hops()
         # Channel load: flit-cycles demanded per link per cycle.
-        n_links = self._n_directed_links()
+        n_links = self.topology.n_directed_links()
         rho = aggregate_rate * avg_hops * self.packet_flits / n_links
         if rho >= 1.0:
             return math.inf
         wait_per_hop = rho * self.packet_flits / (2.0 * (1.0 - rho))
         return avg_hops * wait_per_hop
-
-    def _n_directed_links(self) -> int:
-        if self._n_links_cache is None:
-            assert self.topology is not None
-            self._n_links_cache = n_directed_links(self.topology)
-        return self._n_links_cache
 
     # ------------------------------------------------------------------
     # buses
@@ -285,4 +260,5 @@ class AnalyticNocModel:
         if self.bus is not None:
             return self.bus.saturation_rate(self.hops_per_cycle)
         assert self.topology is not None
-        return self._n_directed_links() / (self._avg_hops() * self.packet_flits)
+        avg_hops = self.topology.average_hops()
+        return self.topology.n_directed_links() / (avg_hops * self.packet_flits)

@@ -24,20 +24,14 @@ compare fabrics running at different frequencies.
 from __future__ import annotations
 
 import heapq
-import math
-from typing import Dict, List, Sequence, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Set, Tuple
 
 from repro.noc.arbiter import MatrixArbiter
 from repro.noc.bus import BusDesign
-from repro.noc.measure import (
-    SATURATION_FACTOR,
-    LatencyMeter,
-    LoadLatencyPoint,
-    load_latency_curve as _load_latency_curve,
-    summarise as _summarise,
-)
-from repro.noc.topology import RouterTopology
-from repro.noc.traffic import TrafficPattern
+from repro.noc.measure import SATURATION_FACTOR, LatencyMeter, LoadLatencyPoint
+from repro.noc.topology import LinkRoute, RouterTopology
+from repro.noc.traffic import Packet, TrafficPattern
 from repro.util.guards import SimulationStalled
 
 __all__ = [
@@ -48,7 +42,14 @@ __all__ = [
 
 
 class NocSimulator:
-    """Load-latency measurement for router networks and buses."""
+    """Load-latency measurement for router networks and buses.
+
+    A simulator materialises each traffic trace -- the packets one
+    ``(pattern, injection_rate, seed)`` injects over ``n_cycles`` -- once
+    and replays it for every topology and bus it is asked about, so a
+    figure sweeping several fabrics over the same traffic generates that
+    traffic once.
+    """
 
     def __init__(
         self,
@@ -65,6 +66,18 @@ class NocSimulator:
         self.n_cycles = n_cycles
         self.warmup = int(n_cycles * warmup_fraction)
         self.packet_flits = packet_flits
+        self._traces: Dict[Tuple[TrafficPattern, float, str], List[Packet]] = {}
+
+    def _trace(
+        self, pattern: TrafficPattern, injection_rate: float, seed: str
+    ) -> List[Packet]:
+        """The (cycle, src, dst) packets, in injection order, generated once."""
+        key = (pattern, injection_rate, seed)
+        trace = self._traces.get(key)
+        if trace is None:
+            trace = list(pattern.packets(injection_rate, self.n_cycles, seed))
+            self._traces[key] = trace
+        return trace
 
     # ------------------------------------------------------------------
     # router networks
@@ -84,47 +97,48 @@ class NocSimulator:
         if router_cycles < 1 or hops_per_cycle < 1:
             raise ValueError("router_cycles and hops_per_cycle must be >= 1")
 
-        hop_mm = 2.0  # physical hop granularity of the link model
-
-        def link_cycles(length_mm: float) -> int:
-            hops = max(length_mm / hop_mm, 1.0)
-            return max(1, math.ceil(hops / hops_per_cycle))
-
-        port_free: Dict[Tuple[int, int], int] = {}
+        routes = topology.link_table(hops_per_cycle)
+        flits = self.packet_flits
+        port_free = [0] * (topology.n_routers * topology.n_routers)
         meter = LatencyMeter(self.warmup)
         horizon = self.n_cycles * 4  # drain window after injection stops
 
-        # Events: (time, seq, inject_time, measured, route_hops, hop_idx).
-        events: List[Tuple[int, int, int, bool, tuple, int]] = []
+        # Events: (time, seq, inject_time, measured, route, hop_idx). The
+        # trace is in cycle order, so appending the injections keeps the
+        # list sorted -- already a valid heap.
+        events: List[Tuple[int, int, int, bool, LinkRoute, int]] = []
         seq = 0
-        for cycle, src, dst in pattern.packets(injection_rate, self.n_cycles, seed):
+        for cycle, src, dst in self._trace(pattern, injection_rate, seed):
             measured = meter.offer(cycle)
-            route = tuple(topology.route(topology.router_of(src), topology.router_of(dst)))
+            route = routes[src][dst]
             if not route:  # same router: injection + ejection only
                 if measured:
-                    meter.deliver_local(self.packet_flits)
+                    meter.deliver_local(flits)
                 continue
-            heapq.heappush(events, (cycle + 1, seq, cycle, measured, route, 0))
+            events.append((cycle + 1, seq, cycle, measured, route, 0))
             seq += 1
 
         while events:
             time, _, inject, measured, route, hop_idx = heapq.heappop(events)
             if time > horizon:
                 continue  # stuck in saturation; drop (counts as undelivered)
-            frm, to, length_mm = route[hop_idx]
-            port = (frm, to)
-            start = max(time + router_cycles, port_free.get(port, 0))
-            port_free[port] = start + self.packet_flits
-            arrival = start + link_cycles(length_mm)
-            if hop_idx + 1 < len(route):
-                heapq.heappush(events, (arrival, seq, inject, measured, route, hop_idx + 1))
+            port, link = route[hop_idx]
+            start = time + router_cycles
+            free = port_free[port]
+            if free > start:
+                start = free
+            port_free[port] = start + flits
+            arrival = start + link
+            hop_idx += 1
+            if hop_idx < len(route):
+                heapq.heappush(events, (arrival, seq, inject, measured, route, hop_idx))
                 seq += 1
             elif measured:
                 # Ejection (1 cycle) plus tail-flit serialisation.
-                done = arrival + 1 + (self.packet_flits - 1)
-                meter.deliver(inject, done)
+                meter.deliver(inject, arrival + 1 + (flits - 1))
 
-        zero_load = router_cycles * (topology.average_hops() + 1) + topology.average_hops()
+        avg_hops = topology.average_hops()
+        zero_load = router_cycles * (avg_hops + 1) + avg_hops
         return meter.summarise(injection_rate, zero_load)
 
     # ------------------------------------------------------------------
@@ -149,17 +163,19 @@ class NocSimulator:
         # a stand-in for address bits).
         ways: List[List[Tuple[int, int]]] = [[] for _ in range(bus.interleave_ways)]
         meter = LatencyMeter(self.warmup)
-        for cycle, src, dst in pattern.packets(injection_rate, self.n_cycles, seed):
+        for cycle, src, dst in self._trace(pattern, injection_rate, seed):
             meter.offer(cycle)
             ways[dst % bus.interleave_ways].append((cycle, src))
 
         for way_packets in ways:
             arbiter = MatrixArbiter(bus.n_nodes)
-            pending: List[Tuple[int, int, int]] = []  # (ready, seq, idx)
-            by_core: Dict[int, List[int]] = {}
+            # Per core, the inject cycles of its admitted requests in
+            # arrival order; ``requesters`` is the set of cores with one.
+            queues: Dict[int, Deque[int]] = {}
+            requesters: Set[int] = set()
+            pending = 0
             idx = 0
             now = 0
-            seq = 0
             while idx < len(way_packets) or pending:
                 if now > horizon:
                     # A saturated way would otherwise grind through every
@@ -170,63 +186,44 @@ class NocSimulator:
                     break
                 # Admit every request that is ready by `now`.
                 while idx < len(way_packets) and way_packets[idx][0] + overhead <= now:
-                    ready = way_packets[idx][0] + overhead
-                    core = way_packets[idx][1]
-                    heapq.heappush(pending, (ready, seq, idx))
-                    by_core.setdefault(core, []).append(idx)
-                    seq += 1
+                    cycle, core = way_packets[idx]
+                    queue = queues.get(core)
+                    if queue is None:
+                        queue = queues[core] = deque()
+                    queue.append(cycle)
+                    requesters.add(core)
+                    pending += 1
                     idx += 1
                 if not pending:
                     now = way_packets[idx][0] + overhead
                     continue
-                requesters = {
-                    way_packets[i][1] for _, _, i in pending
-                }
                 winner = arbiter.grant(requesters)
-                if winner is None or not by_core.get(winner):
+                queue = queues.get(winner)
+                if not queue:
                     # A healthy matrix arbiter always grants one of its
                     # requesters; an unusable grant would loop forever on
                     # the same pending set. Fail loudly with the state.
                     raise SimulationStalled(
                         f"bus arbitration produced an unusable grant "
-                        f"({winner!r}) at cycle {now}: {len(pending)} "
+                        f"({winner!r}) at cycle {now}: {pending} "
                         "requests pending and none can make progress",
                         snapshot={
                             "cycle": now,
                             "winner": winner,
-                            "pending_requests": len(pending),
+                            "pending_requests": pending,
                             "requesters": sorted(requesters),
                             "admitted": idx,
                             "way_total": len(way_packets),
                         },
                     )
-                win_idx = by_core[winner].pop(0)
-                pending = [(r, s, i) for r, s, i in pending if i != win_idx]
-                heapq.heapify(pending)
-                start = now
-                finish = start + broadcast
-                inject_cycle = way_packets[win_idx][0]
+                inject_cycle = queue.popleft()
+                pending -= 1
+                if not queue:
+                    requesters.discard(winner)
+                finish = now + broadcast
                 if inject_cycle >= self.warmup and finish <= horizon:
                     meter.deliver(inject_cycle, finish)
                 now = finish
 
         zero_load = overhead + broadcast
         return meter.summarise(injection_rate, zero_load)
-
-    # ------------------------------------------------------------------
-    def load_latency_curve(
-        self,
-        simulate,
-        rates: Sequence[float],
-        stop_on_saturation: bool = True,
-        **kwargs,
-    ) -> List[LoadLatencyPoint]:
-        """Sweep injection rates with either engine (bound via partial).
-
-        Delegates to :func:`repro.noc.measure.load_latency_curve`: once a
-        rate saturates, higher rates are synthesised instead of simulated
-        (pass ``stop_on_saturation=False`` to force every point).
-        """
-        return _load_latency_curve(
-            simulate, rates, stop_on_saturation=stop_on_saturation, **kwargs
-        )

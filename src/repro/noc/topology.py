@@ -10,16 +10,30 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Iterator, List, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, Tuple
 
 #: Core tile pitch (mm): the 64-core CPU is a 16 mm x 16 mm die with an
 #: 8x8 grid of 2 mm tiles; larger core counts grow the die accordingly.
 TILE_PITCH_MM = 2.0
 
+#: Physical hop granularity of the link model (mm).
+LINK_HOP_MM = 2.0
+
+#: A route as the packet engine walks it: (port, link_cycles) per hop.
+LinkRoute = Tuple[Tuple[int, int], ...]
+
 
 def die_edge_mm(n_nodes: int) -> float:
     """Die edge for ``n_nodes`` cores at the standard tile pitch."""
     return TILE_PITCH_MM * math.sqrt(n_nodes)
+
+
+def link_cycles(length_mm: float, hops_per_cycle: float) -> int:
+    """Cycles to traverse a link of ``length_mm`` when a signal covers
+    ``hops_per_cycle`` link hops per cycle (at least one cycle)."""
+    hops = max(length_mm / LINK_HOP_MM, 1.0)
+    return max(1, math.ceil(hops / hops_per_cycle))
 
 
 class Topology(ABC):
@@ -64,7 +78,11 @@ class RouterTopology(Topology):
     def route(self, src_router: int, dst_router: int) -> List[Tuple[int, int, float]]:
         """Hops (from_router, to_router, length_mm) along the route."""
 
-    # -- derived metrics ----------------------------------------------
+    # -- derived geometry ----------------------------------------------
+    # A topology's routing is fixed at construction, so the derived
+    # metrics are memoized on the instance. Only the simulator's link
+    # table keeps routes; the statistics stream over them, since a large
+    # mesh has far more routes than its statistics need memory for.
     def hops(self, src: int, dst: int) -> int:
         """Router-to-router hop count between two nodes."""
         return len(self.route(self.router_of(src), self.router_of(dst)))
@@ -80,12 +98,74 @@ class RouterTopology(Topology):
                 if src != dst:
                     yield src, dst
 
+    @cached_property
+    def _route_stats(self) -> Tuple[float, int, int]:
+        """(average hops, max hops, directed links used) over all node
+        pairs, in one pass over the router pairs: a router pair stands
+        for every node pair it connects."""
+        n = self.n_routers
+        members = [0] * n
+        for node in range(self.n_nodes):
+            members[self.router_of(node)] += 1
+        total = longest = 0
+        links = set()
+        for src in range(n):
+            for dst in range(n):
+                route = self.route(src, dst)
+                if src != dst:
+                    links.update((frm, to) for frm, to, _ in route)
+                    weight = members[src] * members[dst]
+                else:
+                    weight = members[src] * (members[src] - 1)
+                if weight:
+                    total += len(route) * weight
+                    longest = max(longest, len(route))
+        return total / (self.n_nodes * (self.n_nodes - 1)), longest, len(links)
+
     def average_hops(self) -> float:
-        total = count = 0
-        for src, dst in self._pairs():
-            total += self.hops(src, dst)
-            count += 1
-        return total / count
+        return self._route_stats[0]
+
+    def max_hops(self) -> int:
+        return self._route_stats[1]
+
+    def n_directed_links(self) -> int:
+        """Directed router-to-router links actually used by the routing."""
+        return self._route_stats[2]
+
+    @cached_property
+    def _link_tables(self) -> Dict[float, Tuple[Tuple[LinkRoute, ...], ...]]:
+        return {}
+
+    def link_table(self, hops_per_cycle: float) -> Tuple[Tuple[LinkRoute, ...], ...]:
+        """``link_table(h)[src][dst]``: the route between two *nodes* as
+        ``(port, link_cycles)`` pairs, one per hop.
+
+        ``port`` numbers the directed link ``from * n_routers + to``;
+        ``link_cycles`` is :func:`link_cycles` of the hop's length at
+        ``hops_per_cycle``. Memoized per ``hops_per_cycle``.
+        """
+        table = self._link_tables.get(hops_per_cycle)
+        if table is None:
+            n = self.n_routers
+            # One shared (port, link_cycles) pair per directed link.
+            entries: Dict[Tuple[int, int, float], Tuple[int, int]] = {}
+
+            def entry(hop: Tuple[int, int, float]) -> Tuple[int, int]:
+                found = entries.get(hop)
+                if found is None:
+                    frm, to, length = hop
+                    found = (frm * n + to, link_cycles(length, hops_per_cycle))
+                    entries[hop] = found
+                return found
+
+            by_router = [
+                [tuple(entry(hop) for hop in self.route(src, dst)) for dst in range(n)]
+                for src in range(n)
+            ]
+            routers = [self.router_of(node) for node in range(self.n_nodes)]
+            table = tuple(tuple(by_router[src][dst] for dst in routers) for src in routers)
+            self._link_tables[hops_per_cycle] = table
+        return table
 
     def average_distance_mm(self) -> float:
         total = count = 0.0
@@ -96,9 +176,6 @@ class RouterTopology(Topology):
 
     def max_distance_mm(self) -> float:
         return max(self.distance_mm(src, dst) for src, dst in self._pairs())
-
-    def max_hops(self) -> int:
-        return max(self.hops(src, dst) for src, dst in self._pairs())
 
 
 def _grid_side(n_routers: int) -> int:

@@ -20,6 +20,9 @@ import numpy as np
 
 from repro.util.rng import make_rng
 
+#: One injected packet: (cycle, src, dst).
+Packet = Tuple[int, int, int]
+
 
 @dataclass(frozen=True)
 class TrafficPattern:
@@ -36,7 +39,7 @@ class TrafficPattern:
         injection_rate: float,
         n_cycles: int,
         seed: str = "traffic",
-    ) -> Iterator[Tuple[int, int, int]]:
+    ) -> Iterator[Packet]:
         """Yield (cycle, src, dst) with per-node ``injection_rate``."""
         if not (0.0 <= injection_rate <= 1.0):
             raise ValueError("injection rate must lie in [0, 1]")

@@ -25,7 +25,12 @@ from repro.pipeline.stages import (
     StageSpec,
     WireSpec,
 )
-from repro.pipeline.model import PipelineModel, PipelineReport, StageDelay
+from repro.pipeline.model import (
+    PipelineModel,
+    PipelineReport,
+    PipelineReportBatch,
+    StageDelay,
+)
 
 __all__ = [
     "CoreConfig",
@@ -46,5 +51,6 @@ __all__ = [
     "BOOM_STAGES",
     "PipelineModel",
     "PipelineReport",
+    "PipelineReportBatch",
     "StageDelay",
 ]

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.pipeline.config import CoreConfig, OperatingPoint
 from repro.pipeline.floorplan import SKYLAKE_FLOORPLAN, Floorplan
 from repro.pipeline.stages import (
@@ -20,6 +22,7 @@ from repro.pipeline.stages import (
     StageKind,
     StageSpec,
 )
+from repro.tech.batch import OperatingPointBatchLike, as_operating_point_batch
 from repro.tech.mosfet import CryoMOSFET, FREEPDK45_CARD, MOSFETCard
 from repro.tech.wire import CryoWireModel
 
@@ -96,6 +99,50 @@ class PipelineReport:
         return max(delays)
 
 
+@dataclass(frozen=True, eq=False)
+class PipelineReportBatch:
+    """Critical-path analyses of one pipeline at a batch of operating
+    points (the plural of :class:`PipelineReport`).
+
+    ``transistor_ps`` / ``wire_ps`` are ``(n_stages, n_points)`` arrays;
+    ``report[i]`` is the scalar :class:`PipelineReport` of point ``i``.
+    """
+
+    config_name: str
+    operating_points: Sequence[OperatingPoint]
+    stages: Tuple[StageSpec, ...]
+    transistor_ps: np.ndarray
+    wire_ps: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.transistor_ps.shape[1])
+
+    def __getitem__(self, index: int) -> PipelineReport:
+        return PipelineReport(
+            config_name=self.config_name,
+            operating_point=self.operating_points[index],
+            stages=tuple(
+                StageDelay(
+                    name=spec.name,
+                    kind=spec.kind,
+                    transistor_ps=float(self.transistor_ps[k, index]),
+                    wire_ps=float(self.wire_ps[k, index]),
+                    pipelinable=spec.pipelinable,
+                )
+                for k, spec in enumerate(self.stages)
+            ),
+        )
+
+    @property
+    def max_delay_ps(self) -> np.ndarray:
+        return (self.transistor_ps + self.wire_ps).max(axis=0)
+
+    @property
+    def frequency_ghz(self) -> np.ndarray:
+        """Per-point :attr:`PipelineReport.frequency_ghz`."""
+        return 1000.0 / self.max_delay_ps
+
+
 class PipelineModel:
     """Evaluate pipelines at arbitrary (structure, operating point)."""
 
@@ -117,28 +164,42 @@ class PipelineModel:
         """A copy of this model over a different stage list."""
         return PipelineModel(stages, self.wires, self.logic.card, self.floorplan)
 
-    def stage_delay(
-        self, spec: StageSpec, config: CoreConfig, op: OperatingPoint
-    ) -> StageDelay:
-        """Resolve one stage at (config, op)."""
-        transistor = spec.transistor_delay_ps(config) * self.logic.gate_delay_factor(op)
+    def evaluate_batch(
+        self, config: CoreConfig, ops: OperatingPointBatchLike
+    ) -> PipelineReportBatch:
+        """Critical-path analysis of the whole pipeline at many points.
+
+        ``ops`` is an :class:`~repro.tech.batch.OperatingPointBatch` or a
+        sequence of :class:`OperatingPoint` (whose names the per-point
+        reports keep). Each stage costs one vectorized wire kernel call
+        for the whole batch; this is the only implementation of the
+        stage-delay composition, and :meth:`evaluate` is its length-1
+        view.
+        """
+        if isinstance(ops, OperatingPoint):
+            ops = (ops,)
+        batch = as_operating_point_batch(ops)
+        points = ops if isinstance(ops, (list, tuple)) else batch
+        gate = self.logic.gate_delay_factor_batch(batch)
         forwarding = self.floorplan.forwarding_wire_length_um(config)
-        length = spec.wire.length_um(config, forwarding)
-        breakdown = self.wires.unrepeated_breakdown(spec.wire.layer, length, op)
-        # The wire component (driver + flight) is reported as Design
-        # Compiler would report net delay: it belongs to the wire bucket.
-        wire_ps = NODE_SCALE * breakdown.total_ns * 1e3
-        return StageDelay(
-            name=spec.name,
-            kind=spec.kind,
-            transistor_ps=transistor,
-            wire_ps=wire_ps,
-            pipelinable=spec.pipelinable,
+        transistor, wire = [], []
+        for spec in self.stages:
+            transistor.append(spec.transistor_delay_ps(config) * gate)
+            length = spec.wire.length_um(config, forwarding)
+            breakdown = self.wires.unrepeated_breakdown_batch(
+                spec.wire.layer, length, batch
+            )
+            # The wire component (driver + flight) is reported as Design
+            # Compiler would report net delay: it belongs to the wire bucket.
+            wire.append(NODE_SCALE * breakdown.total_ns * 1e3)
+        return PipelineReportBatch(
+            config_name=config.name,
+            operating_points=points,
+            stages=self.stages,
+            transistor_ps=np.array(transistor),
+            wire_ps=np.array(wire),
         )
 
     def evaluate(self, config: CoreConfig, op: OperatingPoint) -> PipelineReport:
         """Critical-path analysis of the whole pipeline at (config, op)."""
-        resolved = tuple(self.stage_delay(spec, config, op) for spec in self.stages)
-        return PipelineReport(
-            config_name=config.name, operating_point=op, stages=resolved
-        )
+        return self.evaluate_batch(config, op)[0]

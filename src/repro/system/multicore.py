@@ -14,6 +14,7 @@ performance used in Figs. 17/23/24.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Optional
 
 from repro.core.ipc import IPCModel
@@ -45,6 +46,14 @@ INITIAL_DAMPING = 0.5
 
 #: Ceiling for adaptive damping (retaining more would stall progress).
 MAX_DAMPING = 0.9
+
+
+
+@lru_cache(maxsize=None)
+def _shared_mesh(n_cores: int) -> Mesh:
+    """One mesh per core count, shared by every system: its derived
+    geometry (average hops, link count) is memoized on the instance."""
+    return Mesh(n_cores)
 
 
 @dataclass(frozen=True)
@@ -164,7 +173,7 @@ class MulticoreSystem:
             return IdealNoc(clock_ghz=spec.reference_clock_ghz)
         if spec.kind == "mesh":
             return AnalyticNocModel(
-                topology=Mesh(self.config.n_cores),
+                topology=_shared_mesh(self.config.n_cores),
                 op=op,
                 router=RouterModel(pipeline_cycles=spec.router_cycles),
                 reference_clock_ghz=spec.reference_clock_ghz,

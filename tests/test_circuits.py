@@ -15,6 +15,7 @@ from repro.circuits.simulator import CircuitSimulator
 from repro.tech.mosfet import INDUSTRY_2Z_CARD
 from repro.tech.repeater import RepeaterOptimizer
 from repro.tech.metal import FREEPDK45_STACK
+from repro.tech.operating_point import OP_CRYO, OP_ROOM
 
 
 class TestLadderSections:
@@ -127,8 +128,8 @@ class TestCircuitSimulator:
 
     def test_cold_simulation_faster(self):
         sim = CircuitSimulator()
-        warm = sim.simulate_repeated_wire("global", 6000.0, 4, 500.0, 300.0)
-        cold = sim.simulate_repeated_wire("global", 6000.0, 4, 500.0, 77.0)
+        warm = sim.simulate_repeated_wire("global", 6000.0, 4, 500.0, OP_ROOM)
+        cold = sim.simulate_repeated_wire("global", 6000.0, 4, 500.0, OP_CRYO)
         assert cold.delay_ns < warm.delay_ns
 
     def test_rejects_degenerate_discretisation(self):

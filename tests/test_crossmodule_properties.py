@@ -37,15 +37,16 @@ class TestThermodynamicMonotonicity:
     @given(t_cold=temperatures)
     def test_cache_access(self, t_cold):
         cacti = CactiModel()
-        assert cacti.optimize(256, t_cold).access_ns <= (
-            cacti.optimize(256, 300.0).access_ns + 1e-12
+        assert cacti.optimize(256, OperatingPoint.at(t_cold)).access_ns <= (
+            cacti.optimize(256, OperatingPoint.at(300.0)).access_ns + 1e-12
         )
 
     @settings(max_examples=10, deadline=None)
     @given(t_cold=temperatures)
     def test_dram_access(self, t_cold):
         dram = CllDramModel()
-        assert dram.timing(t_cold).access_ns <= dram.timing(300.0).access_ns + 1e-12
+        cold = dram.timing(OperatingPoint.at(t_cold)).access_ns
+        assert cold <= dram.timing(OperatingPoint.at(300.0)).access_ns + 1e-12
 
 
 class TestStructuralMonotonicity:

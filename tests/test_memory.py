@@ -15,6 +15,7 @@ from repro.noc.latency import AnalyticNocModel, IdealNoc
 from repro.noc.topology import Mesh
 from repro.pipeline.config import OP_NOC_77K
 from repro.tech.constants import T_LN2, T_ROOM
+from repro.tech.operating_point import OP_ROOM
 
 
 class TestCacheDesigns:
@@ -99,9 +100,7 @@ class TestDram:
 
 def _mesh_hierarchy(temperature):
     noc = AnalyticNocModel(
-        topology=Mesh(64), temperature_k=temperature,
-        vdd_v=OP_NOC_77K.vdd_v if temperature < 200 else None,
-        vth_v=OP_NOC_77K.vth_v if temperature < 200 else None,
+        topology=Mesh(64), op=OP_NOC_77K if temperature < 200 else OP_ROOM
     )
     caches = MEMORY_77K if temperature < 200 else MEMORY_300K
     dram = DRAM_77K if temperature < 200 else DRAM_300K
@@ -110,8 +109,7 @@ def _mesh_hierarchy(temperature):
 
 def _cryobus_hierarchy():
     noc = AnalyticNocModel(
-        bus=CryoBusDesign(64), temperature_k=T_LN2,
-        vdd_v=OP_NOC_77K.vdd_v, vth_v=OP_NOC_77K.vth_v,
+        bus=CryoBusDesign(64), op=OP_NOC_77K
     )
     return MemoryHierarchy(MEMORY_77K, DRAM_77K, noc, "snoop")
 
@@ -123,7 +121,7 @@ class TestHierarchy:
             MemoryHierarchy(MEMORY_77K, DRAM_77K, noc, "token")
 
     def test_snoop_rejects_router_fabric(self):
-        noc = AnalyticNocModel(topology=Mesh(64), temperature_k=T_ROOM)
+        noc = AnalyticNocModel(topology=Mesh(64), op=OP_ROOM)
         with pytest.raises(ValueError):
             MemoryHierarchy(MEMORY_300K, DRAM_300K, noc, "snoop")
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.tech.constants import T_LN2, T_ROOM
+from repro.tech.operating_point import OP_CRYO, OP_ROOM
 from repro.tech.metal import FREEPDK45_STACK, MetalLayer
 from repro.tech.resistivity import CryoResistivityModel
 
@@ -39,28 +39,28 @@ class TestCalibration:
     """The paper's Fig. 5 speed-up anchors (Section 2.3)."""
 
     def test_local_asymptotic_speedup(self):
-        assert FREEPDK45_STACK.local.speedup_at(T_LN2) == pytest.approx(2.95, rel=1e-3)
+        assert FREEPDK45_STACK.local.speedup_at(OP_CRYO) == pytest.approx(2.95, rel=1e-3)
 
     def test_semi_global_asymptotic_speedup(self):
-        assert FREEPDK45_STACK.semi_global.speedup_at(T_LN2) == pytest.approx(
+        assert FREEPDK45_STACK.semi_global.speedup_at(OP_CRYO) == pytest.approx(
             3.69, rel=1e-3
         )
 
     def test_global_near_bulk(self):
-        assert FREEPDK45_STACK.global_.speedup_at(T_LN2) == pytest.approx(
+        assert FREEPDK45_STACK.global_.speedup_at(OP_CRYO) == pytest.approx(
             1.0 / 0.21, rel=1e-3
         )
 
     def test_no_speedup_at_room(self):
         for layer in FREEPDK45_STACK.layers.values():
-            assert layer.speedup_at(T_ROOM) == pytest.approx(1.0)
+            assert layer.speedup_at(OP_ROOM) == pytest.approx(1.0)
 
     def test_thinner_wires_benefit_less(self):
         # The size effect freezes out less resistivity in narrow wires.
         assert (
-            FREEPDK45_STACK.local.speedup_at(T_LN2)
-            < FREEPDK45_STACK.semi_global.speedup_at(T_LN2)
-            < FREEPDK45_STACK.global_.speedup_at(T_LN2)
+            FREEPDK45_STACK.local.speedup_at(OP_CRYO)
+            < FREEPDK45_STACK.semi_global.speedup_at(OP_CRYO)
+            < FREEPDK45_STACK.global_.speedup_at(OP_CRYO)
         )
 
 
@@ -74,5 +74,5 @@ class TestMetalLayerValidation:
 
     def test_rc_per_um2_positive_and_temperature_sensitive(self):
         layer = FREEPDK45_STACK.semi_global
-        assert layer.rc_per_um2(T_LN2) < layer.rc_per_um2(T_ROOM)
-        assert layer.rc_per_um2(T_LN2) > 0
+        assert layer.rc_per_um2(OP_CRYO) < layer.rc_per_um2(OP_ROOM)
+        assert layer.rc_per_um2(OP_CRYO) > 0

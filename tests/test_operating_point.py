@@ -42,6 +42,10 @@ from repro.tech import (
 )
 from repro.tech.constants import T_ROOM
 
+#: These tests call the deprecated scalar form on purpose; the notice it
+#: draws is the subject of tests/test_batch.py, not a finding here.
+LEGACY_FORM_WARNING = "ignore:the legacy scalar operating-point call form:DeprecationWarning"
+
 temperatures = st.floats(min_value=77.0, max_value=300.0)
 #: Voltage pairs that keep the overdrive above every card's validity floor.
 vdds = st.floats(min_value=0.9, max_value=1.25)
@@ -75,6 +79,7 @@ class TestOperatingPoint:
         assert OP_77K_NOMINAL.is_cryogenic
         assert not OperatingPoint.at(T_ROOM).is_cryogenic
 
+    @pytest.mark.filterwarnings(LEGACY_FORM_WARNING)
     def test_shim_passthrough_and_defaults(self):
         assert as_operating_point(OP_NOC_77K) is OP_NOC_77K
         assert as_operating_point(None).temperature_k == T_ROOM
@@ -97,6 +102,7 @@ class TestOperatingPoint:
 # ----------------------------------------------------------------------
 # op-based vs legacy scalar signatures: bit-identical results
 # ----------------------------------------------------------------------
+@pytest.mark.filterwarnings(LEGACY_FORM_WARNING)
 class TestSignatureEquivalence:
     @settings(max_examples=20, deadline=None)
     @given(t=temperatures, vdd=vdds, vth=vths)
@@ -207,9 +213,9 @@ class TestTechContext:
     def test_hit_miss_accounting(self):
         with use_context(TechContext()) as ctx:
             mosfet = CryoMOSFET(FREEPDK45_CARD)
-            mosfet.gate_delay_factor(77.0)
+            mosfet.gate_delay_factor(OperatingPoint.at(77.0))
             assert (ctx.hits, ctx.misses) == (0, 1)
-            mosfet.gate_delay_factor(77.0)
+            mosfet.gate_delay_factor(OperatingPoint.at(77.0))
             assert (ctx.hits, ctx.misses) == (1, 1)
             # A differently-named but electrically identical point hits.
             mosfet.gate_delay_factor(OperatingPoint("label", 77.0))
@@ -222,8 +228,8 @@ class TestTechContext:
     def test_disabled_context_counts_misses(self):
         with use_context(TechContext(enabled=False)) as ctx:
             mosfet = CryoMOSFET(FREEPDK45_CARD)
-            mosfet.gate_delay_factor(77.0)
-            mosfet.gate_delay_factor(77.0)
+            mosfet.gate_delay_factor(OperatingPoint.at(77.0))
+            mosfet.gate_delay_factor(OperatingPoint.at(77.0))
             assert (ctx.hits, ctx.misses) == (0, 2)
             assert len(ctx) == 0
 

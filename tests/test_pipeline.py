@@ -217,3 +217,34 @@ class TestReportAccessors:
         warm = pipeline_model.evaluate(SKYLAKE_CONFIG, OP_300K_NOMINAL)
         cold = pipeline_model.evaluate(SKYLAKE_CONFIG, op)
         assert cold.frequency_ghz >= warm.frequency_ghz - 1e-9
+
+
+class TestBatchEvaluation:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(
+                st.floats(min_value=77.0, max_value=300.0),
+                st.floats(min_value=0.8, max_value=1.25),
+                st.floats(min_value=0.25, max_value=0.47),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_batch_rows_equal_scalar_reports(self, pipeline_model, points):
+        ops = [
+            OperatingPoint(f"p{i}", t, vdd, vth) for i, (t, vdd, vth) in enumerate(points)
+        ]
+        batch = pipeline_model.evaluate_batch(CRYO_CORE_CONFIG, ops)
+        assert len(batch) == len(ops)
+        frequencies = batch.frequency_ghz.tolist()
+        for i, op in enumerate(ops):
+            scalar = pipeline_model.evaluate(CRYO_CORE_CONFIG, op)
+            assert batch[i] == scalar  # bit-identical, names kept
+            assert frequencies[i] == scalar.frequency_ghz
+
+    def test_empty_batch(self, pipeline_model):
+        batch = pipeline_model.evaluate_batch(SKYLAKE_CONFIG, [])
+        assert len(batch) == 0
+        assert batch.frequency_ghz.shape == (0,)

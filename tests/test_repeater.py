@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.tech.constants import T_LN2, T_ROOM
+from repro.tech.operating_point import OP_CRYO, OP_ROOM, OperatingPoint
 from repro.tech.metal import FREEPDK45_STACK
 from repro.tech.mosfet import FREEPDK45_CARD, INDUSTRY_2Z_CARD
 from repro.tech.repeater import RepeaterOptimizer
@@ -58,25 +58,25 @@ class TestOptimize:
 class TestCryogenicSpeedup:
     def test_global_repeated_speedup_anchor(self, global_opt):
         """Fig. 5(b): 6.22 mm repeated global wire reaches ~3.38x."""
-        assert global_opt.speedup(6220.0, T_LN2) == pytest.approx(3.38, abs=0.15)
+        assert global_opt.speedup(6220.0, OP_CRYO) == pytest.approx(3.38, abs=0.15)
 
     def test_semi_global_repeated_weaker(self, semi_opt, global_opt):
         """Logic-cell repeaters cap the semi-global repeated gain."""
-        semi = semi_opt.speedup(900.0, T_LN2)
-        glob = global_opt.speedup(6220.0, T_LN2)
+        semi = semi_opt.speedup(900.0, OP_CRYO)
+        glob = global_opt.speedup(6220.0, OP_CRYO)
         assert 1.6 < semi < 2.6
         assert semi < glob
 
     def test_no_speedup_at_room(self, global_opt):
-        assert global_opt.speedup(2000.0, T_ROOM) == pytest.approx(1.0)
+        assert global_opt.speedup(2000.0, OP_ROOM) == pytest.approx(1.0)
 
     def test_cold_reoptimisation_never_hurts(self, global_opt):
         """Re-optimising at 77 K beats reusing the 300 K design."""
-        warm = global_opt.optimize(6220.0, T_ROOM)
+        warm = global_opt.optimize(6220.0, OP_ROOM)
         cold_reused = global_opt.delay_with(
-            6220.0, warm.n_repeaters, warm.repeater_size, T_LN2
+            6220.0, warm.n_repeaters, warm.repeater_size, OP_CRYO
         )
-        cold_optimal = global_opt.optimize(6220.0, T_LN2).delay_ns
+        cold_optimal = global_opt.optimize(6220.0, OP_CRYO).delay_ns
         assert cold_optimal <= cold_reused + 1e-12
 
 
@@ -94,8 +94,8 @@ class TestProperties:
     @settings(max_examples=30, deadline=None)
     @given(length=st.floats(min_value=100.0, max_value=20000.0))
     def test_cold_always_at_least_as_fast(self, global_opt, length):
-        warm = global_opt.optimize(length, T_ROOM).delay_ns
-        cold = global_opt.optimize(length, T_LN2).delay_ns
+        warm = global_opt.optimize(length, OP_ROOM).delay_ns
+        cold = global_opt.optimize(length, OP_CRYO).delay_ns
         assert cold <= warm
 
     @settings(max_examples=30, deadline=None)
@@ -104,4 +104,4 @@ class TestProperties:
         temp=st.floats(min_value=77.0, max_value=300.0),
     )
     def test_delay_positive(self, global_opt, length, temp):
-        assert global_opt.optimize(length, temp).delay_ns > 0
+        assert global_opt.optimize(length, OperatingPoint.at(temp)).delay_ns > 0
