@@ -300,14 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bind port (default 8077; 0 = ephemeral)",
     )
     serve.add_argument(
-        "--window-ms",
-        type=float,
-        default=2.0,
-        metavar="MS",
-        help="micro-batching coalescing window in milliseconds "
-        "(default 2.0; 0 still coalesces arrivals during compute)",
-    )
-    serve.add_argument(
         "--max-batch",
         type=int,
         default=256,
@@ -507,8 +499,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "serve":
         from repro.serve import CryoWireServer, ModelService
 
-        if args.window_ms < 0:
-            raise SystemExit("error: --window-ms must be >= 0")
         if args.max_batch < 1:
             raise SystemExit("error: --max-batch must be >= 1")
         if args.cache_entries < 1:
@@ -523,7 +513,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             service=ModelService(max_cache_entries=args.cache_entries),
             host=args.host,
             port=args.port,
-            window_s=args.window_ms / 1000.0,
             max_batch=args.max_batch,
             batching_enabled=not args.no_batching,
             max_inflight=args.max_inflight,

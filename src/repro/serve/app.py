@@ -102,7 +102,6 @@ class CryoWireServer:
         service: Optional[ModelService] = None,
         host: str = "127.0.0.1",
         port: int = 8077,
-        window_s: float = 0.002,
         max_batch: int = 256,
         batching_enabled: bool = True,
         max_inflight: int = 64,
@@ -131,7 +130,6 @@ class CryoWireServer:
         )
         self.batcher = MicroBatcher(
             self.service.evaluate_points,
-            window_s=window_s,
             max_batch=max_batch,
             enabled=batching_enabled,
             executor=self._model_executor,
@@ -713,7 +711,6 @@ def serve_in_thread(
     service: Optional[ModelService] = None,
     host: str = "127.0.0.1",
     port: int = 0,
-    window_s: float = 0.002,
     max_batch: int = 256,
     batching_enabled: bool = True,
     start_timeout_s: float = 15.0,
@@ -734,7 +731,6 @@ def serve_in_thread(
         service=service,
         host=host,
         port=port,
-        window_s=window_s,
         max_batch=max_batch,
         batching_enabled=batching_enabled,
         max_inflight=max_inflight,

@@ -4,19 +4,26 @@ The serve layer's throughput story in one mechanism. Each HTTP request
 carries a single :class:`~repro.serve.service.PointQuery`; evaluating
 them one at a time serialises a Python-level model call per request.
 Instead, requests are appended to a pending list and a single worker
-task drains it: it waits a short coalescing window (during which the
-event loop keeps accepting requests), then hands *everything* pending —
-up to ``max_batch`` — to the evaluate hook as one list, which
+task drains it: as soon as it wakes it hands *everything* pending — up
+to ``max_batch`` — to the evaluate hook as one list, which
 :meth:`~repro.serve.service.ModelService.evaluate_points` turns into
 one :class:`~repro.tech.batch.OperatingPointBatch` per device card for
 the vectorized kernels. One NumPy pass replaces N scalar passes, and
 the per-call overhead (guard checks, context lookups, Python dispatch)
 is paid once per batch instead of once per request.
 
+The policy is *dispatch on idle*: there is no coalescing window. A
+request that reaches an idle executor is evaluated at once, alone.
 Evaluation runs on a dedicated single-thread executor so the event loop
-never blocks: while one batch computes, the loop keeps enqueuing the
-next one — under load the batches grow to meet the arrival rate, which
-is exactly the back-pressure behaviour a micro-batching queue wants.
+never blocks, and requests that arrive while a batch computes queue
+behind it and go out together as the next batch (in arrival order,
+chunked by ``max_batch``). Batches therefore grow with the backlog,
+which is exactly the back-pressure behaviour a micro-batching queue
+wants, and a quiet server adds no latency. A fixed 2 ms window was
+measured against this policy out of process (two CPUs, server and
+client on separate cores): at 2, 8 and 32 closed-loop connections it
+lost on throughput, p50 and p99 alike, because the sleep saves no CPU
+when few requests overlap.
 
 Overload behaviour is budgeted, not implicit:
 
@@ -70,15 +77,16 @@ _Entry = Tuple[object, asyncio.Future, Optional[Deadline]]
 class MicroBatcher:
     """Coalescing request queue in front of a batch-evaluate hook.
 
+    Dispatch on idle: a submission that finds the worker idle is handed
+    to the executor at once, as a batch of one; submissions that arrive
+    while a batch computes form the next batch, in arrival order, up to
+    ``max_batch`` at a time. Nothing waits for a partner.
+
     Parameters
     ----------
     evaluate:
         ``(queries) -> [payload, ...]`` — must return exactly one result
         per query, in order. Runs on ``executor`` (never on the loop).
-    window_s:
-        Coalescing window: how long the worker waits after waking before
-        draining the pending list. Zero still coalesces whatever arrived
-        while the previous batch was computing.
     max_batch:
         Hard cap per drained batch; the remainder stays pending and is
         drained immediately after.
@@ -92,20 +100,16 @@ class MicroBatcher:
     def __init__(
         self,
         evaluate: Callable[[Sequence[object]], List[object]],
-        window_s: float = 0.002,
         max_batch: int = 256,
         enabled: bool = True,
         executor: Optional[ThreadPoolExecutor] = None,
         max_queue: Optional[int] = None,
     ) -> None:
-        if window_s < 0:
-            raise ValueError("window_s must be >= 0")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if max_queue is not None and max_queue < 1:
             raise ValueError("max_queue must be >= 1 (or None for unbounded)")
         self._evaluate = evaluate
-        self.window_s = window_s
         self.max_batch = max_batch
         self.max_queue = max_queue
         self.enabled = enabled
@@ -289,48 +293,42 @@ class MicroBatcher:
     async def _drain_loop(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
+            self._sweep_expired()
             if not self._pending:
                 if self._closed:
                     return
                 await self._wake.wait()
                 self._wake.clear()
                 continue
-            if self.window_s > 0 and not self._closed:
-                # The coalescing window: requests arriving during this
-                # sleep (and during the executor call below) join the
-                # next drained batch. Skipped once draining — flush fast.
-                await asyncio.sleep(self.window_s)
-            while self._pending:
-                self._sweep_expired()
-                chunk = self._pending[: self.max_batch]
-                del self._pending[: len(chunk)]
-                if not chunk:
-                    break
-                self._inflight_chunk = chunk
-                queries = [q for q, _, _ in chunk]
-                try:
-                    # A cancellation here (forced drain) deliberately
-                    # leaves _inflight_chunk populated: stop() fails
-                    # those futures so no waiter is ever abandoned.
-                    results = await loop.run_in_executor(
-                        self._executor, self._evaluate_batch, queries
+            # Dispatch on idle: whatever is pending goes out now; what
+            # arrives during the executor call below is the next batch.
+            chunk = self._pending[: self.max_batch]
+            del self._pending[: len(chunk)]
+            self._inflight_chunk = chunk
+            queries = [q for q, _, _ in chunk]
+            try:
+                # A cancellation here (forced drain) deliberately leaves
+                # _inflight_chunk populated: stop() fails those futures
+                # so no waiter is ever abandoned.
+                results = await loop.run_in_executor(
+                    self._executor, self._evaluate_batch, queries
+                )
+                if len(results) != len(queries):
+                    raise RuntimeError(
+                        f"evaluate returned {len(results)} results "
+                        f"for {len(queries)} queries"
                     )
-                    if len(results) != len(queries):
-                        raise RuntimeError(
-                            f"evaluate returned {len(results)} results "
-                            f"for {len(queries)} queries"
-                        )
-                except Exception as exc:  # noqa: BLE001 - fan the failure out
-                    for _, future, _ in chunk:
-                        if not future.done():
-                            future.set_exception(exc)
-                    self._inflight_chunk = []
-                    continue
-                self._account(len(queries))
-                for (_, future, _), result in zip(chunk, results):
+            except Exception as exc:  # noqa: BLE001 - fan the failure out
+                for _, future, _ in chunk:
                     if not future.done():
-                        future.set_result(result)
+                        future.set_exception(exc)
                 self._inflight_chunk = []
+                continue
+            self._account(len(queries))
+            for (_, future, _), result in zip(chunk, results):
+                if not future.done():
+                    future.set_result(result)
+            self._inflight_chunk = []
 
     def _account(self, batch_size: int) -> None:
         self._n_batches += 1
@@ -346,12 +344,13 @@ class MicroBatcher:
         ``coalescing_rate`` is the fraction of requests that rode along
         in someone else's batch (``1 - batches/points``): 0 when every
         request paid its own evaluate call, approaching 1 as batches
-        grow. The load test asserts this is non-zero under concurrency.
+        grow. Batches only form behind a running one, so it stays near
+        0 until requests overlap; the load test asserts it is non-zero
+        under a closed-loop backlog.
         """
         coalesced = self._n_points - self._n_batches
         return {
             "enabled": self.enabled,
-            "window_s": self.window_s,
             "max_batch": self.max_batch,
             "max_queue": self.max_queue,
             "queue_depth": len(self._pending),

@@ -48,6 +48,12 @@ def _bloch_gruneisen_integral(reduced_temperature: float) -> float:
     return reduced_temperature**5 * value
 
 
+@lru_cache(maxsize=64)
+def _room_integral(debye_k: float) -> float:
+    """The 300 K reference integral, computed once per Debye temperature."""
+    return _bloch_gruneisen_integral(T_ROOM / debye_k)
+
+
 @lru_cache(maxsize=512)
 def bloch_gruneisen_ratio(temperature_k: float, debye_k: float = DEBYE_TEMPERATURE_CU) -> float:
     """Phonon resistivity at ``temperature_k`` normalised to its 300 K value.
@@ -56,9 +62,7 @@ def bloch_gruneisen_ratio(temperature_k: float, debye_k: float = DEBYE_TEMPERATU
     77 K, matching the measured bulk-copper resistivity drop.
     """
     check_temperature(temperature_k)
-    at_t = _bloch_gruneisen_integral(temperature_k / debye_k)
-    at_ref = _bloch_gruneisen_integral(T_ROOM / debye_k)
-    return at_t / at_ref
+    return _bloch_gruneisen_integral(temperature_k / debye_k) / _room_integral(debye_k)
 
 
 def bloch_gruneisen_ratio_batch(

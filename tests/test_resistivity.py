@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.tech import resistivity
 from repro.tech.constants import T_LN2, T_ROOM
 from repro.tech.resistivity import CryoResistivityModel, bloch_gruneisen_ratio
 
@@ -24,6 +25,24 @@ class TestBlochGruneisen:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             bloch_gruneisen_ratio(10.0)
+
+    def test_fresh_temperature_costs_one_integral(self, monkeypatch):
+        """The 300 K reference integral is computed once per Debye
+        temperature, so each temperature the cache has not seen costs one
+        quadrature, not two."""
+        bloch_gruneisen_ratio(T_LN2)  # copper's reference is now known
+        bloch_gruneisen_ratio.cache_clear()
+        reduced = []
+        integral = resistivity._bloch_gruneisen_integral
+
+        def counting(reduced_temperature):
+            reduced.append(reduced_temperature)
+            return integral(reduced_temperature)
+
+        monkeypatch.setattr(resistivity, "_bloch_gruneisen_integral", counting)
+        bloch_gruneisen_ratio(123.25)
+        bloch_gruneisen_ratio(234.75)
+        assert len(reduced) == 2
 
 
 class TestCryoResistivityModel:

@@ -59,7 +59,7 @@ OP_CRYOSP_VOLTAGES = {"temperature_k": 77.0, "vdd_v": 0.64, "vth_v": 0.25}
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="class")
 def server():
-    handle = serve_in_thread(window_s=0.001)
+    handle = serve_in_thread()
     yield handle
     handle.stop()
 
@@ -96,6 +96,14 @@ def _request_full(handle, method, path, payload=None, headers=None):
         return response.status, response_headers, json.loads(response.read())
     finally:
         conn.close()
+
+
+def _wait_until(predicate, timeout_s=10.0):
+    """Poll ``predicate`` (a ``/stats`` check) until it holds."""
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
 
 
 class TestEndpoints:
@@ -461,7 +469,8 @@ class TestEndpoints:
 class TestConcurrency:
     def test_concurrent_queries_coalesce_and_stay_deterministic(self, server):
         """N clients hammer mixed queries; coalescing must not change
-        any answer, and the batcher must actually coalesce."""
+        any answer, and queries that queue while the model executor is
+        busy must go out together as one batch."""
         bodies = [
             {
                 "operating_point": {
@@ -481,6 +490,7 @@ class TestConcurrency:
             assert status == 200
             references[i] = payload["metrics"]
 
+        n_clients = 8
         answers = []
         lock = threading.Lock()
 
@@ -498,18 +508,45 @@ class TestConcurrency:
             finally:
                 conn.close()
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(answers) == 80
+        def batching():
+            return server.stats()["batching"]
+
+        # Wedge the model executor, then send one pilot query: the
+        # batcher dispatches it and waits on the executor, so every
+        # client's first query queues behind it.
+        release = threading.Event()
+        blocker = server.server._model_executor.submit(release.wait, 30.0)
+        submitted = batching()["requests"]
+        pilot = {}
+        pilot_thread = threading.Thread(
+            target=lambda: pilot.update(answer=_post(server, "/v1/query", bodies[0]))
+        )
+        threads = [threading.Thread(target=worker) for _ in range(n_clients)]
+        try:
+            pilot_thread.start()
+            _wait_until(
+                lambda: batching()["requests"] == submitted + 1
+                and batching()["queue_depth"] == 0
+            )
+            for thread in threads:
+                thread.start()
+            _wait_until(lambda: batching()["queue_depth"] == n_clients)
+        finally:
+            release.set()
+        for thread in [pilot_thread, *threads]:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert blocker.result(timeout=5) is True
+        status, payload = pilot["answer"]
+        assert status == 200
+        assert payload["metrics"] == references[0]
+        assert len(answers) == n_clients * len(bodies)
         for status, i, payload in answers:
             assert status == 200
             assert payload["metrics"] == references[i]
-        stats = server.stats()
-        assert stats["batching"]["coalescing_rate"] > 0.0
-        assert stats["batching"]["max_batch_seen"] > 1
+        stats = batching()
+        assert stats["max_batch_seen"] == n_clients
+        assert stats["coalescing_rate"] > 0.0
 
 
 class TestFailureIsolation:
@@ -555,31 +592,96 @@ class TestFailureIsolation:
         assert excinfo.value.code == "invalid_wire"
 
 
+class _HeldHook:
+    """Evaluate hook that holds every batch until :attr:`release` is set.
+
+    :attr:`started` is set once a batch is on the executor, so a test
+    can queue entries behind a running batch without sleeping.
+    """
+
+    def __init__(self):
+        self.batches = []
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, queries):
+        self.batches.append(list(queries))
+        self.started.set()
+        self.release.wait(5.0)
+        return [q * 2 for q in queries]
+
+
+async def _hold(batcher, hook):
+    """Submit ``"held"`` to an idle batcher; return its task once the
+    batch is on the executor, held by ``hook``."""
+    task = asyncio.get_running_loop().create_task(batcher.submit("held"))
+    assert await asyncio.to_thread(hook.started.wait, 5.0)
+    return task
+
+
+async def _until_queued(batcher, n):
+    """Yield to the loop until ``n`` entries wait in the pending list."""
+    for _ in range(1000):
+        if batcher.stats()["queue_depth"] >= n:
+            return
+        await asyncio.sleep(0)
+    raise AssertionError(f"{n} entries never queued")
+
+
 class TestMicroBatcher:
     def _run(self, coro):
         return asyncio.run(coro)
 
     def test_concurrent_submissions_coalesce(self):
-        seen_batches = []
-
-        def evaluate(queries):
-            seen_batches.append(len(queries))
-            time.sleep(0.005)  # hold the executor so arrivals pile up
-            return [q * 2 for q in queries]
+        hook = _HeldHook()
 
         async def scenario():
-            batcher = MicroBatcher(evaluate, window_s=0.005)
+            batcher = MicroBatcher(hook)
             batcher.start()
+            loop = asyncio.get_running_loop()
             try:
-                results = await asyncio.gather(
-                    *(batcher.submit(i) for i in range(10))
-                )
+                held = await _hold(batcher, hook)
+                tasks = [loop.create_task(batcher.submit(i)) for i in range(10)]
+                await _until_queued(batcher, 10)
+                hook.release.set()
+                results = await asyncio.gather(held, *tasks)
             finally:
+                hook.release.set()
                 await batcher.stop()
-            return results
+            return results[1:]
 
         assert self._run(scenario()) == [i * 2 for i in range(10)]
-        assert max(seen_batches) > 1
+        assert hook.batches == [["held"], list(range(10))]
+
+    def test_idle_dispatch_then_backlog_in_arrival_order(self):
+        """The batching policy: a submission to an idle batcher is
+        evaluated at once and alone; everything that queued behind it
+        goes out next, in arrival order, chunked by ``max_batch``."""
+        hook = _HeldHook()
+
+        async def scenario():
+            batcher = MicroBatcher(hook, max_batch=4)
+            batcher.start()
+            loop = asyncio.get_running_loop()
+            try:
+                held = await _hold(batcher, hook)
+                tasks = [loop.create_task(batcher.submit(i)) for i in range(10)]
+                await _until_queued(batcher, 10)
+                hook.release.set()
+                results = await asyncio.gather(held, *tasks)
+            finally:
+                hook.release.set()
+                await batcher.stop()
+            return results, batcher.stats()
+
+        results, stats = self._run(scenario())
+        assert results == ["heldheld"] + [i * 2 for i in range(10)]
+        assert hook.batches == [["held"], [0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+        assert (stats["batches"], stats["points"], stats["max_batch_seen"]) == (
+            4,
+            11,
+            4,
+        )
 
     def test_disabled_mode_evaluates_singly(self):
         seen_batches = []
@@ -605,7 +707,7 @@ class TestMicroBatcher:
             raise RuntimeError("boom")
 
         async def scenario():
-            batcher = MicroBatcher(evaluate, window_s=0.001)
+            batcher = MicroBatcher(evaluate)
             batcher.start()
             try:
                 with pytest.raises(RuntimeError, match="boom"):
@@ -623,7 +725,7 @@ class TestMicroBatcher:
             return list(queries)
 
         async def scenario():
-            batcher = MicroBatcher(evaluate, window_s=0.01, max_batch=4)
+            batcher = MicroBatcher(evaluate, max_batch=4)
             batcher.start()
             try:
                 await asyncio.gather(*(batcher.submit(i) for i in range(10)))
@@ -638,7 +740,7 @@ class TestMicroBatcher:
             return list(queries)
 
         async def scenario():
-            batcher = MicroBatcher(evaluate, window_s=0.005)
+            batcher = MicroBatcher(evaluate)
             batcher.start()
             try:
                 await asyncio.gather(*(batcher.submit(i) for i in range(6)))
@@ -654,8 +756,6 @@ class TestMicroBatcher:
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            MicroBatcher(lambda q: q, window_s=-1.0)
-        with pytest.raises(ValueError):
             MicroBatcher(lambda q: q, max_batch=0)
         with pytest.raises(ValueError):
             MicroBatcher(lambda q: q, max_queue=0)
@@ -670,53 +770,48 @@ class TestMicroBatcherDrain:
     def test_stop_flushes_pending_work(self):
         """Entries still queued when stop() is called are evaluated, not
         dropped: the drain flushes before the worker exits."""
-
-        def evaluate(queries):
-            return [q * 2 for q in queries]
+        hook = _HeldHook()
 
         async def scenario():
-            # A long window guarantees the entries are still pending
-            # when stop() arrives — stop must skip the window and flush.
-            batcher = MicroBatcher(evaluate, window_s=5.0)
+            batcher = MicroBatcher(hook)
             batcher.start()
-            tasks = [
-                asyncio.get_running_loop().create_task(batcher.submit(i))
-                for i in range(5)
-            ]
-            await asyncio.sleep(0)  # let every submit enqueue
+            loop = asyncio.get_running_loop()
+            held = await _hold(batcher, hook)
+            tasks = [loop.create_task(batcher.submit(i)) for i in range(5)]
+            await _until_queued(batcher, 5)
+            # Runs once stop() is waiting on the worker, so the entries
+            # are still queued when the drain begins.
+            loop.call_soon(hook.release.set)
             record = await batcher.stop(drain_timeout_s=5.0)
-            results = await asyncio.gather(*tasks)
-            return record, results
+            results = await asyncio.gather(held, *tasks)
+            return record, results[1:]
 
         record, results = self._run(scenario())
         assert results == [i * 2 for i in range(5)]
         assert record["outcome"] == "drained"
-        assert record["pending_at_stop"] == 5
+        assert record["pending_at_stop"] == 6  # 5 queued + the held one
         assert record["failed"] == 0
+        assert hook.batches == [["held"], [0, 1, 2, 3, 4]]
 
     def test_forced_stop_fails_unresolved_futures_structured(self):
         """A drain that cannot finish in time fails every unresolved
         future with BatcherClosed — waiters get a structured error, not
         an eternal await."""
-        release = threading.Event()
-
-        def evaluate(queries):
-            release.wait(5.0)
-            return list(queries)
+        hook = _HeldHook()
 
         async def scenario():
-            batcher = MicroBatcher(evaluate, window_s=0.0)
+            batcher = MicroBatcher(hook)
             batcher.start()
-            loop = asyncio.get_running_loop()
-            first = loop.create_task(batcher.submit("wedged"))
-            await asyncio.sleep(0.05)  # worker picks it up and blocks
-            queued = loop.create_task(batcher.submit("queued"))
-            await asyncio.sleep(0)
+            wedged = await _hold(batcher, hook)
+            queued = asyncio.get_running_loop().create_task(
+                batcher.submit("queued")
+            )
+            await _until_queued(batcher, 1)
             record = await batcher.stop(drain_timeout_s=0.05)
             outcomes = await asyncio.gather(
-                first, queued, return_exceptions=True
+                wedged, queued, return_exceptions=True
             )
-            release.set()
+            hook.release.set()
             return record, outcomes
 
         record, outcomes = self._run(scenario())
@@ -726,7 +821,7 @@ class TestMicroBatcherDrain:
 
     def test_submit_after_stop_is_refused(self):
         async def scenario():
-            batcher = MicroBatcher(lambda q: list(q), window_s=0.0)
+            batcher = MicroBatcher(lambda q: list(q))
             batcher.start()
             await batcher.stop()
             with pytest.raises(BatcherClosed):
@@ -745,7 +840,7 @@ class TestMicroBatcherDrain:
             raise ValueError("poisoned batch")
 
         async def scenario():
-            batcher = MicroBatcher(evaluate, window_s=0.01)
+            batcher = MicroBatcher(evaluate)
             batcher.start()
             loop = asyncio.get_running_loop()
             tasks = [loop.create_task(batcher.submit(i)) for i in range(3)]
@@ -763,23 +858,18 @@ class TestMicroBatcherDrain:
         )
 
     def test_queue_bound_sheds_queue_full(self):
-        release = threading.Event()
-
-        def evaluate(queries):
-            release.wait(5.0)
-            return list(queries)
+        hook = _HeldHook()
 
         async def scenario():
-            batcher = MicroBatcher(evaluate, window_s=0.0, max_queue=2)
+            batcher = MicroBatcher(hook, max_queue=2)
             batcher.start()
             loop = asyncio.get_running_loop()
-            busy = loop.create_task(batcher.submit("busy"))
-            await asyncio.sleep(0.05)  # worker drains it and blocks
+            busy = await _hold(batcher, hook)
             queued = [loop.create_task(batcher.submit(i)) for i in range(2)]
-            await asyncio.sleep(0)
+            await _until_queued(batcher, 2)
             with pytest.raises(QueueFull):
                 await batcher.submit("one too many")
-            release.set()
+            hook.release.set()
             await asyncio.gather(busy, *queued)
             return batcher.stats()
 
@@ -787,44 +877,45 @@ class TestMicroBatcherDrain:
         assert stats["shed_queue_full"] == 1
 
     def test_expired_deadline_is_shed_before_kernel_work(self):
-        evaluated = []
-
-        def evaluate(queries):
-            evaluated.extend(queries)
-            return list(queries)
+        hook = _HeldHook()
 
         async def scenario():
-            batcher = MicroBatcher(evaluate, window_s=0.05)
+            batcher = MicroBatcher(hook)
             batcher.start()
             loop = asyncio.get_running_loop()
+            held = await _hold(batcher, hook)
             doomed = loop.create_task(
-                batcher.submit("doomed", deadline=Deadline(1.0))
+                batcher.submit("doomed", deadline=Deadline(20.0))
             )
             fine = loop.create_task(batcher.submit("fine"))
-            await asyncio.sleep(0.01)  # budget (1 ms) expires while queued
+            await _until_queued(batcher, 2)
+            # The budget runs out while the entry waits behind the held
+            # batch; only then does the executor free up.
+            await asyncio.wait({doomed})
+            hook.release.set()
             outcomes = await asyncio.gather(
-                doomed, fine, return_exceptions=True
+                held, doomed, fine, return_exceptions=True
             )
             await batcher.stop()
-            return outcomes
+            return outcomes[1:]
 
         doomed_outcome, fine_outcome = self._run(scenario())
         assert isinstance(doomed_outcome, DeadlineExceeded)
-        assert fine_outcome == "fine"
+        assert fine_outcome == "finefine"
         # The expired entry never reached the evaluate hook.
-        assert evaluated == ["fine"]
+        assert hook.batches == [["held"], ["fine"]]
 
 
 class TestOverloadControls:
     """Deadlines, admission, readiness — the non-chaos overload paths."""
 
     def test_readyz_is_ready_on_a_healthy_server(self):
-        with serve_in_thread(window_s=0.001) as handle:
+        with serve_in_thread() as handle:
             status, payload = _get(handle, "/readyz")
             assert (status, payload) == (200, {"ready": True})
 
     def test_deadline_header_is_recorded_in_the_payload(self):
-        with serve_in_thread(window_s=0.001) as handle:
+        with serve_in_thread() as handle:
             status, _, payload = _request_full(
                 handle,
                 "POST",
@@ -837,7 +928,7 @@ class TestOverloadControls:
             assert 0.0 < payload["deadline"]["remaining_ms"] <= 5000.0
 
     def test_tiny_deadline_is_structured_408(self):
-        with serve_in_thread(window_s=0.001) as handle:
+        with serve_in_thread() as handle:
             status, _, payload = _request_full(
                 handle,
                 "POST",
@@ -852,7 +943,7 @@ class TestOverloadControls:
             assert error["budget_ms"] == 0.001
 
     def test_invalid_deadline_header_is_400(self):
-        with serve_in_thread(window_s=0.001) as handle:
+        with serve_in_thread() as handle:
             for bad in ("soon", "-100", "0", "inf"):
                 status, _, payload = _request_full(
                     handle,
@@ -866,7 +957,7 @@ class TestOverloadControls:
                 assert payload["error"]["retryable"] is False
 
     def test_full_gate_sheds_503_with_retry_after(self):
-        with serve_in_thread(window_s=0.001, max_inflight=1) as handle:
+        with serve_in_thread(max_inflight=1) as handle:
             # Fill the gate from the outside (it is thread-safe), so the
             # next request is deterministically shed.
             assert handle.server.gate.try_acquire()
@@ -895,7 +986,7 @@ class TestOverloadControls:
             assert stats["admitted"] >= 1
 
     def test_health_probes_bypass_the_gate(self):
-        with serve_in_thread(window_s=0.001, max_inflight=1) as handle:
+        with serve_in_thread(max_inflight=1) as handle:
             assert handle.server.gate.try_acquire()
             try:
                 assert _get(handle, "/healthz")[0] == 200
@@ -905,7 +996,7 @@ class TestOverloadControls:
                 handle.server.gate.release()
 
     def test_stats_overload_shape(self):
-        with serve_in_thread(window_s=0.001) as handle:
+        with serve_in_thread() as handle:
             status, payload = _get(handle, "/stats")
             assert status == 200
             overload = payload["overload"]
@@ -926,13 +1017,13 @@ class TestOverloadControls:
 
 class TestServerTeardown:
     def test_stop_reports_graceful_on_a_quiet_server(self):
-        handle = serve_in_thread(window_s=0.001)
+        handle = serve_in_thread()
         assert handle.stop() == "graceful"
         assert handle.last_stop_outcome == "graceful"
         assert handle.server.last_drain["path"] == "graceful"
 
     def test_stop_is_idempotent(self):
-        handle = serve_in_thread(window_s=0.001)
+        handle = serve_in_thread()
         assert handle.stop() == "graceful"
         # A second stop must not hang or error (the loop is gone).
         assert handle.stop(timeout=1.0) in ("graceful", "forced")
@@ -941,7 +1032,7 @@ class TestServerTeardown:
         """A stop() coroutine that never finishes must not leave the
         daemon thread holding the port: the handle escalates to a forced
         loop-stop and reports which path it took."""
-        handle = serve_in_thread(window_s=0.001)
+        handle = serve_in_thread()
 
         async def hung_stop(drain_timeout_s=None):
             await asyncio.sleep(60)

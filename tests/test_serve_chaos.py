@@ -9,7 +9,7 @@ overload-resilience contract end-to-end over real HTTP:
 * every request gets **exactly one structured response** — an injected
   transient/fatal/hang never tears a reply or drops a waiter;
 * a hung batch bounds the latency of deadline-carrying requests (they
-  answer ``408`` while the batch is still sleeping) and their coalesced
+  answer ``408`` while the batch is still sleeping) and their
   neighbours still get **bit-identical** answers;
 * consecutive experiment-path failures open the circuit breaker
   (``503 breaker_open`` + ``Retry-After``, ``/readyz`` not-ready), a
@@ -102,7 +102,7 @@ def _install(*specs, seed=11):
 class TestConnectionFaults:
     def test_transient_is_structured_503_and_next_request_is_exact(self):
         _install(FaultSpec("serve.connection", faults.TRANSIENT, max_fires=1))
-        with serve_in_thread(window_s=0.001) as handle:
+        with serve_in_thread() as handle:
             status, _, body = _request(
                 handle.port, "POST", "/v1/query", QUERY_BODY
             )
@@ -118,7 +118,7 @@ class TestConnectionFaults:
 
     def test_fatal_is_structured_500_not_a_torn_reply(self):
         _install(FaultSpec("serve.connection", faults.FATAL, max_fires=1))
-        with serve_in_thread(window_s=0.001) as handle:
+        with serve_in_thread() as handle:
             status, _, body = _request(handle.port, "GET", "/v1/cards")
             assert status == 500
             assert body["error"]["code"] == "upstream_fatal"
@@ -134,9 +134,9 @@ class TestBatchFaults:
     def test_hung_batch_bounds_deadline_and_neighbor_stays_exact(self):
         """A seeded hang wedges the batch on the executor thread. The
         deadline-carrying request must answer 408 while the batch is
-        still sleeping (bounded latency), and its coalesced neighbour —
-        unaffected by the deadline — must still get the bit-identical
-        answer once the hang clears."""
+        still sleeping (bounded latency), and its neighbour — in the
+        hung batch or queued behind it, unaffected by the deadline —
+        must still get the bit-identical answer once the hang clears."""
         hang_s = 0.8
         _install(
             FaultSpec(
@@ -144,7 +144,7 @@ class TestBatchFaults:
             )
         )
         results = {}
-        with serve_in_thread(window_s=0.05) as handle:
+        with serve_in_thread() as handle:
 
             def short_deadline():
                 t0 = time.monotonic()
@@ -190,7 +190,7 @@ class TestBatchFaults:
         )
         outcomes = []
         lock = threading.Lock()
-        with serve_in_thread(window_s=0.05) as handle:
+        with serve_in_thread() as handle:
 
             def client():
                 outcome = _request(
@@ -232,7 +232,7 @@ class TestBatchFaults:
             FaultSpec("serve.executor.model", faults.TRANSIENT, max_fires=1)
         )
         grid = {"temperature_k": [77.0, 300.0], "vdd_v": 0.64, "vth_v": 0.25}
-        with serve_in_thread(window_s=0.001) as handle:
+        with serve_in_thread() as handle:
             status, _, body = _request(handle.port, "POST", "/v1/grid", grid)
             assert status == 503
             assert body["error"]["code"] == "upstream_transient"
@@ -253,7 +253,7 @@ class TestCircuitBreaker:
         )
         ipc = {"system": "chp_77k_mesh", "workload": "blackscholes"}
         with serve_in_thread(
-            window_s=0.001, breaker_threshold=2, breaker_reset_s=0.25
+            breaker_threshold=2, breaker_reset_s=0.25
         ) as handle:
             # Two consecutive upstream failures trip the breaker.
             for _ in range(2):
@@ -294,7 +294,7 @@ class TestDrainUnderLoad:
         that got as far as the server answers structured (200 / 503
         shutting_down / 408), the drain finishes inside its timeout, and
         no in-flight future is abandoned."""
-        handle = serve_in_thread(window_s=0.002, drain_timeout_s=5.0)
+        handle = serve_in_thread(drain_timeout_s=5.0)
         stop_draining = threading.Event()
         seen = {"statuses": [], "torn": 0, "bad_errors": 0}
         lock = threading.Lock()
@@ -355,7 +355,6 @@ class TestDrainUnderLoad:
             )
         )
         handle = serve_in_thread(
-            window_s=0.001,
             drain_timeout_s=0.4,
             default_deadline_ms=30_000.0,
         )

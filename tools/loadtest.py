@@ -14,6 +14,8 @@ for a long-running model service:
   query mix; the ratio is what micro-batching is worth. The queries all
   carry a wire spec (a repeater optimisation per point), so the control
   pays a real model evaluation per request rather than a dict lookup.
+  Sixteen closed-loop clients always keep a backlog behind the running
+  batch, so this is the phase where batches are sure to form.
 * **overload** (``--overload``) — closed-loop clients drive a small-
   capacity server at ~5x its admission limit and assert shed-not-queued
   behavior: excess load is answered ``503 overloaded`` + ``Retry-After``
@@ -25,12 +27,11 @@ Usage::
 
     python tools/loadtest.py --self-host --duration 8
     python tools/loadtest.py --url http://127.0.0.1:8077 --duration 10
-    python tools/loadtest.py --self-host --bench-file BENCH_serve.json
     python tools/loadtest.py --overload-only --duration 6
 
-``--require-coalescing`` exits non-zero unless the batcher actually
-coalesced (CI's regression tripwire); ``--bench-file`` appends the run
-to a trajectory JSON (the ``BENCH_serve.json`` idiom).
+``--require-coalescing`` exits non-zero unless the batcher coalesced in
+the A/B phase's batched closed loop (CI's regression tripwire).
+End-to-end serve numbers are recorded by ``python -m benchmarks.e2e``.
 
 Stdlib only — ``http.client`` with one keep-alive connection per client
 thread, no external load-generation dependency.
@@ -46,7 +47,6 @@ import random
 import sys
 import threading
 import time
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
@@ -289,7 +289,6 @@ def run_loadtest(
     clients: int = 8,
     peak_rps: float = 150.0,
     seed: int = 7,
-    window_ms: float = 2.0,
     ab: bool = True,
 ) -> Dict:
     """The full harness; returns the report dict.
@@ -297,17 +296,13 @@ def run_loadtest(
     With ``url=None`` the server is booted in-process (self-host); the
     A/B phase only runs self-hosted (it needs a batching-disabled twin).
     """
-    report: Dict = {
-        "duration_s": duration_s,
-        "clients": clients,
-        "window_ms": window_ms,
-    }
+    report: Dict = {"duration_s": duration_s, "clients": clients}
     own_server = url is None
     handle = None
     if own_server:
         from repro.serve import serve_in_thread
 
-        handle = serve_in_thread(window_s=window_ms / 1000.0)
+        handle = serve_in_thread()
         url = handle.url
     try:
         report["diurnal"] = run_diurnal_phase(
@@ -329,22 +324,17 @@ def run_loadtest(
             duration_s=min(duration_s / 2.0, 5.0),
             clients=max(clients, 16),
             seed=seed,
-            window_ms=window_ms,
         )
     return report
 
 
-def run_ab_phase(
-    duration_s: float, clients: int, seed: int, window_ms: float
-) -> Dict:
+def run_ab_phase(duration_s: float, clients: int, seed: int) -> Dict:
     """Throughput with micro-batching on vs off (fresh server each)."""
     from repro.serve import serve_in_thread
 
     results = {}
     for label, enabled in (("batched", True), ("unbatched", False)):
-        handle = serve_in_thread(
-            window_s=window_ms / 1000.0, batching_enabled=enabled
-        )
+        handle = serve_in_thread(batching_enabled=enabled)
         try:
             results[label] = run_closed_loop(
                 handle.url, duration_s, clients, seed
@@ -369,7 +359,6 @@ def run_overload_phase(
     max_inflight: int = 8,
     overload_factor: float = 5.0,
     deadline_ms: float = 2000.0,
-    window_ms: float = 2.0,
 ) -> Dict:
     """Drive a small-capacity server past its admission limit.
 
@@ -391,7 +380,6 @@ def run_overload_phase(
 
     clients = max(2, int(max_inflight * overload_factor))
     handle = serve_in_thread(
-        window_s=window_ms / 1000.0,
         max_inflight=max_inflight,
         max_queue=max_inflight * 4,
         default_deadline_ms=deadline_ms,
@@ -532,27 +520,6 @@ def run_overload_phase(
     }
 
 
-def append_trajectory(path: Path, report: Dict) -> None:
-    """Append this run to the ``BENCH_serve.json`` trajectory file."""
-    if path.exists():
-        data = json.loads(path.read_text())
-    else:
-        data = {"bench": "serve_loadtest", "history": []}
-    entry = {
-        "p50_ms": report["diurnal"]["p50_ms"],
-        "p99_ms": report["diurnal"]["p99_ms"],
-        "throughput_rps": report["diurnal"]["throughput_rps"],
-        "coalescing_rate": round(report["coalescing_rate"], 3),
-        "cache_hit_rate": round(report["cache_hit_rate"], 3),
-    }
-    if "ab" in report:
-        entry["ab_speedup"] = report["ab"]["speedup"]
-        entry["batched_rps"] = report["ab"]["batched_rps"]
-        entry["unbatched_rps"] = report["ab"]["unbatched_rps"]
-    data["history"].append(entry)
-    path.write_text(json.dumps(data, indent=2) + "\n")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Replay a diurnal synthetic query stream against cryowire serve."
@@ -575,21 +542,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
-        "--window-ms", type=float, default=2.0, metavar="MS",
-        help="self-hosted server's coalescing window (default 2.0)",
-    )
-    parser.add_argument(
         "--no-ab", action="store_true", help="skip the A/B throughput phase"
-    )
-    parser.add_argument(
-        "--bench-file", default=None, metavar="PATH",
-        help="append the run to this trajectory JSON (BENCH_serve.json idiom)",
     )
     parser.add_argument(
         "--require-coalescing",
         action="store_true",
-        help="exit non-zero unless the micro-batcher coalesced at least "
-        "one batch (CI tripwire)",
+        help="exit non-zero unless the micro-batcher coalesced in the A/B "
+        "phase's batched closed loop (CI tripwire; needs --self-host)",
     )
     parser.add_argument(
         "--overload",
@@ -619,6 +578,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error("pass --url or --self-host")
         if args.url is not None and args.self_host:
             parser.error("--url and --self-host are mutually exclusive")
+    if args.require_coalescing and (
+        args.overload_only or args.no_ab or not args.self_host
+    ):
+        parser.error(
+            "--require-coalescing needs the A/B phase "
+            "(--self-host without --no-ab or --overload-only)"
+        )
     report: Dict = {}
     if not args.overload_only:
         report = run_loadtest(
@@ -627,7 +593,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             clients=args.clients,
             peak_rps=args.peak_rps,
             seed=args.seed,
-            window_ms=args.window_ms,
             ab=not args.no_ab,
         )
     overload_failed = False
@@ -637,25 +602,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             seed=args.seed,
             max_inflight=args.overload_inflight,
             overload_factor=args.overload_factor,
-            window_ms=args.window_ms,
         )
         report["overload"] = overload_report
         overload_failed = not overload_report["ok"]
     print(json.dumps(report, indent=2))
-    if args.bench_file and "diurnal" in report:
-        append_trajectory(Path(args.bench_file), report)
-        print(f"appended trajectory to {args.bench_file}", file=sys.stderr)
-    if (
-        args.require_coalescing
-        and "coalescing_rate" in report
-        and report["coalescing_rate"] <= 0.0
-    ):
-        print(
-            "FAIL: micro-batcher never coalesced "
-            f"(rate {report['coalescing_rate']})",
-            file=sys.stderr,
-        )
-        return 1
+    if args.require_coalescing:
+        rate = report["ab"]["batched_coalescing_rate"]
+        if rate <= 0.0:
+            print(
+                f"FAIL: micro-batcher never coalesced (A/B rate {rate})",
+                file=sys.stderr,
+            )
+            return 1
     if overload_failed:
         for check in report["overload"]["checks"]:
             if not check["ok"]:
