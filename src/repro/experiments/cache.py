@@ -173,14 +173,15 @@ class ResultCache:
     def put(self, key: str, result: ExperimentResult) -> Path:
         """Atomically persist ``result`` under ``key``.
 
-        Safe against concurrent writers of the *same* key (sharded
-        runs put identical results from several processes): each writer
-        publishes a complete, digest-valid entry via its own temp file
-        and an atomic ``os.replace``, so the last writer wins and no
-        reader ever observes a torn entry. Also tolerates a concurrent
-        ``corrupt/`` quarantine move (or cache ``clear()``) yanking the
-        cache directory or the temp file out from under the rename: the
-        write is retried once from scratch.
+        Safe against concurrent writers of the *same* key (two
+        ``cryowire run``/``all``/``report`` processes sharing one cache
+        dir put identical results): each writer publishes a complete,
+        digest-valid entry via its own temp file and an atomic
+        ``os.replace``, so the last writer wins and no reader ever
+        observes a torn entry. Also tolerates a concurrent ``corrupt/``
+        quarantine move (or cache ``clear()``) yanking the cache
+        directory or the temp file out from under the rename: the write
+        is retried once from scratch.
         """
         result_dict = result.to_dict()
         payload = {

@@ -14,7 +14,6 @@ Usage::
     cryowire audit --point 4,0.4,0.6       # + describe an off-domain point
     cryowire run fig23 --strict            # guard warnings become errors
     cryowire serve --port 8077             # long-running model-query API
-    cryowire all --shards 3 --jobs 2       # 3 worker groups, 2 workers each
 
 ``run`` and ``all`` execute through the caching execution engine
 (:mod:`repro.experiments.engine`): results are memoized on disk keyed by
@@ -34,16 +33,6 @@ experiments fail, and ``--resume`` skips experiments the previous run
 already completed (per the last manifest). Corrupt cache entries are
 quarantined under ``<cache>/corrupt/`` and recomputed transparently;
 ``cryowire stats`` reports attempts, retries and quarantined entries.
-
-Sharding: ``--shards N`` partitions the sweep deterministically across
-N worker *groups* (:mod:`repro.experiments.shard`), each with its own
-engine, its own ``--jobs`` workers and a periodically-checkpointed
-shard manifest under ``<cache>/shards/``. A group that dies mid-sweep
-costs only its in-progress items — they requeue onto survivors
-(``--shard-timeout-s`` bounds heartbeat liveness; ``--steal`` enables
-bounded straggler work-stealing) — and ``--resume`` reconstructs the
-done-set from whatever subset of shard manifests is still readable.
-``cryowire stats`` shows the shard that produced each record.
 
 Physics guardrails: drivers run inside a guard context
 (:mod:`repro.util.guards`), so every result carries the structured
@@ -143,39 +132,15 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _shards(value: str) -> int:
-    shards = int(value)
-    if shards < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {shards}")
-    return shards
-
-
-def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards",
-        type=_shards,
-        default=0,
-        metavar="N",
-        help="partition the sweep across N worker groups, each with its "
-        "own engine, checkpointed shard manifest and --jobs workers; a "
-        "group that dies mid-sweep costs its in-progress items only — "
-        "they are requeued onto survivors (default 0 = unsharded)",
-    )
-    parser.add_argument(
-        "--shard-timeout-s",
-        type=_timeout,
-        default=0,
-        metavar="S",
-        help="liveness bound: a shard whose heartbeat is older than S "
-        "seconds is declared dead and its incomplete items requeued "
-        "(0 disables declaration; self-reported deaths are always "
-        "handled; default 0)",
-    )
-    parser.add_argument(
-        "--steal",
-        action="store_true",
-        help="let idle shards steal queued items from stragglers "
-        "(p95 per-item wall vs. siblings, bounded)",
+def _engine(args: argparse.Namespace) -> ExecutionEngine:
+    """The engine ``run``, ``all`` and ``report`` execute through."""
+    return ExecutionEngine(
+        jobs=args.jobs,
+        use_cache=not args.no_cache,
+        cache_dir=args.cache_dir,
+        retries=args.retries,
+        timeout_s=args.timeout,
+        strict=args.strict,
     )
 
 
@@ -228,13 +193,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_output_flags(run)
     _add_engine_flags(run)
-    _add_shard_flags(run)
     _add_recovery_flags(run)
 
     all_parser = sub.add_parser("all", help="run every experiment")
     _add_output_flags(all_parser)
     _add_engine_flags(all_parser)
-    _add_shard_flags(all_parser)
     _add_recovery_flags(all_parser)
 
     report = sub.add_parser(
@@ -411,31 +374,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         experiment_ids = (
             sorted(EXPERIMENTS) if args.command == "all" else list(args.experiments)
         )
-        if args.shards >= 1:
-            from repro.experiments.shard import ShardCoordinator
-
-            runner = ShardCoordinator(
-                args.shards,
-                jobs_per_shard=args.jobs or 1,
-                use_cache=not args.no_cache,
-                cache_dir=args.cache_dir,
-                retries=args.retries,
-                timeout_s=args.timeout,
-                strict=args.strict,
-                heartbeat_timeout_s=args.shard_timeout_s or None,
-                steal=args.steal,
-            )
-        else:
-            runner = ExecutionEngine(
-                jobs=args.jobs,
-                use_cache=not args.no_cache,
-                cache_dir=args.cache_dir,
-                retries=args.retries,
-                timeout_s=args.timeout,
-                strict=args.strict,
-            )
         try:
-            outcome = runner.run(
+            outcome = _engine(args).run(
                 experiment_ids,
                 keep_going=args.keep_going,
                 resume=args.resume,
@@ -463,15 +403,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "report":
         from repro.experiments.report import main as report_main
 
-        engine = ExecutionEngine(
-            jobs=args.jobs,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-            retries=args.retries,
-            timeout_s=args.timeout,
-            strict=args.strict,
-        )
-        print(report_main(runner=engine.run_one))
+        print(report_main(runner=_engine(args).run_one))
         return 0
     if args.command == "audit":
         from repro.util.guards import ModelValidityError

@@ -1,6 +1,6 @@
 """Fault-tolerant parallel experiment execution engine with result caching.
 
-``cryowire all`` used to recompute all 26 figures/tables serially on
+``cryowire all`` used to recompute all 27 figures/tables serially on
 every invocation. The engine keeps the experiment drivers untouched and
 wraps them in four layers:
 
@@ -166,9 +166,6 @@ class RunRecord:
     #: Live leaked timeout threads in the executing worker when this
     #: record was produced (a per-worker gauge, not a per-record delta).
     leaked_threads: int = 0
-    #: Worker-group (shard) index that produced this record; ``-1`` means
-    #: an unsharded run or a coordinator-side record (skip/orphan).
-    shard: int = -1
 
     def to_dict(self) -> Dict:
         return {
@@ -180,7 +177,6 @@ class RunRecord:
             "attempts": self.attempts,
             "warnings": list(self.warnings),
             "leaked_threads": self.leaked_threads,
-            "shard": self.shard,
         }
 
     @classmethod
@@ -194,7 +190,6 @@ class RunRecord:
             attempts=data.get("attempts", 1),
             warnings=list(data.get("warnings", [])),
             leaked_threads=data.get("leaked_threads", 0),
-            shard=data.get("shard", -1),
         )
 
 
@@ -207,9 +202,6 @@ class RunManifest:
     cache_enabled: bool = True
     created_at: str = ""
     elapsed_s: float = 0.0
-    #: Worker groups the run was sharded across (0 = unsharded; when
-    #: positive, ``jobs`` is the per-shard worker count).
-    shards: int = 0
     records: List[RunRecord] = field(default_factory=list)
 
     def _count(self, status: str) -> int:
@@ -281,10 +273,9 @@ class RunManifest:
 
     def to_dict(self) -> Dict:
         return {
-            "schema": 4,
+            "schema": 5,
             "created_at": self.created_at,
             "jobs": self.jobs,
-            "shards": self.shards,
             "cache_dir": self.cache_dir,
             "cache_enabled": self.cache_enabled,
             "elapsed_s": self.elapsed_s,
@@ -314,7 +305,6 @@ class RunManifest:
             cache_enabled=data.get("cache_enabled", True),
             created_at=data.get("created_at", ""),
             elapsed_s=data.get("elapsed_s", 0.0),
-            shards=data.get("shards", 0),
             records=[RunRecord.from_dict(r) for r in data.get("records", [])],
         )
 
@@ -332,25 +322,14 @@ class RunManifest:
 
     def summary(self) -> str:
         """Human-readable rendering (the body of ``cryowire stats``)."""
-        sharded = self.shards > 0 or any(r.shard >= 0 for r in self.records)
-        config = (
-            f"jobs={self.jobs}  cache={'on' if self.cache_enabled else 'off'}"
-            f"  dir={self.cache_dir}"
-        )
-        if sharded:
-            config = f"shards={self.shards}  " + config
-        header = (
-            f"{'experiment':26s} {'status':12s} {'wall_s':>8s} {'worker':>8s}"
-            f" {'tries':>5s}"
-        )
-        if sharded:
-            header += f" {'shard':>5s}"
         lines = [
             f"# cryowire run manifest ({self.created_at or 'unknown time'})",
-            config,
+            f"jobs={self.jobs}  cache={'on' if self.cache_enabled else 'off'}"
+            f"  dir={self.cache_dir}",
             "",
-            header,
-            "-" * (70 if sharded else 64),
+            f"{'experiment':26s} {'status':12s} {'wall_s':>8s} {'worker':>8s}"
+            f" {'tries':>5s}",
+            "-" * 64,
         ]
         for record in self.records:
             line = (
@@ -358,13 +337,10 @@ class RunManifest:
                 f"{record.wall_time_s:8.3f} {record.worker_pid:8d} "
                 f"{record.attempts:5d}"
             )
-            if sharded:
-                shard = str(record.shard) if record.shard >= 0 else "-"
-                line += f" {shard:>5s}"
             if record.error:
                 line += f"  {record.error}"
             lines.append(line)
-        lines.append("-" * (70 if sharded else 64))
+        lines.append("-" * 64)
         lines.append(
             f"{len(self.records)} experiments: {self.n_hits} hits, "
             f"{self.n_misses} misses, {self.n_uncached} uncached, "
@@ -571,16 +547,6 @@ class ExecutionEngine:
         experiments isolated (one single-worker pool each) to attribute
         the crash; an experiment is quarantined once it has crashed
         ``crash_strikes`` isolated workers.
-    ``rng_seed`` / ``jitter_stream``
-        Seed the backoff jitter stream (via ``make_rng``) so sleep
-        schedules replay identically. ``jitter_stream`` names the
-        sub-stream (default ``"engine.backoff"``): engines that run
-        *concurrently* — one per shard worker group — must each use a
-        distinct stream (and ideally a distinct derived seed, see
-        :func:`repro.experiments.shard.derive_shard_seed`), otherwise
-        identical seeds produce identical jitter schedules and
-        concurrent shards synchronize their retry storms instead of
-        spreading them out.
     ``leak_threshold``
         Timed-out drivers leave their daemon thread computing (see
         :func:`leaked_thread_count`). Once a worker process holds this
@@ -607,10 +573,8 @@ class ExecutionEngine:
         crash_strikes: int = 2,
         backoff_base_s: float = 0.05,
         backoff_cap_s: float = 2.0,
-        rng_seed: Optional[int] = None,
         strict: bool = False,
         leak_threshold: int = 32,
-        jitter_stream: Optional[str] = None,
     ) -> None:
         if jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {jobs}")
@@ -630,7 +594,7 @@ class ExecutionEngine:
         self.backoff_cap_s = backoff_cap_s
         self.strict = strict
         self.leak_threshold = leak_threshold
-        self._backoff_rng = make_rng(rng_seed, stream=jitter_stream or "engine.backoff")
+        self._backoff_rng = make_rng(None, stream="engine.backoff")
 
     # -- scheduling ---------------------------------------------------------
 
@@ -695,7 +659,6 @@ class ExecutionEngine:
         self,
         experiment_ids: Sequence[str],
         kwargs_by_id: Optional[Dict[str, Dict]] = None,
-        write_manifest: bool = True,
         keep_going: bool = False,
         resume: bool = False,
     ) -> RunOutcome:
@@ -757,8 +720,7 @@ class ExecutionEngine:
             self._run_inline(pending, results, manifest)
 
         manifest.elapsed_s = time.perf_counter() - started
-        if write_manifest:
-            manifest.save(self.cache.manifest_path)
+        manifest.save(self.cache.manifest_path)
         outcome = RunOutcome(results=results, manifest=manifest)
         failures = outcome.failures
         if failures and not keep_going:
@@ -1101,7 +1063,8 @@ def load_last_manifest(
 
     Distinguishes the two failure modes so resume problems are
     diagnosable: a missing manifest is normal (first run) and logged at
-    debug level; an unreadable one is logged as a warning.
+    debug level; an unreadable one — not JSON, or JSON of the wrong
+    shape — is logged as a warning.
     """
     path = ResultCache(cache_dir).manifest_path
     try:
@@ -1109,6 +1072,6 @@ def load_last_manifest(
     except FileNotFoundError:
         _LOG.debug("no run manifest at %s", path)
         return None
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, AttributeError, TypeError) as exc:
         _LOG.warning("unreadable run manifest at %s: %s", path, exc)
         return None

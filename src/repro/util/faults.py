@@ -30,24 +30,8 @@ Serve-path sites (the ``cryowire serve`` stack, exercised by
   (IPC solves, registry experiments); failures here feed the circuit
   breaker
 
-Shard-orchestration sites (the ``--shards`` coordinator,
-:mod:`repro.experiments.shard`; ``<k>`` is the shard index, so a plan
-can kill one shard exactly — ``shard.group.kill.1`` — or threaten the
-whole fleet with ``shard.group.kill.*``):
-
-* ``shard.heartbeat.<k>``      — each liveness beat of shard ``k``'s
-  runner thread (a ``hang`` here stalls the beat and provokes the
-  coordinator's dead-shard declaration)
-* ``shard.group.kill.<k>``     — top of shard ``k``'s work loop; any
-  injected exception is interpreted as that whole worker group dying
-  (its incomplete items requeue onto survivors)
-* ``shard.manifest.write.<k>`` — shard ``k``'s manifest checkpoint;
-  control faults lose the checkpoint (never the shard), ``corrupt``
-  mangles the manifest bytes so resume must treat it as unreadable
-
 ``kill`` faults are for out-of-process workers only — the serve sites
-and the shard sites run in the host process (the shard runners are
-coordinator threads), so plans targeting them should stick to
+run in the host process, so plans targeting them should stick to
 ``transient`` / ``fatal`` / ``hang``.
 
 Determinism: every fire/no-fire decision is a pure function of the plan

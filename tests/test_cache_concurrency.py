@@ -1,8 +1,9 @@
 """Concurrent-writer safety of the on-disk result cache.
 
-Sharded runs put results into one shared cache from several worker
-groups at once — including the *same* key, when a requeued item
-recomputes what its dead shard had half-finished. The contract:
+Two ``cryowire run``/``all``/``report`` processes pointed at one cache
+dir put results into it at once — including the *same* key, when both
+compute the same experiment — and a ``clear()`` or a ``corrupt/``
+quarantine move can race any ``put``. The contract:
 
 * concurrent same-key writers are last-writer-wins, and the surviving
   entry is always complete and digest-valid (atomic temp-file +

@@ -283,9 +283,7 @@ class TestDeterminism:
                     seed=1234,
                 )
             )
-            engine = _engine(
-                tmp_path / tag, jobs=1, use_cache=False, retries=3, rng_seed=5
-            )
+            engine = _engine(tmp_path / tag, jobs=1, use_cache=False, retries=3)
             outcome = engine.run(ids, keep_going=True)
             faults.clear()
             return [

@@ -107,35 +107,6 @@ class TestFaultToleranceFlags:
             main(["run", "fig20", "--timeout", "-2"])
 
 
-class TestShardFlags:
-    def test_run_with_shards_writes_sharded_manifest(self, capsys, tmp_path):
-        cache_flags = ["--cache-dir", str(tmp_path / "c")]
-        assert main(["run", "fig20", "table1", "--shards", "2"] + cache_flags) == 0
-        capsys.readouterr()
-        assert main(["stats"] + cache_flags) == 0
-        out = capsys.readouterr().out
-        assert "shards=2" in out
-        assert "shard" in out
-
-    def test_sharded_resume_skips_completed(self, capsys, tmp_path):
-        cache_flags = ["--cache-dir", str(tmp_path / "c")]
-        assert main(["run", "fig20", "table1", "--shards", "2"] + cache_flags) == 0
-        assert (
-            main(["run", "fig20", "table1", "--shards", "2", "--resume"]
-                 + cache_flags)
-            == 0
-        )
-        capsys.readouterr()
-        assert main(["stats"] + cache_flags) == 0
-        assert "skipped 2" in capsys.readouterr().out
-
-    def test_rejects_negative_shards(self):
-        with pytest.raises(SystemExit):
-            main(["run", "fig20", "--shards", "-1"])
-        with pytest.raises(SystemExit):
-            main(["run", "fig20", "--shard-timeout-s", "-2"])
-
-
 class TestResumeAfterFailures:
     def test_resume_after_keep_going_timeout_reruns_only_the_loser(
         self, capsys, tmp_path

@@ -412,16 +412,55 @@ class TestLoadLastManifest:
             assert load_last_manifest(tmp_path / "never-ran") is None
         assert not caplog.records  # "no manifest yet" is not warning-worthy
 
-    def test_unreadable_manifest_warns(self, tmp_path, caplog):
+    @pytest.mark.parametrize(
+        "body",
+        ["{truncated", "[]", '"x"', '{"records": null}', '{"records": [1]}'],
+        ids=["truncated", "list", "string", "null-records", "int-record"],
+    )
+    def test_unreadable_manifest_warns(self, tmp_path, caplog, body):
         cache_dir = tmp_path / "cache"
         cache_dir.mkdir()
-        (cache_dir / "last_run.json").write_text("{truncated")
+        (cache_dir / "last_run.json").write_text(body)
         with caplog.at_level(logging.WARNING, logger="repro.experiments.engine"):
             assert load_last_manifest(cache_dir) is None
         assert any(
             "unreadable run manifest" in record.getMessage()
             for record in caplog.records
         )
+        # --resume treats an unreadable manifest as "nothing done yet".
+        outcome = ExecutionEngine(jobs=1, cache_dir=cache_dir).run(
+            ["table1"], resume=True
+        )
+        assert [r.status for r in outcome.manifest.records] == ["miss"]
+
+    def test_schema4_manifest_with_retired_keys_drives_resume(self, tmp_path):
+        """Manifests written before schema 5 carry a top-level ``shards``
+        count and a per-record ``shard`` index; both are ignored on read."""
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        legacy = {
+            "schema": 4,
+            "jobs": 1,
+            "shards": 2,
+            "records": [
+                {"experiment_id": "fig20", "status": "miss", "shard": 1},
+                {"experiment_id": "table1", "status": "miss", "shard": 0},
+            ],
+        }
+        (cache_dir / "last_run.json").write_text(json.dumps(legacy))
+
+        manifest = load_last_manifest(cache_dir)
+        assert [(r.experiment_id, r.status) for r in manifest.records] == [
+            ("fig20", "miss"),
+            ("table1", "miss"),
+        ]
+        outcome = ExecutionEngine(jobs=1, cache_dir=cache_dir).run(
+            ["fig20", "table1"], resume=True
+        )
+        assert {r.experiment_id: r.status for r in outcome.manifest.records} == {
+            "fig20": "skipped",
+            "table1": "skipped",
+        }
 
 
 class TestCliFlags:
@@ -616,30 +655,13 @@ class TestLeakedThreadTracking:
 
 
 class TestBackoffJitterStreams:
-    """Concurrent shard engines must not share a retry-jitter stream."""
+    """Backoff jitter is seeded: every engine replays the same schedule."""
 
     @staticmethod
     def _schedule(engine, n=8):
         return [engine._backoff_s(i) for i in range(1, n + 1)]
 
     def test_same_seed_same_stream_replays_identically(self):
-        a = ExecutionEngine(jobs=1, rng_seed=42)
-        b = ExecutionEngine(jobs=1, rng_seed=42)
-        assert self._schedule(a) == self._schedule(b)
-
-    def test_distinct_streams_decorrelate_same_seed_engines(self):
-        a = ExecutionEngine(jobs=1, rng_seed=42, jitter_stream="engine.backoff.shard0")
-        b = ExecutionEngine(jobs=1, rng_seed=42, jitter_stream="engine.backoff.shard1")
-        assert self._schedule(a) != self._schedule(b)
-
-    def test_derived_shard_seeds_decorrelate_default_stream(self):
-        from repro.experiments.shard import derive_shard_seed
-
-        a = ExecutionEngine(jobs=1, rng_seed=derive_shard_seed(42, 0))
-        b = ExecutionEngine(jobs=1, rng_seed=derive_shard_seed(42, 1))
-        assert self._schedule(a) != self._schedule(b)
-
-    def test_shard_stream_is_deterministic(self):
-        a = ExecutionEngine(jobs=1, rng_seed=7, jitter_stream="engine.backoff.shard3")
-        b = ExecutionEngine(jobs=1, rng_seed=7, jitter_stream="engine.backoff.shard3")
+        a = ExecutionEngine(jobs=1)
+        b = ExecutionEngine(jobs=1)
         assert self._schedule(a) == self._schedule(b)
