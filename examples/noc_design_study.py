@@ -19,13 +19,13 @@ from repro.noc import (
     make_pattern,
 )
 from repro.noc.topology import FlattenedButterfly
-from repro.pipeline.config import OP_NOC_300K, OP_NOC_77K
 from repro.power.orion import (
     CRYOBUS_64_PROFILE,
     MESH_64_PROFILE,
     NocPowerModel,
     SHARED_BUS_64_PROFILE,
 )
+from repro.tech import OP_CRYO, OP_NOC_300K, OP_NOC_77K, OP_ROOM
 from repro.util.tables import format_table
 
 RATES = (0.001, 0.003, 0.006, 0.010)
@@ -37,8 +37,8 @@ def sweep_load_latency() -> None:
     sim = NocSimulator(n_cycles=6000)
     pattern = make_pattern("uniform", 64)
     rows = []
-    for temp_label, temperature in (("300K", 300.0), ("77K", 77.0)):
-        hpc = links.hops_per_cycle(temperature)
+    for temp_label, op in (("300K", OP_ROOM), ("77K", OP_CRYO)):
+        hpc = links.hops_per_cycle(op)
         for rate in RATES:
             mesh = sim.simulate_router_network(
                 Mesh(64), pattern, rate, hops_per_cycle=hpc

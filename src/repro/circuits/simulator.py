@@ -25,7 +25,7 @@ from repro.tech.batch import (
 )
 from repro.tech.metal import FREEPDK45_STACK, WireTechnology
 from repro.tech.mosfet import CryoMOSFET, INDUSTRY_2Z_CARD, MOSFETCard
-from repro.tech.operating_point import OperatingPointLike, as_operating_point
+from repro.tech.operating_point import OP_ROOM, OperatingPoint
 from repro.tech.repeater import (
     DRIVER_CG_FF,
     DRIVER_CP_FF,
@@ -118,7 +118,7 @@ class CircuitSimulator:
         self.n_sections = n_sections
 
     def _wire_rc(
-        self, layer_name: str, length_um: float, op: OperatingPointLike
+        self, layer_name: str, length_um: float, op: OperatingPoint
     ) -> tuple[float, float]:
         layer = self.stack.layer(layer_name)
         total_r = layer.resistance_per_um(op) * length_um
@@ -129,7 +129,7 @@ class CircuitSimulator:
         self,
         layer_name: str,
         length_um: float,
-        op: OperatingPointLike = None,
+        op: OperatingPoint = OP_ROOM,
         *,
         driver_r_ohm: float,
         load_c_f: float = 0.0,
@@ -144,7 +144,7 @@ class CircuitSimulator:
         self,
         layer_name: str,
         length_um: float,
-        op: OperatingPointLike,
+        op: OperatingPoint,
         *,
         driver_r_ohm: float,
         load_c_f: float,
@@ -152,7 +152,7 @@ class CircuitSimulator:
         """``(t50_ns, degraded)`` of one driven wire segment."""
         if length_um <= 0:
             raise ValueError("length must be positive")
-        op = check_operating_point(as_operating_point(op), "circuit_sim.driven_wire")
+        op = check_operating_point(op, "circuit_sim.driven_wire")
         validate_wire_geometry(
             length_um, layer_name=layer_name, site="circuit_sim.geometry"
         )
@@ -168,9 +168,7 @@ class CircuitSimulator:
         length_um: float,
         n_repeaters: int,
         repeater_size: float,
-        op: OperatingPointLike = None,
-        vdd_v: Optional[float] = None,
-        vth_v: Optional[float] = None,
+        op: OperatingPoint = OP_ROOM,
     ) -> WireSimResult:
         """Simulate a wire split into ``n_repeaters`` buffered segments.
 
@@ -180,7 +178,6 @@ class CircuitSimulator:
         """
         if n_repeaters < 1:
             raise ValueError("need at least the source driver")
-        op = as_operating_point(op, vdd_v, vth_v)
         delay_factor = self.driver.gate_delay_factor(op)
         r_unit = self.driver_r0_ohm * delay_factor
         r_drv = r_unit / repeater_size
@@ -212,7 +209,7 @@ class CircuitSimulator:
         length_um: float,
         n_repeaters: int,
         repeater_size: float,
-        op: OperatingPointLike = None,
+        op: OperatingPoint = OP_ROOM,
     ) -> WireSimResult:
         """Analytical sibling of :meth:`simulate_repeated_wire`.
 
@@ -221,7 +218,6 @@ class CircuitSimulator:
         Thin wrapper over the length-1 :meth:`simulate_batch`, so it is
         bit-identical to ``simulate_batch(...)[i]``.
         """
-        op = as_operating_point(op)
         return self.simulate_batch(
             layer_name,
             [length_um],
@@ -288,11 +284,7 @@ class CircuitSimulator:
         )
 
     def simulate_design(
-        self,
-        design: RepeaterDesign,
-        op: OperatingPointLike = None,
-        vdd_v: Optional[float] = None,
-        vth_v: Optional[float] = None,
+        self, design: RepeaterDesign, op: Optional[OperatingPoint] = None
     ) -> WireSimResult:
         """Re-simulate a :class:`RepeaterDesign` at circuit level.
 
@@ -300,9 +292,8 @@ class CircuitSimulator:
         proposes a design, and the transient solver measures it. With no
         operating point given, the design's own temperature is reused.
         """
-        op = as_operating_point(
-            op, vdd_v, vth_v, default_temperature_k=design.temperature_k
-        )
+        if op is None:
+            op = OperatingPoint.at(design.temperature_k)
         return self.simulate_repeated_wire(
             design.layer_name,
             design.length_um,

@@ -25,12 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.tech.mosfet import FREEPDK45_CARD, MOSFETCard, cryo_mosfet
-from repro.tech.operating_point import (
-    OP_CRYO,
-    OP_ROOM,
-    OperatingPointLike,
-    as_operating_point,
-)
+from repro.tech.operating_point import OP_CRYO, OP_ROOM, OperatingPoint
 from repro.tech.wire import CryoWireModel
 
 #: Silicon area per kilobyte of SRAM at the modelled node (mm^2/KB).
@@ -97,9 +92,7 @@ class CactiModel:
         self,
         size_kb: int,
         n_banks: int,
-        op: OperatingPointLike = None,
-        vdd_v: Optional[float] = None,
-        vth_v: Optional[float] = None,
+        op: OperatingPoint = OP_ROOM,
     ) -> CacheTiming:
         """Access time for an explicit banking choice."""
         if size_kb <= 0:
@@ -108,7 +101,6 @@ class CactiModel:
             raise ValueError("bank count must be a positive power of two")
         if size_kb < n_banks:
             raise ValueError("banks cannot be smaller than 1 KB")
-        op = as_operating_point(op, vdd_v, vth_v)
 
         gate = self.logic.gate_delay_factor(op)
         address_bits = math.log2(size_kb * 1024 / n_banks)
@@ -142,13 +134,10 @@ class CactiModel:
     def optimize(
         self,
         size_kb: int,
-        op: OperatingPointLike = None,
-        vdd_v: Optional[float] = None,
-        vth_v: Optional[float] = None,
+        op: OperatingPoint = OP_ROOM,
         max_banks: int = 64,
     ) -> CacheTiming:
         """Pick the latency-optimal bank count (CACTI's inner loop)."""
-        op = as_operating_point(op, vdd_v, vth_v)
         best: Optional[CacheTiming] = None
         n_banks = 1
         while n_banks <= min(max_banks, size_kb):
@@ -159,14 +148,14 @@ class CactiModel:
         assert best is not None
         return best
 
-    def speedup(self, size_kb: int, op: OperatingPointLike) -> float:
+    def speedup(self, size_kb: int, op: OperatingPoint) -> float:
         """Access-time speed-up at the operating point vs 300 K.
 
         Both points re-optimise banking, mirroring the paper's
         temperature-optimal design methodology.
         """
         warm = self.optimize(size_kb, OP_ROOM).access_ns
-        cold = self.optimize(size_kb, as_operating_point(op)).access_ns
+        cold = self.optimize(size_kb, op).access_ns
         return warm / cold
 
     def table4_check(self) -> Tuple[float, float, float]:

@@ -22,11 +22,7 @@ from dataclasses import dataclass
 
 from repro.tech.constants import T_LN2, T_ROOM, check_temperature
 from repro.tech.mosfet import FREEPDK45_CARD, MOSFETCard, cryo_mosfet
-from repro.tech.operating_point import (
-    OP_ROOM,
-    OperatingPointLike,
-    as_operating_point,
-)
+from repro.tech.operating_point import OP_ROOM, OperatingPoint
 
 #: 300 K component split of a 60.32 ns random access (ns).
 PERIPHERY_NS_300K = 4.0
@@ -66,8 +62,7 @@ class CllDramModel:
         speedup = 1.0 + (speedup_77k - 1.0) * fraction
         return 1.0 / speedup
 
-    def timing(self, op: OperatingPointLike = None) -> DramTiming:
-        op = as_operating_point(op)
+    def timing(self, op: OperatingPoint = OP_ROOM) -> DramTiming:
         check_temperature(op.temperature_k)
         periphery = PERIPHERY_NS_300K * self.logic.gate_delay_factor(op)
         array = ARRAY_RC_NS_300K * self._component_factor(
@@ -83,6 +78,6 @@ class CllDramModel:
             sensing_ns=sensing,
         )
 
-    def speedup(self, op: OperatingPointLike) -> float:
+    def speedup(self, op: OperatingPoint) -> float:
         """Random-access speed-up at the operating point vs 300 K."""
-        return self.timing(OP_ROOM).access_ns / self.timing(as_operating_point(op)).access_ns
+        return self.timing(OP_ROOM).access_ns / self.timing(op).access_ns

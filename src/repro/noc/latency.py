@@ -21,12 +21,7 @@ from repro.noc.bus import BusDesign
 from repro.noc.link import WireLinkModel
 from repro.noc.router import RouterModel
 from repro.noc.topology import RouterTopology, link_cycles
-from repro.tech.constants import T_ROOM
-from repro.tech.operating_point import (
-    OperatingPoint,
-    OperatingPointLike,
-    as_operating_point,
-)
+from repro.tech.operating_point import OP_ROOM, OperatingPoint
 
 #: Per-port clock penalty of routers beyond the 5-port mesh baseline.
 RADIX_CLOCK_PENALTY = 0.04
@@ -129,10 +124,7 @@ class AnalyticNocModel:
         *,
         topology: Optional[RouterTopology] = None,
         bus: Optional[BusDesign] = None,
-        op: OperatingPointLike = None,
-        temperature_k: Optional[float] = None,
-        vdd_v: Optional[float] = None,
-        vth_v: Optional[float] = None,
+        op: OperatingPoint = OP_ROOM,
         router: Optional[RouterModel] = None,
         link_model: Optional[WireLinkModel] = None,
         reference_clock_ghz: float = 4.0,
@@ -140,15 +132,7 @@ class AnalyticNocModel:
     ):
         if (topology is None) == (bus is None):
             raise ValueError("provide exactly one of topology= or bus=")
-        # ``op=`` is the canonical way to place the fabric on the
-        # (T, V_dd, V_th) surface; the scalar keywords are the legacy shim.
-        if op is not None and temperature_k is not None:
-            raise TypeError("pass op= or the legacy temperature_k=, not both")
-        if op is None:
-            op = as_operating_point(temperature_k, vdd_v, vth_v)
-        else:
-            op = as_operating_point(op, vdd_v, vth_v)
-        self.op: OperatingPoint = op
+        self.op = op
         self.topology = topology
         self.bus = bus
         self.temperature_k = op.temperature_k

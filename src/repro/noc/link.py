@@ -8,9 +8,8 @@ energy-delay, and their drive improves ~2.0x at 77 K rather than 2.4x),
 which reproduces the published 3.05x link speed-up at 77 K (Fig. 10)
 versus the 3.38x of the latency-optimal global wire.
 
-Links are priced at an :class:`~repro.tech.operating_point.OperatingPoint`
-(legacy temperature/voltage scalars still work through the shim); the
-underlying repeater optimisations are memoized in the active
+Links are priced at an :class:`~repro.tech.operating_point.OperatingPoint`;
+the underlying repeater optimisations are memoized in the active
 :class:`~repro.tech.context.TechContext`, so re-pricing the same hop at
 the same point is a cache hit.
 
@@ -21,15 +20,10 @@ so a 4 GHz cycle covers 4 hops at 300 K and 12 hops at 77 K.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.tech.metal import FREEPDK45_STACK, WireTechnology
 from repro.tech.mosfet import MOSFETCard
-from repro.tech.operating_point import (
-    OP_ROOM,
-    OperatingPointLike,
-    as_operating_point,
-)
+from repro.tech.operating_point import OP_ROOM, OperatingPoint
 from repro.tech.repeater import RepeaterOptimizer
 
 #: CACTI-style link buffers: industry-class transistors sized for
@@ -75,17 +69,10 @@ class WireLinkModel:
     ):
         self._optimizer = RepeaterOptimizer(stack.layer("global"), buffer_card)
 
-    def timing(
-        self,
-        length_mm: float,
-        op: OperatingPointLike = None,
-        vdd_v: Optional[float] = None,
-        vth_v: Optional[float] = None,
-    ) -> LinkTiming:
+    def timing(self, length_mm: float, op: OperatingPoint = OP_ROOM) -> LinkTiming:
         """Optimise and time a link of ``length_mm`` at the given point."""
         if length_mm <= 0:
             raise ValueError("length must be positive")
-        op = as_operating_point(op, vdd_v, vth_v)
         design = self._optimizer.optimize(length_mm * 1000.0, op)
         return LinkTiming(
             length_mm=length_mm,
@@ -94,27 +81,16 @@ class WireLinkModel:
             n_repeaters=design.n_repeaters,
         )
 
-    def hop_delay_ns(
-        self,
-        op: OperatingPointLike = None,
-        vdd_v: Optional[float] = None,
-        vth_v: Optional[float] = None,
-    ) -> float:
+    def hop_delay_ns(self, op: OperatingPoint = OP_ROOM) -> float:
         """Delay of one standard 2 mm hop at the operating point."""
-        return self.timing(HOP_LENGTH_MM, op, vdd_v, vth_v).delay_ns
+        return self.timing(HOP_LENGTH_MM, op).delay_ns
 
-    def hops_per_cycle(
-        self,
-        op: OperatingPointLike,
-        clock_ghz: float = 4.0,
-        vdd_v: Optional[float] = None,
-        vth_v: Optional[float] = None,
-    ) -> int:
+    def hops_per_cycle(self, op: OperatingPoint, clock_ghz: float = 4.0) -> int:
         """The paper's '4-hop/cycle at 300 K, 12-hop/cycle at 77 K' figure."""
-        return self.timing(HOP_LENGTH_MM, op, vdd_v, vth_v).hops_per_cycle(clock_ghz)
+        return self.timing(HOP_LENGTH_MM, op).hops_per_cycle(clock_ghz)
 
-    def speedup(self, length_mm: float, op: OperatingPointLike) -> float:
+    def speedup(self, length_mm: float, op: OperatingPoint) -> float:
         """Link speed-up versus 300 K (the Fig. 10 validation quantity)."""
         base = self.timing(length_mm, OP_ROOM).delay_ns
-        cold = self.timing(length_mm, as_operating_point(op)).delay_ns
+        cold = self.timing(length_mm, op).delay_ns
         return base / cold

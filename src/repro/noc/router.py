@@ -11,17 +11,11 @@ temperatures while an all-wire bus keeps improving.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.tech.constants import T_ROOM
 from repro.tech.context import get_context
 from repro.tech.mosfet import FREEPDK45_CARD, MOSFETCard, cryo_mosfet
-from repro.tech.operating_point import (
-    OP_ROOM,
-    OperatingPoint,
-    OperatingPointLike,
-    as_operating_point,
-)
+from repro.tech.operating_point import OP_ROOM, OperatingPoint
 
 #: Share of the router's critical path that is wire (EVA-class VC router
 #: synthesised at 45 nm: short intra-router nets only).
@@ -61,19 +55,13 @@ class RouterModel:
         fraction = (T_ROOM - temperature_k) / (T_ROOM - 77.0)
         return 1.0 + (ROUTER_WIRE_SPEEDUP_77K - 1.0) * fraction
 
-    def frequency_ghz(
-        self,
-        op: OperatingPointLike = None,
-        vdd_v: Optional[float] = None,
-        vth_v: Optional[float] = None,
-    ) -> float:
+    def frequency_ghz(self, op: OperatingPoint = OP_ROOM) -> float:
         """Maximum router clock at the operating point.
 
         The critical path mixes transistor and (short) wire delay; each
         component scales with its own cryogenic speed-up. Memoized per
         ``(router design, op)`` -- the model is a frozen dataclass.
         """
-        op = as_operating_point(op, vdd_v, vth_v)
         return get_context().memo(
             ("router_freq", self, op.key), lambda: self._frequency_ghz(op)
         )
@@ -84,15 +72,10 @@ class RouterModel:
         wire_part = ROUTER_WIRE_FRACTION / self._wire_speedup(op.temperature_k)
         return self.base_frequency_ghz / (transistor_part + wire_part)
 
-    def speedup(self, op: OperatingPointLike) -> float:
+    def speedup(self, op: OperatingPoint) -> float:
         """Frequency gain versus 300 K at nominal voltage (~9 % at 77 K)."""
-        return self.frequency_ghz(as_operating_point(op)) / self.frequency_ghz(OP_ROOM)
+        return self.frequency_ghz(op) / self.frequency_ghz(OP_ROOM)
 
-    def traversal_ns(
-        self,
-        op: OperatingPointLike = None,
-        vdd_v: Optional[float] = None,
-        vth_v: Optional[float] = None,
-    ) -> float:
+    def traversal_ns(self, op: OperatingPoint = OP_ROOM) -> float:
         """Time for one packet head to cross the router pipeline."""
-        return self.pipeline_cycles / self.frequency_ghz(op, vdd_v, vth_v)
+        return self.pipeline_cycles / self.frequency_ghz(op)

@@ -31,6 +31,7 @@ through the scalar kernels so only the offending queries fail.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
@@ -57,7 +58,7 @@ from repro.power.tco import cryostat_tco_w
 from repro.tech.batch import OperatingPointBatch
 from repro.tech.constants import T_MODEL_MAX, T_MODEL_MIN
 from repro.tech.context import TechContext
-from repro.tech.mosfet import DEVICE_CARDS, cryo_mosfet
+from repro.tech.mosfet import DEVICE_CARDS, CryoMOSFET, MOSFETCard, cryo_mosfet
 from repro.tech.operating_point import OperatingPoint
 from repro.tech.wire import CryoWireModel
 from repro.thermal import (
@@ -135,6 +136,34 @@ class PointQuery:
     wire: Optional[WireSpec] = None
 
 
+def _device_card(card_name) -> MOSFETCard:
+    """The device card a request names; any other JSON value is a 422."""
+    if isinstance(card_name, str) and card_name in DEVICE_CARDS:
+        return DEVICE_CARDS[card_name]
+    raise QueryError(
+        "unknown_card",
+        f"unknown device card {card_name!r}; "
+        f"available: {', '.join(sorted(DEVICE_CARDS))}",
+    )
+
+
+def _finite(value, field: str) -> float:
+    """``float(value)`` for a client number, which must be finite.
+
+    Raises ``ValueError``, which each parser maps to its 422 code, for
+    NaN, infinities and integers too large for a float. JSON has no
+    literal for NaN or infinity, so a response echoing one would not
+    parse; and a NaN voltage in a batch column reads as "card nominal".
+    """
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{field} must be a finite number, got {value!r}")
+    return number
+
+
 def _op_payload(op: OperatingPoint) -> Dict:
     return {
         "temperature_k": op.temperature_k,
@@ -165,11 +194,12 @@ def parse_operating_point(data: Dict) -> OperatingPoint:
             "invalid_operating_point",
             f"unknown operating_point field(s): {', '.join(sorted(unknown))}",
         )
+    vdd_v, vth_v = data.get("vdd_v"), data.get("vth_v")
     try:
         return OperatingPoint.at(
-            float(data["temperature_k"]),
-            None if data.get("vdd_v") is None else float(data["vdd_v"]),
-            None if data.get("vth_v") is None else float(data["vth_v"]),
+            _finite(data["temperature_k"], "operating_point.temperature_k"),
+            None if vdd_v is None else _finite(vdd_v, "operating_point.vdd_v"),
+            None if vth_v is None else _finite(vth_v, "operating_point.vth_v"),
             name=str(data.get("name", "")),
         )
     except (TypeError, ValueError) as exc:
@@ -188,12 +218,7 @@ def parse_point_query(data: Dict) -> PointQuery:
         )
     op = parse_operating_point(data.get("operating_point", {}))
     card_name = data.get("card", "freepdk45")
-    if card_name not in DEVICE_CARDS:
-        raise QueryError(
-            "unknown_card",
-            f"unknown device card {card_name!r}; "
-            f"available: {', '.join(sorted(DEVICE_CARDS))}",
-        )
+    _device_card(card_name)
     wire = None
     wire_data = data.get("wire")
     if wire_data is not None:
@@ -206,7 +231,7 @@ def parse_point_query(data: Dict) -> PointQuery:
         try:
             wire = WireSpec(
                 layer=str(wire_data["layer"]),
-                length_um=float(wire_data["length_um"]),
+                length_um=_finite(wire_data["length_um"], "wire.length_um"),
             )
         except (TypeError, ValueError) as exc:
             raise QueryError("invalid_wire", str(exc)) from None
@@ -257,10 +282,14 @@ def _parse_stage(data: Dict, index: int) -> ThermalStage:
     try:
         return ThermalStage(
             name=str(data["name"]),
-            temperature_k=float(data["temperature_k"]),
-            carnot_fraction=float(data.get("carnot_fraction", 0.30)),
+            temperature_k=_finite(data["temperature_k"], "temperature_k"),
+            carnot_fraction=_finite(
+                data.get("carnot_fraction", 0.30), "carnot_fraction"
+            ),
             overhead_override=(
-                None if data.get("overhead") is None else float(data["overhead"])
+                None
+                if data.get("overhead") is None
+                else _finite(data["overhead"], "overhead")
             ),
         )
     except (TypeError, ValueError) as exc:
@@ -301,11 +330,13 @@ def _parse_link(data: Dict, index: int) -> InterStageLink:
                 kind=kind,
                 hot_stage=str(data["hot_stage"]),
                 cold_stage=str(data["cold_stage"]),
-                conducted_w=float(data.get("conducted_w", 0.0)),
-                dissipated_w=float(data.get("dissipated_w", 0.0)),
-                hot_side_w=float(data.get("hot_side_w", 0.0)),
-                latency_ns=float(data.get("latency_ns", 0.0)),
-                bandwidth_gbps=float(data.get("bandwidth_gbps", 0.0)),
+                conducted_w=_finite(data.get("conducted_w", 0.0), "conducted_w"),
+                dissipated_w=_finite(data.get("dissipated_w", 0.0), "dissipated_w"),
+                hot_side_w=_finite(data.get("hot_side_w", 0.0), "hot_side_w"),
+                latency_ns=_finite(data.get("latency_ns", 0.0), "latency_ns"),
+                bandwidth_gbps=_finite(
+                    data.get("bandwidth_gbps", 0.0), "bandwidth_gbps"
+                ),
             )
         # Reference-card form: per-lane constants from the thermal layer.
         unknown = set(data) - _LINK_CARD_FIELDS
@@ -322,7 +353,8 @@ def _parse_link(data: Dict, index: int) -> InterStageLink:
             lanes=int(data.get("lanes", 1)),
             name=str(data.get("name", f"link{index}")),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: ``lanes`` of JSON ``1e400`` is int(inf).
         raise QueryError("invalid_cryostat", f"links[{index}]: {exc}") from None
 
 
@@ -337,7 +369,7 @@ def _parse_placement(data: Dict, index: int) -> ComponentPlacement:
         return ComponentPlacement(
             component=str(data["component"]),
             stage=str(data["stage"]),
-            device_power_w=float(data["device_power_w"]),
+            device_power_w=_finite(data["device_power_w"], "device_power_w"),
         )
     except (TypeError, ValueError) as exc:
         raise QueryError(
@@ -365,12 +397,7 @@ def parse_cryostat_request(data: Dict) -> CryostatPlan:
             f"unknown field(s): {', '.join(sorted(unknown))}",
         )
     card_name = data.get("card", "freepdk45")
-    if card_name not in DEVICE_CARDS:
-        raise QueryError(
-            "unknown_card",
-            f"unknown device card {card_name!r}; "
-            f"available: {', '.join(sorted(DEVICE_CARDS))}",
-        )
+    _device_card(card_name)
     stages_data = data.get("stages")
     if stages_data is None:
         stages = standard_stack(include_4k=True)
@@ -651,16 +678,8 @@ class ModelService:
             "repeater_size": float(design.repeater_size),
         }
 
-    def _mosfet(self, card_name: str):
-        try:
-            card = DEVICE_CARDS[card_name]
-        except KeyError:
-            raise QueryError(
-                "unknown_card",
-                f"unknown device card {card_name!r}; "
-                f"available: {', '.join(sorted(DEVICE_CARDS))}",
-            ) from None
-        return cryo_mosfet(card)
+    def _mosfet(self, card_name: str) -> CryoMOSFET:
+        return cryo_mosfet(_device_card(card_name))
 
     def _optimizer(self, layer: str):
         try:
@@ -696,16 +715,20 @@ class ModelService:
         if "temperature_k" not in data:
             raise QueryError("invalid_request", "temperature_k is required")
         try:
+            temperatures = [
+                _finite(t, "temperature_k") for t in _as_list(data["temperature_k"])
+            ]
+            vdds, vths = (
+                [
+                    None if v is None else _finite(v, field)
+                    for v in _as_optional_list(data.get(field))
+                ]
+                for field in ("vdd_v", "vth_v")
+            )
             if mode == "product":
-                batch = OperatingPointBatch.product(
-                    _as_list(data["temperature_k"]),
-                    _as_optional_list(data.get("vdd_v")),
-                    _as_optional_list(data.get("vth_v")),
-                )
+                batch = OperatingPointBatch.product(temperatures, vdds, vths)
             else:
-                batch = OperatingPointBatch.from_grid(
-                    data["temperature_k"], data.get("vdd_v"), data.get("vth_v")
-                )
+                batch = OperatingPointBatch.from_grid(temperatures, vdds, vths)
         except (TypeError, ValueError) as exc:
             raise QueryError("invalid_grid", str(exc)) from None
         guards = GuardContext()

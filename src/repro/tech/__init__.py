@@ -46,8 +46,6 @@ from repro.tech.operating_point import (
     OP_NOC_77K,
     OP_ROOM,
     OperatingPoint,
-    OperatingPointLike,
-    as_operating_point,
 )
 from repro.tech.resistivity import (
     bloch_gruneisen_ratio,
@@ -74,10 +72,8 @@ __all__ = [
     "BOLTZMANN_EV",
     "DEBYE_TEMPERATURE_CU",
     "OperatingPoint",
-    "OperatingPointLike",
     "OperatingPointBatch",
     "OperatingPointBatchLike",
-    "as_operating_point",
     "as_operating_point_batch",
     "OP_ROOM",
     "OP_CRYO",

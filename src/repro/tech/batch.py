@@ -290,10 +290,8 @@ def as_operating_point_batch(
 ) -> OperatingPointBatch:
     """Coerce any batch-like value into an :class:`OperatingPointBatch`.
 
-    The batch analogue of
-    :func:`~repro.tech.operating_point.as_operating_point` — except that
-    there is no legacy scalar form to deprecate: bare numbers are
-    rejected, points are constructed explicitly.
+    Bare numbers are rejected: points are constructed explicitly, as on
+    the scalar entry points.
     """
     if isinstance(op, OperatingPointBatch):
         return op

@@ -26,7 +26,7 @@ from repro.tech.batch import (
     as_operating_point_batch,
 )
 from repro.tech.context import get_context
-from repro.tech.operating_point import OperatingPointLike, as_operating_point
+from repro.tech.operating_point import OP_ROOM, OperatingPoint
 from repro.tech.resistivity import CryoResistivityModel
 from repro.util.guards import check_operating_point, check_operating_point_batch
 
@@ -61,15 +61,12 @@ class MetalLayer:
     def cross_section_um2(self) -> float:
         return self.width_um * self.thickness_um
 
-    def resistance_per_um(self, op: OperatingPointLike = None) -> float:
+    def resistance_per_um(self, op: OperatingPoint = OP_ROOM) -> float:
         """Wire resistance per micron (ohm/um) at the operating point.
 
-        Wires only care about the temperature component; ``op`` may be a
-        bare temperature (the legacy form) or an ``OperatingPoint``.
+        Wires only care about the temperature component of ``op``.
         """
-        temperature_k = check_operating_point(
-            as_operating_point(op), "metal.wire_resistance"
-        ).temperature_k
+        temperature_k = check_operating_point(op, "metal.wire_resistance").temperature_k
         return get_context().memo(
             ("wire_r", self, temperature_k),
             lambda: float(self._resistance_per_um_raw([temperature_k])[0]),
@@ -98,7 +95,7 @@ class MetalLayer:
             / self.cross_section_um2
         )
 
-    def rc_per_um2(self, op: OperatingPointLike = None) -> float:
+    def rc_per_um2(self, op: OperatingPoint = OP_ROOM) -> float:
         """Distributed RC product per squared micron (ohm*fF/um^2).
 
         Multiplying by a length squared (um^2) yields ohm*fF, which is
@@ -110,15 +107,14 @@ class MetalLayer:
         """Vectorized :meth:`rc_per_um2` over an operating-point batch."""
         return self.resistance_per_um_batch(op) * self.capacitance_f_per_um
 
-    def speedup_at(self, op: OperatingPointLike) -> float:
+    def speedup_at(self, op: OperatingPoint) -> float:
         """Asymptotic RC-wire speed-up at the operating point vs 300 K.
 
         For a long wire whose delay is dominated by its own distributed
         RC, delay scales with resistivity, so the speed-up is simply the
         inverse resistivity ratio.
         """
-        temperature_k = as_operating_point(op).temperature_k
-        return 1.0 / self.resistivity.ratio_vs_room(temperature_k)
+        return 1.0 / self.resistivity.ratio_vs_room(op.temperature_k)
 
     def speedup_at_batch(self, op: OperatingPointBatchLike) -> np.ndarray:
         """Vectorized :meth:`speedup_at` over an operating-point batch."""

@@ -12,11 +12,9 @@ need:
    V_th that is catastrophic at 300 K leaks essentially nothing at 77 K).
 
 Every evaluation point is an :class:`~repro.tech.operating_point.OperatingPoint`
-(``vdd_v``/``vth_v`` of ``None`` mean the card's nominal voltages); the
-legacy ``(temperature_k, vdd_v, vth_v)`` scalar call form still works
-through :func:`~repro.tech.operating_point.as_operating_point`. Gate-delay
-and leakage factors are memoized per ``(card, operating point)`` in the
-active :class:`~repro.tech.context.TechContext`.
+(``vdd_v``/``vth_v`` of ``None`` mean the card's nominal voltages).
+Gate-delay and leakage factors are memoized per ``(card, operating
+point)`` in the active :class:`~repro.tech.context.TechContext`.
 
 The drive model is deliberately phenomenological:
 
@@ -42,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -59,11 +56,7 @@ from repro.tech.constants import (
 )
 from repro.tech.context import get_context
 from repro.util.guards import check_operating_point, check_operating_point_batch
-from repro.tech.operating_point import (
-    OperatingPoint,
-    OperatingPointLike,
-    as_operating_point,
-)
+from repro.tech.operating_point import OP_ROOM, OperatingPoint
 
 #: Minimum allowed overdrive voltage; below this the drive model (built
 #: for super-threshold operation) is meaningless.
@@ -154,11 +147,8 @@ class CryoMOSFET:
     # ------------------------------------------------------------------
     # drive (the vectorized kernels; scalar methods are length-1 wrappers)
     # ------------------------------------------------------------------
-    def effective_vth(
-        self, op: OperatingPointLike = None, vth_v: Optional[float] = None
-    ) -> float:
+    def effective_vth(self, op: OperatingPoint = OP_ROOM) -> float:
         """Threshold voltage at the operating point (V_th rises when cooled)."""
-        op = as_operating_point(op, vth_v=vth_v)
         return float(
             self._effective_vth_batch(OperatingPointBatch.from_points([op]))[0]
         )
@@ -196,14 +186,8 @@ class CryoMOSFET:
         gain = _lerp_to_cryo(1.0, self._drive_gain_77, batch.temperature_k)
         return gain * overdrive**beta
 
-    def on_current(
-        self,
-        op: OperatingPointLike = None,
-        vdd_v: Optional[float] = None,
-        vth_v: Optional[float] = None,
-    ) -> float:
+    def on_current(self, op: OperatingPoint = OP_ROOM) -> float:
         """Drive current relative to the card's (300 K, nominal V) point."""
-        op = as_operating_point(op, vdd_v, vth_v)
         return float(self.on_current_batch(OperatingPointBatch.from_points([op]))[0])
 
     def on_current_batch(self, op: OperatingPointBatchLike = None) -> np.ndarray:
@@ -211,12 +195,7 @@ class CryoMOSFET:
         batch = as_operating_point_batch(op)
         return self._on_current_raw_batch(batch) / self._i_on_nominal_300
 
-    def gate_delay_factor(
-        self,
-        op: OperatingPointLike = None,
-        vdd_v: Optional[float] = None,
-        vth_v: Optional[float] = None,
-    ) -> float:
+    def gate_delay_factor(self, op: OperatingPoint = OP_ROOM) -> float:
         """Gate delay relative to (300 K, nominal V); < 1 means faster.
 
         Gate delay is C*V_dd/I_on; capacitance is treated as
@@ -224,9 +203,7 @@ class CryoMOSFET:
         kernel (there is exactly one implementation of the formula);
         memoized per ``(card, op.key)`` as before.
         """
-        op = check_operating_point(
-            as_operating_point(op, vdd_v, vth_v), "mosfet.gate_delay"
-        )
+        op = check_operating_point(op, "mosfet.gate_delay")
         return get_context().memo(
             ("gate_delay", self.card, op.key),
             lambda: float(
@@ -252,14 +229,9 @@ class CryoMOSFET:
             self._on_current_raw_batch(batch) / self._i_on_nominal_300
         )
 
-    def delay_speedup(
-        self,
-        op: OperatingPointLike = None,
-        vdd_v: Optional[float] = None,
-        vth_v: Optional[float] = None,
-    ) -> float:
+    def delay_speedup(self, op: OperatingPoint = OP_ROOM) -> float:
         """Transistor speed-up versus (300 K, nominal V); > 1 means faster."""
-        return 1.0 / self.gate_delay_factor(op, vdd_v, vth_v)
+        return 1.0 / self.gate_delay_factor(op)
 
     def delay_speedup_batch(self, op: OperatingPointBatchLike = None) -> np.ndarray:
         """Vectorized :meth:`delay_speedup` over an operating-point batch."""
@@ -268,9 +240,8 @@ class CryoMOSFET:
     # ------------------------------------------------------------------
     # leakage
     # ------------------------------------------------------------------
-    def subthreshold_swing(self, op: OperatingPointLike = None) -> float:
+    def subthreshold_swing(self, op: OperatingPoint = OP_ROOM) -> float:
         """Subthreshold swing in volts/decade; proportional to kT/q."""
-        op = as_operating_point(op)
         return float(
             self._subthreshold_swing_batch(OperatingPointBatch.from_points([op]))[0]
         )
@@ -292,12 +263,7 @@ class CryoMOSFET:
         # plus the linear dependence of leakage power on rail voltage.
         return self._vdd_batch(batch) * 10.0 ** (-vth / swing)
 
-    def leakage_factor(
-        self,
-        op: OperatingPointLike = None,
-        vdd_v: Optional[float] = None,
-        vth_v: Optional[float] = None,
-    ) -> float:
+    def leakage_factor(self, op: OperatingPoint = OP_ROOM) -> float:
         """Leakage current relative to the card's (300 K, nominal V) point.
 
         At (77 K, V_dd=0.64, V_th=0.25) -- the CryoSP operating point --
@@ -306,9 +272,7 @@ class CryoMOSFET:
         yield a factor in the hundreds, which is why the paper stresses
         that the scaling is *only* feasible at cryogenic temperatures.
         """
-        op = check_operating_point(
-            as_operating_point(op, vdd_v, vth_v), "mosfet.leakage"
-        )
+        op = check_operating_point(op, "mosfet.leakage")
         return get_context().memo(
             ("leakage", self.card, op.key),
             lambda: float(

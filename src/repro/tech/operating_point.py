@@ -6,22 +6,18 @@ resistance, repeater placement, cache access time, router frequency --
 is a function of the electrical operating point. This module is the
 foundational home of :class:`OperatingPoint` (it is re-exported from
 :mod:`repro.pipeline` for compatibility with older callers) together
-with the named Table 3 / Table 4 points and the *only* sanctioned
-bridge from the legacy ``(temperature_k, vdd_v, vth_v)`` scalar-triple
-call style: :func:`as_operating_point`.
+with the named Table 3 / Table 4 points.
 
-Design rules enforced across the repo (see ``tools/check_op_signatures.py``):
-
-* public model entry points accept an :class:`OperatingPoint` (or, via
-  the shim, a bare temperature plus optional voltage scalars);
-* no new function may thread a loose ``temperature_k/vdd_v/vth_v``
-  parameter triple through its signature -- this module is the single
-  place where that legacy form is interpreted.
+Every scalar model entry point takes exactly one ``op: OperatingPoint``,
+defaulting to :data:`OP_ROOM`. No function outside this module and
+:mod:`repro.tech.batch` may thread a loose ``temperature_k/vdd_v/vth_v``
+parameter triple through its signature (``tools/check_op_signatures.py``
+enforces this); :meth:`OperatingPoint.at` is where such a triple
+becomes a point.
 
 ``vdd_v``/``vth_v`` may be ``None``, meaning "the nominal voltages of
-whichever device card evaluates this point" -- the same convention the
-scalar signatures always had. :attr:`OperatingPoint.key` is the
-hashable identity used by the memoized evaluation context
+whichever device card evaluates this point". :attr:`OperatingPoint.key`
+is the hashable identity used by the memoized evaluation context
 (:mod:`repro.tech.context`); it deliberately excludes ``name`` so that
 two differently-labelled but electrically identical points share cache
 entries.
@@ -29,9 +25,8 @@ entries.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from repro.tech.constants import T_LN2, T_ROOM
 
@@ -83,75 +78,12 @@ class OperatingPoint:
         )
 
 
-#: What converted signatures accept: a point, a bare temperature (the
-#: legacy scalar form), or ``None`` meaning 300 K nominal.
-OperatingPointLike = Union[OperatingPoint, float, int, None]
-
-#: Whether the one-shot legacy-form deprecation notice has fired yet.
-_legacy_warned = False
-
-
-def _warn_legacy_scalar_form() -> None:
-    """Emit the (single, per-process) legacy-call deprecation notice."""
-    global _legacy_warned
-    if _legacy_warned:
-        return
-    _legacy_warned = True
-    warnings.warn(
-        "the legacy scalar operating-point call form (a bare temperature "
-        "and/or vdd_v/vth_v scalars) is deprecated; construct an "
-        "OperatingPoint explicitly — OperatingPoint.at(T, vdd, vth), a "
-        "named constant such as OP_CRYOSP, or OperatingPointBatch for "
-        "dense sweeps",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def _reset_legacy_warning() -> None:
-    """Re-arm the one-shot deprecation notice (test hook)."""
-    global _legacy_warned
-    _legacy_warned = False
-
-
-def as_operating_point(
-    op: OperatingPointLike = None,
-    vdd_v: Optional[float] = None,
-    vth_v: Optional[float] = None,
-    *,
-    default_temperature_k: float = T_ROOM,
-) -> OperatingPoint:
-    """Coerce the legacy scalar call form into an :class:`OperatingPoint`.
-
-    This is the deprecation shim for the pre-refactor signatures: a
-    bare temperature (optionally followed by ``vdd_v``/``vth_v``
-    scalars) still works everywhere, but is funnelled through this one
-    function and now draws a single per-process ``DeprecationWarning``.
-    New code should construct an :class:`OperatingPoint` -- typically
-    one of the named constants below, or :meth:`OperatingPoint.at`
-    inside a sweep loop. (``None`` -- "the 300 K default" -- is not a
-    legacy form and stays silent; so does passing a ready-made point.)
-    """
-    if isinstance(op, OperatingPoint):
-        if vdd_v is not None or vth_v is not None:
-            raise TypeError(
-                "voltages belong inside the OperatingPoint; do not pass "
-                "vdd_v/vth_v scalars alongside one"
-            )
-        return op
-    if op is not None or vdd_v is not None or vth_v is not None:
-        _warn_legacy_scalar_form()
-    temperature = default_temperature_k if op is None else float(op)
-    return OperatingPoint.at(temperature, vdd_v, vth_v)
-
-
 # ----------------------------------------------------------------------
 # Named operating points of Table 3 / Table 4
 # ----------------------------------------------------------------------
 
 #: Bare 300 K at card-nominal voltages -- the default evaluation point
-#: of every entry point, and what internal code uses instead of passing
-#: the deprecated bare ``T_ROOM`` scalar through the shim.
+#: of every scalar model entry point.
 OP_ROOM = OperatingPoint("300K", T_ROOM)
 
 #: Bare 77 K at card-nominal voltages -- the cryogenic counterpart of

@@ -17,8 +17,7 @@ optimizer evaluates the integer neighbours of ``n*`` (plus the unrepeated
 case) and returns the best.
 
 Evaluation points are :class:`~repro.tech.operating_point.OperatingPoint`
-values (legacy temperature/voltage scalars are coerced through the shim),
-and optimisation results are memoized per ``(layer, driver, length, op)``
+values, and optimisation results are memoized per ``(layer, driver, length, op)``
 in the active :class:`~repro.tech.context.TechContext` -- the multicore
 fixed point re-prices the same links thousands of times.
 
@@ -30,7 +29,7 @@ paper quotes for its 4 GHz mesh (4 hops/cycle, Section 5.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -51,12 +50,7 @@ from repro.util.guards import (
 )
 from repro.tech.metal import OHM_FF_TO_NS, MetalLayer
 from repro.tech.mosfet import CryoMOSFET, MOSFETCard, INDUSTRY_2Z_CARD
-from repro.tech.operating_point import (
-    OP_ROOM,
-    OperatingPoint,
-    OperatingPointLike,
-    as_operating_point,
-)
+from repro.tech.operating_point import OP_ROOM, OperatingPoint
 
 #: Minimum-size driver output resistance (ohm) at 300 K.
 DRIVER_R0_OHM = 25_000.0
@@ -201,9 +195,7 @@ class RepeaterOptimizer:
         length_um: float,
         n_repeaters: int,
         repeater_size: float,
-        op: OperatingPointLike = None,
-        vdd_v: Optional[float] = None,
-        vth_v: Optional[float] = None,
+        op: OperatingPoint = OP_ROOM,
     ) -> float:
         """Delay (ns) of the wire with an explicit repeater assignment."""
         if length_um <= 0:
@@ -212,7 +204,6 @@ class RepeaterOptimizer:
             raise ValueError("need at least the source driver (n_repeaters >= 1)")
         if repeater_size < 1.0:
             raise ValueError("repeater size below minimum (1.0)")
-        op = as_operating_point(op, vdd_v, vth_v)
         r0 = self._driver_resistance(op)
         r = self.layer.resistance_per_um(op)
         c = self.layer.capacitance_f_per_um
@@ -251,11 +242,7 @@ class RepeaterOptimizer:
         return n * self._segment_delay_ns(r0, h, r, c, lengths / n)
 
     def optimize(
-        self,
-        length_um: float,
-        op: OperatingPointLike = None,
-        vdd_v: Optional[float] = None,
-        vth_v: Optional[float] = None,
+        self, length_um: float, op: OperatingPoint = OP_ROOM
     ) -> RepeaterDesign:
         """Find the latency-optimal repeater count and size.
 
@@ -267,9 +254,7 @@ class RepeaterOptimizer:
         """
         if length_um <= 0:
             raise ValueError("length must be positive")
-        op = check_operating_point(
-            as_operating_point(op, vdd_v, vth_v), "repeater.optimize"
-        )
+        op = check_operating_point(op, "repeater.optimize")
         validate_wire_geometry(
             length_um, layer_name=self.layer.name, site="repeater.geometry"
         )
@@ -346,20 +331,13 @@ class RepeaterOptimizer:
             delay_ns=frozen(delays[pick, cols].copy()),
         )
 
-    def speedup(
-        self,
-        length_um: float,
-        op: OperatingPointLike,
-        vdd_v: Optional[float] = None,
-        vth_v: Optional[float] = None,
-    ) -> float:
+    def speedup(self, length_um: float, op: OperatingPoint) -> float:
         """Delay(300 K, nominal) / delay(at op): > 1 means faster cold.
 
         Both operating points are independently re-optimised, matching
         the paper's methodology of generating a temperature-optimal
         design rather than reusing the 300 K repeater placement.
         """
-        op = as_operating_point(op, vdd_v, vth_v)
         base = self.optimize(length_um, OP_ROOM).delay_ns
         cold = self.optimize(length_um, op).delay_ns
         return base / cold

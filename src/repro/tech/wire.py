@@ -13,7 +13,7 @@ share the repeater optimiser's memoization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Dict, Iterator, Sequence
 
 import numpy as np
 
@@ -33,12 +33,7 @@ from repro.tech.mosfet import (
     INDUSTRY_2Z_CARD,
     MOSFETCard,
 )
-from repro.tech.operating_point import (
-    OP_ROOM,
-    OperatingPoint,
-    OperatingPointLike,
-    as_operating_point,
-)
+from repro.tech.operating_point import OP_ROOM, OperatingPoint
 from repro.tech.repeater import RepeaterOptimizer
 
 #: Fixed drive time of the logic gate launching an unrepeated wire, at
@@ -152,9 +147,7 @@ class CryoWireModel:
         self,
         layer_name: str,
         length_um: float,
-        op: OperatingPointLike = None,
-        vdd_v: Optional[float] = None,
-        vth_v: Optional[float] = None,
+        op: OperatingPoint = OP_ROOM,
         load_ff: float = UNREPEATED_LOAD_FF,
     ) -> WireDelayBreakdown:
         """Delay of a logic-driven, unrepeated wire, decomposed.
@@ -166,7 +159,6 @@ class CryoWireModel:
         """
         if length_um < 0:
             raise ValueError("length must be non-negative")
-        op = as_operating_point(op, vdd_v, vth_v)
         layer = self.stack.layer(layer_name)
         return get_context().memo(
             ("unrepeated", layer, self.logic.card, length_um, load_ff, op.key),
@@ -226,16 +218,9 @@ class CryoWireModel:
         )
 
     def unrepeated_delay(
-        self,
-        layer_name: str,
-        length_um: float,
-        op: OperatingPointLike = None,
-        vdd_v: Optional[float] = None,
-        vth_v: Optional[float] = None,
+        self, layer_name: str, length_um: float, op: OperatingPoint = OP_ROOM
     ) -> float:
-        return self.unrepeated_breakdown(
-            layer_name, length_um, op, vdd_v, vth_v
-        ).total_ns
+        return self.unrepeated_breakdown(layer_name, length_um, op).total_ns
 
     def unrepeated_delay_batch(
         self,
@@ -247,30 +232,21 @@ class CryoWireModel:
         return self.unrepeated_breakdown_batch(layer_name, lengths_um, op).total_ns
 
     def unrepeated_speedup(
-        self, layer_name: str, length_um: float, op: OperatingPointLike
+        self, layer_name: str, length_um: float, op: OperatingPoint
     ) -> float:
         """Speed-up of an unrepeated wire at the operating point vs 300 K."""
         base = self.unrepeated_delay(layer_name, length_um, OP_ROOM)
-        cold = self.unrepeated_delay(layer_name, length_um, as_operating_point(op))
+        cold = self.unrepeated_delay(layer_name, length_um, op)
         return base / cold
 
     # ------------------------------------------------------------------
     # repeated wires -- NoC links, long buses
     # ------------------------------------------------------------------
     def repeated_delay(
-        self,
-        layer_name: str,
-        length_um: float,
-        op: OperatingPointLike = None,
-        vdd_v: Optional[float] = None,
-        vth_v: Optional[float] = None,
+        self, layer_name: str, length_um: float, op: OperatingPoint = OP_ROOM
     ) -> float:
         """Delay (ns) of a latency-optimally repeated wire."""
-        return (
-            self.optimizer(layer_name)
-            .optimize(length_um, as_operating_point(op, vdd_v, vth_v))
-            .delay_ns
-        )
+        return self.optimizer(layer_name).optimize(length_um, op).delay_ns
 
     def repeated_delay_batch(
         self,
@@ -282,9 +258,9 @@ class CryoWireModel:
         return self.optimizer(layer_name).optimize_batch(lengths_um, op).delay_ns
 
     def repeated_speedup(
-        self, layer_name: str, length_um: float, op: OperatingPointLike
+        self, layer_name: str, length_um: float, op: OperatingPoint
     ) -> float:
-        return self.optimizer(layer_name).speedup(length_um, as_operating_point(op))
+        return self.optimizer(layer_name).speedup(length_um, op)
 
     # ------------------------------------------------------------------
     # sweeps for the Fig. 5 analysis
@@ -293,7 +269,7 @@ class CryoWireModel:
         self,
         layer_name: str,
         lengths_um: Sequence[float],
-        op: OperatingPointLike,
+        op: OperatingPoint,
         repeated: bool = False,
     ) -> Dict[float, float]:
         """Speed-up at the operating point for each length in the sweep.
@@ -302,7 +278,6 @@ class CryoWireModel:
         sweep point and one at 300 K); the per-length values are
         bit-identical to the scalar ``*_speedup`` methods.
         """
-        op = as_operating_point(op)
         lengths = list(lengths_um)
         if not lengths:
             return {}

@@ -9,8 +9,6 @@ the length-1 batch, and ``batch_kernel(batch)[i]`` is bit-identical
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,8 +26,6 @@ from repro.tech.operating_point import (
     OP_CRYO,
     OP_ROOM,
     OperatingPoint,
-    _reset_legacy_warning,
-    as_operating_point,
 )
 from repro.tech.repeater import RepeaterDesign, RepeaterOptimizer
 from repro.tech.wire import CryoWireModel
@@ -277,31 +273,3 @@ class TestBatchMemoization:
                 OperatingPointBatch.from_grid([78.0, 300.0])
             )
         assert a[0] != b[0]
-
-
-# ----------------------------------------------------------------------
-# the legacy-scalar deprecation
-# ----------------------------------------------------------------------
-class TestLegacyFormDeprecation:
-    def test_bare_temperature_warns_once_per_process(self):
-        _reset_legacy_warning()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            as_operating_point(77.0)
-            as_operating_point(135.0, 1.1)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "OperatingPointBatch" in str(deprecations[0].message)
-        _reset_legacy_warning()
-
-    def test_explicit_points_and_none_stay_silent(self):
-        _reset_legacy_warning()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            as_operating_point(OP_CRYO)
-            as_operating_point(None)
-        assert [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ] == []

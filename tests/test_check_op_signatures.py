@@ -9,15 +9,11 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
-from check_op_signatures import find_shim_calls, find_violations  # noqa: E402
+from check_op_signatures import find_violations  # noqa: E402
 
 
 def test_src_tree_is_clean():
     assert find_violations(REPO_ROOT / "src") == []
-
-
-def test_src_tree_respects_the_shim_call_budget():
-    assert find_shim_calls(REPO_ROOT / "src") == []
 
 
 def test_flags_a_legacy_triple(tmp_path):
@@ -38,13 +34,18 @@ def test_flags_a_legacy_triple(tmp_path):
     assert "repro/bad.py" in violations[0]
 
 
-def test_shim_module_is_exempt(tmp_path):
-    shim = tmp_path / "repro" / "tech" / "operating_point.py"
-    shim.parent.mkdir(parents=True)
-    shim.write_text(
-        "def as_operating_point(op=None, vdd_v=None, vth_v=None, *,\n"
-        "                       temperature_k=300.0):\n"
-        "    return op\n"
+def test_operating_point_module_is_exempt(tmp_path):
+    module = tmp_path / "repro" / "tech" / "operating_point.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(
+        textwrap.dedent(
+            """
+            class OperatingPoint:
+                @classmethod
+                def at(cls, temperature_k, vdd_v=None, vth_v=None, name=None):
+                    return cls(name, temperature_k, vdd_v, vth_v)
+            """
+        )
     )
     assert find_violations(tmp_path) == []
 
@@ -53,39 +54,3 @@ def test_partial_triples_are_allowed(tmp_path):
     ok = tmp_path / "ok.py"
     ok.write_text("def f(op=None, vdd_v=None, vth_v=None):\n    return op\n")
     assert find_violations(tmp_path) == []
-
-
-def test_flags_a_new_shim_call_site(tmp_path):
-    offender = tmp_path / "repro" / "new_model.py"
-    offender.parent.mkdir(parents=True)
-    offender.write_text(
-        "from repro.tech.operating_point import as_operating_point\n"
-        "\n"
-        "def price(op=None):\n"
-        "    return as_operating_point(op).temperature_k\n"
-    )
-    violations = find_shim_calls(tmp_path)
-    assert len(violations) == 1
-    assert "repro/new_model.py" in violations[0]
-    assert "frozen budget of 0" in violations[0]
-    assert "[4]" in violations[0]  # the call line is listed
-
-
-def test_shim_calls_within_budget_pass(tmp_path):
-    # tech/wire.py has a budget of 5 transitional call sites.
-    grandfathered = tmp_path / "repro" / "tech" / "wire.py"
-    grandfathered.parent.mkdir(parents=True)
-    grandfathered.write_text(
-        "def f(op=None):\n"
-        "    return as_operating_point(op)\n"
-    )
-    assert find_shim_calls(tmp_path) == []
-
-
-def test_attribute_style_shim_calls_are_counted(tmp_path):
-    offender = tmp_path / "uses_module_attr.py"
-    offender.write_text(
-        "import repro.tech.operating_point as opmod\n"
-        "x = opmod.as_operating_point(77.0)\n"
-    )
-    assert len(find_shim_calls(tmp_path)) == 1

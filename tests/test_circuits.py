@@ -116,14 +116,20 @@ class TestCircuitSimulator:
         long = sim.simulate_driven_wire("global", 4000.0, driver_r_ohm=500.0)
         assert 0 < short < long
 
-    def test_agrees_with_analytic_repeater_model(self):
-        """The Fig. 10 methodology: circuit sim vs Elmore optimiser."""
+    @pytest.mark.parametrize("op", [OP_ROOM, OP_CRYO], ids=lambda op: op.name)
+    def test_agrees_with_analytic_repeater_model(self, op):
+        """The Fig. 10 methodology: circuit sim vs Elmore optimiser.
+
+        With no operating point, ``simulate_design`` re-simulates at the
+        design's own temperature, not at 300 K.
+        """
         optimizer = RepeaterOptimizer(
             FREEPDK45_STACK.layer("global"), INDUSTRY_2Z_CARD
         )
         sim = CircuitSimulator(driver_card=INDUSTRY_2Z_CARD)
-        design = optimizer.optimize(6000.0)
+        design = optimizer.optimize(6000.0, op)
         measured = sim.simulate_design(design)
+        assert measured.temperature_k == design.temperature_k
         assert measured.delay_ns == pytest.approx(design.delay_ns, rel=0.20)
 
     def test_cold_simulation_faster(self):

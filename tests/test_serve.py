@@ -11,6 +11,7 @@ The headline invariants:
   (the scalar/batch parity invariant carried end-to-end);
 * one bad point in a coalesced batch fails only its own request;
 * malformed requests come back as structured 4xx payloads, never 500s;
+* every response body is strict JSON, with no NaN or Infinity tokens;
 * concurrent clients actually coalesce, and coalescing never changes
   any response.
 """
@@ -57,6 +58,16 @@ OP_CRYOSP_VOLTAGES = {"temperature_k": 77.0, "vdd_v": 0.64, "vth_v": 0.25}
 # ----------------------------------------------------------------------
 # HTTP plumbing
 # ----------------------------------------------------------------------
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def _strict_json(text):
+    """Parse a response body, refusing the NaN/Infinity tokens that
+    ``json`` emits by default but that no JSON client accepts."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 @pytest.fixture(scope="class")
 def server():
     handle = serve_in_thread()
@@ -70,7 +81,7 @@ def _request(handle, method, path, payload=None):
         body = None if payload is None else json.dumps(payload).encode()
         conn.request(method, path, body=body)
         response = conn.getresponse()
-        return response.status, json.loads(response.read())
+        return response.status, _strict_json(response.read())
     finally:
         conn.close()
 
@@ -93,7 +104,7 @@ def _request_full(handle, method, path, payload=None, headers=None):
         conn.request(method, path, body=body, headers=headers or {})
         response = conn.getresponse()
         response_headers = {k.lower(): v for k, v in response.getheaders()}
-        return response.status, response_headers, json.loads(response.read())
+        return response.status, response_headers, _strict_json(response.read())
     finally:
         conn.close()
 
@@ -190,23 +201,43 @@ class TestEndpoints:
         assert wire["repeater_size"] == design.repeater_size
 
     def test_malformed_operating_point_is_structured_422(self, server):
-        status, payload = _post(
-            server, "/v1/query", {"operating_point": {"temperature_k": "cold"}}
-        )
-        assert status == 422
-        assert payload["error"]["code"] == "invalid_operating_point"
+        for point in (
+            {"temperature_k": "cold"},
+            {"temperature_k": "nan"},
+            {"temperature_k": float("nan")},
+            {"temperature_k": "inf"},
+            {"temperature_k": 10**400},
+            {"temperature_k": 77, "vdd_v": "nan"},
+            {"temperature_k": 77, "vth_v": float("-inf")},
+        ):
+            status, payload = _post(server, "/v1/query", {"operating_point": point})
+            assert status == 422, point
+            assert payload["error"]["code"] == "invalid_operating_point", point
 
     def test_missing_temperature_is_422(self, server):
         status, payload = _post(server, "/v1/query", {"operating_point": {}})
         assert status == 422
         assert payload["error"]["code"] == "invalid_operating_point"
 
-    def test_unknown_card_is_422(self, server):
-        status, payload = _post(
-            server,
-            "/v1/query",
-            {"operating_point": {"temperature_k": 77}, "card": "tng_4z"},
-        )
+    @pytest.mark.parametrize("card", ["tng_4z", [], {}], ids=["name", "list", "object"])
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/v1/query", {"operating_point": {"temperature_k": 77}}),
+            ("/v1/grid", {"temperature_k": [77.0]}),
+            (
+                "/v1/cryostat",
+                {
+                    "placements": [
+                        {"component": "core", "stage": "77K", "device_power_w": 1.0}
+                    ]
+                },
+            ),
+        ],
+        ids=["query", "grid", "cryostat"],
+    )
+    def test_unknown_card_is_422(self, server, path, body, card):
+        status, payload = _post(server, path, {**body, "card": card})
         assert status == 422
         assert payload["error"]["code"] == "unknown_card"
 
@@ -281,11 +312,19 @@ class TestEndpoints:
         assert payload["n"] == 4
 
     def test_grid_out_of_domain_is_422(self, server):
-        status, payload = _post(
-            server, "/v1/grid", {"temperature_k": [77.0, 1.0]}
-        )
-        assert status == 422
-        assert payload["error"]["code"] == "invalid_grid"
+        for body in (
+            {"temperature_k": [77.0, 1.0]},
+            {"temperature_k": [77.0, float("nan")]},
+            {"temperature_k": ["nan"]},
+            {"temperature_k": [77.0], "vdd_v": ["nan"]},
+            {"temperature_k": [77.0, 300.0], "vdd_v": "nan"},
+            {"temperature_k": [77.0], "vth_v": [float("inf")]},
+            {"mode": "product", "temperature_k": [77.0], "vdd_v": ["nan"]},
+            {"mode": "product", "temperature_k": ["inf"]},
+        ):
+            status, payload = _post(server, "/v1/grid", body)
+            assert status == 422, body
+            assert payload["error"]["code"] == "invalid_grid", body
 
     def test_grid_deep_cryo_is_model_domain_error(self, server):
         # 20 K passes validation (deep-cryo warning tier) but the device
@@ -391,6 +430,24 @@ class TestEndpoints:
         )
         assert status == 422
         assert payload["error"]["code"] == "invalid_cryostat"
+
+    def test_cryostat_non_finite_numbers_are_422(self, server):
+        core = {"component": "core", "stage": "77K", "device_power_w": 1.0}
+        cold_stage = {"name": "77K", "temperature_k": 77.0, "overhead": "nan"}
+        link = {"kind": "electrical", "hot_stage": "300K", "cold_stage": "77K"}
+        for body in (
+            {"placements": [{**core, "device_power_w": "nan"}]},
+            {"placements": [{**core, "device_power_w": float("inf")}]},
+            {
+                "stages": [{"name": "300K", "temperature_k": 300.0}, cold_stage],
+                "placements": [core],
+            },
+            {"links": [{**link, "conducted_w": "nan"}], "placements": [core]},
+            {"links": [{**link, "lanes": float("inf")}], "placements": [core]},
+        ):
+            status, payload = _post(server, "/v1/cryostat", body)
+            assert status == 422, body
+            assert payload["error"]["code"] == "invalid_cryostat", body
 
     def test_cryostat_queries_counted_in_stats(self, server):
         before = _get(server, "/stats")[1]["requests"]["cryostat_queries"]
@@ -585,11 +642,18 @@ class TestFailureIsolation:
         )
 
     def test_parse_rejects_non_object_wire(self):
-        with pytest.raises(QueryError) as excinfo:
-            parse_point_query(
-                {"operating_point": {"temperature_k": 77}, "wire": "global"}
-            )
-        assert excinfo.value.code == "invalid_wire"
+        for wire in (
+            "global",
+            {"layer": "global", "length_um": "nan"},
+            {"layer": "global", "length_um": "inf"},
+            {"layer": "global", "length_um": float("inf")},
+        ):
+            with pytest.raises(QueryError) as excinfo:
+                parse_point_query(
+                    {"operating_point": {"temperature_k": 77}, "wire": wire}
+                )
+            assert excinfo.value.code == "invalid_wire", wire
+            _strict_json(json.dumps(excinfo.value.to_dict()))
 
 
 class _HeldHook:

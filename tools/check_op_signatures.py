@@ -1,25 +1,17 @@
 #!/usr/bin/env python
-"""Guard the OperatingPoint currency: no new loose scalar-triple signatures.
+"""Guard the OperatingPoint currency: no loose scalar-triple signatures.
 
 Walks every Python file under ``src/`` and fails if any function signature
-threads the legacy ``(temperature_k, vdd_v, vth_v)`` parameter triple.
-Since the OperatingPoint refactor, the only sanctioned interpreter of
-that form is :func:`repro.tech.operating_point.as_operating_point`; model
-entry points take an ``OperatingPointLike`` (plus, transitionally, the
-optional ``vdd_v``/``vth_v`` scalars the shim consumes). A signature that
-names all three scalars re-introduces the pre-refactor style and is
-rejected.
-
-Since the batch API landed, the shim itself is deprecated: calling it
-with a bare temperature draws a ``DeprecationWarning``. The second check
-(:func:`find_shim_calls`) freezes the set of ``as_operating_point`` call
-sites at the per-file counts of the existing public entry points
-(:data:`SHIM_CALL_BUDGET`) so no *new* code routes through the shim --
-new call sites must construct an :class:`OperatingPoint` (or an
-:class:`~repro.tech.batch.OperatingPointBatch`) explicitly.
+threads the ``(temperature_k, vdd_v, vth_v)`` parameter triple. Model
+entry points take one ``op: OperatingPoint``; a signature that names all
+three scalars re-introduces the pre-refactor style and is rejected.
+:meth:`repro.tech.operating_point.OperatingPoint.at` takes the triple by
+design, so its module is exempt, as is the batch module, whose array
+columns carry the same names.
 
 Usage: ``python tools/check_op_signatures.py [root]`` -- exits non-zero
-with a listing of offending definitions. Run by CI next to the tests.
+with a listing of offending definitions. ``tests/test_check_op_signatures.py``
+runs the same check over ``src/`` in the test suite.
 """
 
 from __future__ import annotations
@@ -32,18 +24,10 @@ from typing import Iterator, List, Tuple
 #: The parameter names whose co-occurrence marks a legacy signature.
 TRIPLE = frozenset({"temperature_k", "vdd_v", "vth_v"})
 
-#: The shim module defines the legacy form once, on purpose; the batch
-#: module names the same triple as its *array columns* -- the sanctioned
-#: plural currency, not a loose scalar signature.
+#: ``OperatingPoint.at`` builds a point from the triple, on purpose; the
+#: batch module names the same triple as its *array columns* -- the
+#: sanctioned plural currency, not a loose scalar signature.
 EXEMPT_FILES = ("repro/tech/operating_point.py", "repro/tech/batch.py")
-
-#: ``module-path::qualname`` entries allowed to keep the triple -- these
-#: ARE deprecation shims (they forward to ``as_operating_point``).
-EXEMPT_FUNCTIONS = frozenset(
-    {
-        "repro/noc/latency.py::AnalyticNocModel.__init__",
-    }
-)
 
 
 def _argument_names(node: ast.FunctionDef) -> List[str]:
@@ -82,8 +66,6 @@ def find_violations(root: Path) -> List[str]:
         for qualname, node in _walk_functions(tree):
             if not TRIPLE.issubset(_argument_names(node)):
                 continue
-            if f"{relative}::{qualname}" in EXEMPT_FUNCTIONS:
-                continue
             violations.append(
                 f"{relative}:{node.lineno}: {qualname} threads the legacy "
                 "(temperature_k, vdd_v, vth_v) scalar triple -- take an "
@@ -92,75 +74,15 @@ def find_violations(root: Path) -> List[str]:
     return violations
 
 
-#: Frozen per-file budget of ``as_operating_point`` call sites: the
-#: transitional public entry points that still accept the legacy scalar
-#: form. Anything beyond these counts is a *new* shim use and fails CI;
-#: shrink a file's budget when you migrate its callers.
-SHIM_CALL_BUDGET = {
-    "repro/circuits/simulator.py": 4,
-    "repro/memory/cacti.py": 3,
-    "repro/memory/cll_dram.py": 2,
-    "repro/noc/latency.py": 2,
-    "repro/noc/link.py": 2,
-    "repro/noc/router.py": 2,
-    "repro/tech/metal.py": 2,
-    "repro/tech/mosfet.py": 5,
-    "repro/tech/repeater.py": 3,
-    "repro/tech/wire.py": 5,
-}
-
-#: Name of the deprecation shim, as called (bare or attribute access).
-_SHIM_NAME = "as_operating_point"
-
-
-def _is_shim_call(node: ast.Call) -> bool:
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id == _SHIM_NAME
-    if isinstance(func, ast.Attribute):
-        return func.attr == _SHIM_NAME
-    return False
-
-
-def find_shim_calls(root: Path) -> List[str]:
-    """New ``as_operating_point`` call sites beyond the frozen budget.
-
-    Counts actual call expressions per file (imports and re-exports are
-    free) and reports every file whose count exceeds its
-    :data:`SHIM_CALL_BUDGET` entry, listing the call lines so the
-    offender is easy to locate.
-    """
-    violations = []
-    for path in sorted(root.rglob("*.py")):
-        relative = path.relative_to(root).as_posix()
-        if relative.endswith(EXEMPT_FILES):
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        lines = [
-            node.lineno
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and _is_shim_call(node)
-        ]
-        budget = SHIM_CALL_BUDGET.get(relative, 0)
-        if len(lines) > budget:
-            violations.append(
-                f"{relative}: {len(lines)} as_operating_point call(s) at "
-                f"line(s) {sorted(lines)} exceeds the frozen budget of "
-                f"{budget} -- the shim is deprecated; construct an "
-                "OperatingPoint (or OperatingPointBatch) explicitly"
-            )
-    return violations
-
-
 def main(argv: List[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src"
-    violations = find_violations(root) + find_shim_calls(root)
+    violations = find_violations(root)
     for line in violations:
         print(line)
     if violations:
         print(f"{len(violations)} operating-point policy violation(s) found")
         return 1
-    print(f"operating-point signatures and shim-call budget clean under {root}")
+    print(f"operating-point signatures clean under {root}")
     return 0
 
 
