@@ -1,11 +1,11 @@
-"""Engine overhead benchmarks: the fault-tolerance layer must be free
-when nothing faults.
+"""Engine overhead benchmarks: the failure handling must be free when
+nothing faults.
 
 Two hot paths matter:
 
 * **warm-cache serving** — a fully-hit ``engine.run`` is a cache read
-  plus digest verification per experiment; the retry/timeout machinery
-  must never run.
+  plus digest verification per experiment; no driver and no timeout
+  thread may run.
 * **fault points** — ``fault_point`` sits on every driver invocation
   and cache write; with no plan installed it must be a dictionary
   lookup, nothing more.
@@ -38,7 +38,7 @@ def test_bench_fault_point_no_plan(benchmark, monkeypatch):
 
     def probe():
         for _ in range(1000):
-            fault_point("engine.worker")
+            fault_point("driver.fig20")
 
     benchmark(probe)
 

@@ -21,18 +21,18 @@ experiment id, kwargs, package version and the experiment module's
 source digest, and cache misses fan out over ``--jobs N`` worker
 processes. ``--cache-dir DIR`` relocates the cache (default
 ``$CRYOWIRE_CACHE_DIR`` or ``~/.cache/cryowire``); ``--no-cache``
-bypasses it. Every run writes a JSON manifest (wall time, status,
-attempts, worker attribution per experiment) that ``cryowire stats``
-prints.
+bypasses it. Every run writes a JSON manifest (wall time, status and
+worker attribution per experiment) that ``cryowire stats`` prints.
 
-Fault tolerance: ``--retries N`` re-executes transient failures with
-capped exponential backoff, ``--timeout SECONDS`` bounds each driver's
-wall clock (0 disables; the default scales with the spec's cost tag),
+Failures: ``--timeout SECONDS`` bounds each driver's wall clock (0
+disables; the default scales with the spec's cost tag). A driver
+exception, a timeout or a dead worker fails that experiment only;
 ``--keep-going`` emits every completed result even when some
-experiments fail, and ``--resume`` skips experiments the previous run
-already completed (per the last manifest). Corrupt cache entries are
-quarantined under ``<cache>/corrupt/`` and recomputed transparently;
-``cryowire stats`` reports attempts, retries and quarantined entries.
+experiments fail, and ``--resume`` re-runs only what the previous run
+did not complete (per the last manifest) or the cache no longer
+serves. Corrupt cache entries are quarantined under
+``<cache>/corrupt/`` and recomputed transparently; ``cryowire stats``
+reports timeouts, skipped experiments and quarantined entries.
 
 Physics guardrails: drivers run inside a guard context
 (:mod:`repro.util.guards`), so every result carries the structured
@@ -74,13 +74,6 @@ def _jobs(value: str) -> int:
     return jobs
 
 
-def _retries(value: str) -> int:
-    retries = int(value)
-    if retries < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {retries}")
-    return retries
-
-
 def _timeout(value: str) -> float:
     timeout = float(value)
     if timeout < 0:
@@ -109,14 +102,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         "or ~/.cache/cryowire)",
     )
     parser.add_argument(
-        "--retries",
-        type=_retries,
-        default=0,
-        metavar="N",
-        help="retry transient failures (timeouts, injected transients) "
-        "up to N times with exponential backoff (default 0)",
-    )
-    parser.add_argument(
         "--timeout",
         type=_timeout,
         default=None,
@@ -138,7 +123,6 @@ def _engine(args: argparse.Namespace) -> ExecutionEngine:
         jobs=args.jobs,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
-        retries=args.retries,
         timeout_s=args.timeout,
         strict=args.strict,
     )
@@ -155,7 +139,7 @@ def _add_recovery_flags(parser: argparse.ArgumentParser) -> None:
         "--resume",
         action="store_true",
         help="skip experiments the previous run already completed "
-        "(per the last run manifest)",
+        "(per the last run manifest) whose results are still cached",
     )
 
 
@@ -344,8 +328,8 @@ def _emit(
     output_dir: Optional[str],
     blank_after_each: bool,
 ) -> None:
-    # Failed (or resumed-without-cache) experiments have no result to
-    # render; emit what completed and let main() report the rest.
+    # Failed experiments have no result to render; emit what completed
+    # and let main() report the rest.
     experiment_ids = [eid for eid in experiment_ids if eid in results]
     render, extension = _FORMATS[fmt]
     if output_dir is not None:
@@ -395,8 +379,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         for record in outcome.failures:
             print(
-                f"failed: {record.experiment_id} [{record.status}] "
-                f"after {record.attempts} attempt(s): {record.error}",
+                f"failed: {record.experiment_id} [{record.status}]: "
+                f"{record.error}",
                 file=sys.stderr,
             )
         return 1 if outcome.failures else 0

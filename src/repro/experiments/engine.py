@@ -1,4 +1,4 @@
-"""Fault-tolerant parallel experiment execution engine with result caching.
+"""Parallel experiment execution engine with result caching.
 
 ``cryowire all`` used to recompute all 27 figures/tables serially on
 every invocation. The engine keeps the experiment drivers untouched and
@@ -12,24 +12,24 @@ wraps them in four layers:
   :class:`~repro.experiments.cache.ResultCache` before any work is
   submitted; misses are computed and written back. Keys include the
   experiment module's source digest, so editing a driver invalidates
-  exactly its own entries.
-* **fault tolerance** — every execution runs under a per-experiment
-  wall-clock timeout (spec override > engine override > cost-scaled
-  default). Transient failures (injected :class:`TransientFault`s and
-  timeouts) retry with capped exponential backoff and seeded jitter. A
-  worker crash (``BrokenProcessPool``) respawns the pool and re-runs
-  the in-flight experiments *isolated* — one per single-worker pool —
-  so the crasher is attributed precisely; an experiment is quarantined
-  after ``crash_strikes`` attributed crashes, so one poison driver can
-  never wedge the fleet. ``run(..., keep_going=True)`` salvages every
-  completed result instead of raising, and the raising path attaches
-  the partial :class:`RunOutcome` to :class:`ExperimentExecutionError`.
+  exactly its own entries. A corrupt entry is quarantined and
+  recomputed like any other miss.
+* **one failure path** — every execution runs under a per-experiment
+  wall-clock timeout (the engine's ``timeout_s``, else a cost-scaled
+  default). A driver exception, a timeout and a dead worker
+  (``BrokenProcessPool`` fails every unfinished experiment) each become
+  one ``error`` or ``timeout`` record; nothing is retried, because the
+  drivers are pure and seeded. ``run(..., keep_going=True)`` returns
+  every completed result instead of raising, and the raising path
+  attaches the partial :class:`RunOutcome` to
+  :class:`ExperimentExecutionError`. ``run(..., resume=True)`` then
+  re-runs exactly what the cache cannot serve.
 * **instrumentation** — every run produces a :class:`RunManifest`
-  recording per-experiment wall time, status, attempts and worker
-  attribution. The manifest is written next to the cache
-  (``last_run.json``), rendered by ``cryowire stats``, and consumed by
-  ``run(..., resume=True)`` to skip experiments the previous run
-  already completed.
+  recording per-experiment wall time, status and worker attribution.
+  The manifest is written next to the cache (``last_run.json``),
+  rendered by ``cryowire stats``, and consumed by ``run(...,
+  resume=True)`` to mark the experiments the previous run already
+  completed.
 
 Determinism: the experiment drivers are pure functions of their kwargs
 (all randomness goes through seeded ``make_rng``), so parallel execution
@@ -47,19 +47,17 @@ import logging
 import os
 import threading
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.cache import ResultCache, cache_disabled_by_env
 from repro.experiments.registry import ExperimentSpec, get_spec
-from repro.util.faults import TransientFault, fault_point
+from repro.util.faults import fault_point
 from repro.util.guards import GuardContext, use_guards
-from repro.util.rng import make_rng
 
 _LOG = logging.getLogger(__name__)
 
@@ -67,74 +65,24 @@ _LOG = logging.getLogger(__name__)
 HIT = "hit"  # served from the cache
 MISS = "miss"  # computed, then written to the cache
 UNCACHED = "uncached"  # computed; caching off or kwargs not cacheable
-ERROR = "error"  # the driver raised (after any retries)
-TIMEOUT = "timeout"  # the driver exceeded its wall-clock budget (after retries)
-QUARANTINED = "quarantined"  # crashed too many workers; benched for this run
-SKIPPED = "skipped"  # completed by a previous run (``resume=True``)
+ERROR = "error"  # the driver raised, or its worker died
+TIMEOUT = "timeout"  # the driver exceeded its wall-clock budget
+SKIPPED = "skipped"  # completed by a previous run and served from the cache
 
 #: Statuses that mean "this run produced no usable result".
-FAILURE_STATUSES = (ERROR, TIMEOUT, QUARANTINED)
+FAILURE_STATUSES = (ERROR, TIMEOUT)
 #: Statuses a ``--resume`` run treats as already done.
 COMPLETED_STATUSES = (HIT, MISS, UNCACHED, SKIPPED)
 
 #: Default wall-clock budget per experiment, scaled by the spec's cost
 #: tag. Generous on purpose: the timeout exists to unwedge hung drivers,
-#: not to police slow ones. ``ExperimentSpec.timeout_s`` or the engine's
-#: ``timeout_s`` override it; ``0`` disables.
+#: not to police slow ones. The engine's ``timeout_s`` overrides it;
+#: ``0`` disables.
 DEFAULT_TIMEOUT_S = {"fast": 600.0, "slow": 3600.0}
 
 
 class ExperimentTimeout(RuntimeError):
-    """A driver exceeded its wall-clock budget (retryable)."""
-
-
-class LeakedThreadLimit(RuntimeError):
-    """Too many abandoned timeout threads are still running.
-
-    A timed-out driver's daemon thread keeps computing after the engine
-    gives up on it (see :func:`_call_with_timeout`). In a one-shot CLI
-    run that costs nothing — the process exits — but a long-running
-    service accumulates them. Past ``leak_threshold`` live leaked
-    threads the engine *refuses new submissions* with this error rather
-    than silently degrading under the hidden CPU load.
-    """
-
-
-# -- leaked-thread accounting ------------------------------------------------
-
-#: Daemon threads abandoned by the timeout path that may still be
-#: running. Pruned of finished threads on every access.
-_LEAKED_THREADS: List[threading.Thread] = []
-_LEAK_LOCK = threading.Lock()
-
-
-def _register_leaked_thread(thread: threading.Thread) -> None:
-    with _LEAK_LOCK:
-        _LEAKED_THREADS[:] = [t for t in _LEAKED_THREADS if t.is_alive()]
-        if thread.is_alive():
-            _LEAKED_THREADS.append(thread)
-
-
-def leaked_thread_count() -> int:
-    """Live driver threads abandoned by timeouts in *this* process."""
-    with _LEAK_LOCK:
-        _LEAKED_THREADS[:] = [t for t in _LEAKED_THREADS if t.is_alive()]
-        return len(_LEAKED_THREADS)
-
-
-def check_leak_budget(threshold: int) -> None:
-    """Raise :class:`LeakedThreadLimit` once the leak budget is spent.
-
-    ``threshold <= 0`` disables the check.
-    """
-    if threshold <= 0:
-        return
-    count = leaked_thread_count()
-    if count >= threshold:
-        raise LeakedThreadLimit(
-            f"{count} leaked driver thread(s) still running (threshold "
-            f"{threshold}); refusing new submissions until they drain"
-        )
+    """A driver exceeded its wall-clock budget."""
 
 
 class ExperimentExecutionError(RuntimeError):
@@ -159,13 +107,9 @@ class RunRecord:
     wall_time_s: float = 0.0
     worker_pid: int = 0
     error: str = ""
-    attempts: int = 1
     #: Structured model-validity warnings the driver's guard context
     #: collected (``ModelWarning.to_dict()`` payloads).
     warnings: List[Dict] = field(default_factory=list)
-    #: Live leaked timeout threads in the executing worker when this
-    #: record was produced (a per-worker gauge, not a per-record delta).
-    leaked_threads: int = 0
 
     def to_dict(self) -> Dict:
         return {
@@ -174,9 +118,7 @@ class RunRecord:
             "wall_time_s": self.wall_time_s,
             "worker_pid": self.worker_pid,
             "error": self.error,
-            "attempts": self.attempts,
             "warnings": list(self.warnings),
-            "leaked_threads": self.leaked_threads,
         }
 
     @classmethod
@@ -187,9 +129,7 @@ class RunRecord:
             wall_time_s=data.get("wall_time_s", 0.0),
             worker_pid=data.get("worker_pid", 0),
             error=data.get("error", ""),
-            attempts=data.get("attempts", 1),
             warnings=list(data.get("warnings", [])),
-            leaked_threads=data.get("leaked_threads", 0),
         )
 
 
@@ -228,10 +168,6 @@ class RunManifest:
         return self._count(TIMEOUT)
 
     @property
-    def n_quarantined(self) -> int:
-        return self._count(QUARANTINED)
-
-    @property
     def n_skipped(self) -> int:
         return self._count(SKIPPED)
 
@@ -240,28 +176,9 @@ class RunManifest:
         return sum(1 for r in self.records if r.status in FAILURE_STATUSES)
 
     @property
-    def n_retries(self) -> int:
-        """Executions beyond each experiment's first attempt."""
-        return sum(max(0, record.attempts - 1) for record in self.records)
-
-    @property
     def n_model_warnings(self) -> int:
         """Model-validity warnings collected across all records."""
         return sum(len(record.warnings) for record in self.records)
-
-    @property
-    def n_leaked_threads(self) -> int:
-        """Leaked timeout threads still live across the worker fleet.
-
-        Each record carries its worker's gauge at completion time, so
-        the fleet total is the max per worker pid summed over pids —
-        summing records would count the same leak once per experiment.
-        """
-        per_worker: Dict[int, int] = {}
-        for record in self.records:
-            pid = record.worker_pid
-            per_worker[pid] = max(per_worker.get(pid, 0), record.leaked_threads)
-        return sum(per_worker.values())
 
     @property
     def hit_rate(self) -> float:
@@ -273,7 +190,7 @@ class RunManifest:
 
     def to_dict(self) -> Dict:
         return {
-            "schema": 5,
+            "schema": 6,
             "created_at": self.created_at,
             "jobs": self.jobs,
             "cache_dir": self.cache_dir,
@@ -286,11 +203,8 @@ class RunManifest:
                 "uncached": self.n_uncached,
                 "errors": self.n_errors,
                 "timeouts": self.n_timeouts,
-                "quarantined": self.n_quarantined,
                 "skipped": self.n_skipped,
-                "retries": self.n_retries,
                 "model_warnings": self.n_model_warnings,
-                "leaked_threads": self.n_leaked_threads,
                 "hit_rate": self.hit_rate,
                 "compute_s": self.compute_s,
             },
@@ -327,33 +241,26 @@ class RunManifest:
             f"jobs={self.jobs}  cache={'on' if self.cache_enabled else 'off'}"
             f"  dir={self.cache_dir}",
             "",
-            f"{'experiment':26s} {'status':12s} {'wall_s':>8s} {'worker':>8s}"
-            f" {'tries':>5s}",
-            "-" * 64,
+            f"{'experiment':26s} {'status':12s} {'wall_s':>8s} {'worker':>8s}",
+            "-" * 57,
         ]
         for record in self.records:
             line = (
                 f"{record.experiment_id:26s} {record.status:12s} "
-                f"{record.wall_time_s:8.3f} {record.worker_pid:8d} "
-                f"{record.attempts:5d}"
+                f"{record.wall_time_s:8.3f} {record.worker_pid:8d}"
             )
             if record.error:
                 line += f"  {record.error}"
             lines.append(line)
-        lines.append("-" * 64)
+        lines.append("-" * 57)
         lines.append(
             f"{len(self.records)} experiments: {self.n_hits} hits, "
             f"{self.n_misses} misses, {self.n_uncached} uncached, "
             f"{self.n_errors} errors; hit rate {self.hit_rate:.1%}"
         )
-        lines.append(
-            f"retries {self.n_retries}, timeouts {self.n_timeouts}, "
-            f"quarantined {self.n_quarantined}, skipped {self.n_skipped}"
-        )
+        lines.append(f"timeouts {self.n_timeouts}, skipped {self.n_skipped}")
         if self.n_model_warnings:
             lines.append(f"model warnings {self.n_model_warnings}")
-        if self.n_leaked_threads:
-            lines.append(f"leaked timeout threads {self.n_leaked_threads}")
         lines.append(
             f"total compute {self.compute_s:.2f}s, elapsed {self.elapsed_s:.2f}s"
         )
@@ -370,11 +277,6 @@ class RunOutcome:
     @property
     def failures(self) -> List[RunRecord]:
         return [r for r in self.manifest.records if r.status in FAILURE_STATUSES]
-
-    @property
-    def leaked_threads(self) -> int:
-        """Leaked timeout threads live across workers (see the manifest)."""
-        return self.manifest.n_leaked_threads
 
 
 # -- worker-side execution ---------------------------------------------------
@@ -396,7 +298,6 @@ def _invoke(
     this function on a separate thread and guard contexts are
     thread-local.
     """
-    fault_point("engine.worker")
     fault_point(f"driver.{experiment_id}")
     with use_guards(GuardContext(strict=strict)) as guards:
         try:
@@ -419,9 +320,8 @@ def _call_with_timeout(
 
     The driver runs on a daemon thread; if it outlives the budget the
     main (worker) thread raises :class:`ExperimentTimeout` and abandons
-    it. A sleeping hang costs nothing further; a spinning hang leaks one
-    CPU until the worker process is recycled — which the engine's crash
-    handling tolerates by design.
+    it. The abandoned thread ends with its process: a ``cryowire`` run
+    is a short-lived one.
     """
     if timeout_s is None:
         return _invoke(experiment_id, kwargs, strict, warning_sink)
@@ -439,9 +339,6 @@ def _call_with_timeout(
     thread.start()
     thread.join(timeout_s)
     if thread.is_alive():
-        # The daemon thread is abandoned but keeps computing; track it
-        # so long-running owners can see (and bound) the accumulation.
-        _register_leaked_thread(thread)
         raise ExperimentTimeout(
             f"{experiment_id} exceeded its {timeout_s:g}s wall-clock budget"
         )
@@ -458,15 +355,12 @@ def _error_payload(
     warnings: Optional[List[Dict]] = None,
 ) -> Dict:
     return {
-        "id": experiment_id,
         "ok": False,
         "error": f"{type(exc).__name__}: {exc}",
         "kind": "timeout" if isinstance(exc, ExperimentTimeout) else "error",
-        "transient": isinstance(exc, (TransientFault, ExperimentTimeout)),
         "wall": wall,
         "pid": pid,
         "warnings": list(warnings or []),
-        "leaked": leaked_thread_count(),
     }
 
 
@@ -475,53 +369,42 @@ def _execute(
     kwargs: Dict,
     timeout_s: Optional[float] = None,
     strict: bool = False,
-    leak_threshold: int = 0,
 ) -> Dict:
     """Worker-side execution: always returns a picklable payload.
 
     Driver exceptions are captured here — *inside* the worker — so the
     payload carries the real elapsed time and worker pid even for
-    failures (a crash is the only outcome that loses attribution).
+    failures (a dead worker is the only outcome that loses attribution).
     Guard warnings the driver collected travel in the payload either
     way: under ``strict`` a tripped guard is the error *and* its
-    structured record is still delivered. ``leaked`` reports the live
-    leaked-thread count of this worker process; a positive
-    ``leak_threshold`` refuses execution outright once that budget is
-    spent (a non-transient failure — retrying cannot help).
+    structured record is still delivered.
     """
     start = time.perf_counter()
     pid = os.getpid()
     sink: List[Dict] = []
     try:
-        check_leak_budget(leak_threshold)
         result = _call_with_timeout(experiment_id, kwargs, timeout_s, strict, sink)
     except Exception as exc:  # noqa: BLE001 - serialized back to the parent
         return _error_payload(
             experiment_id, exc, time.perf_counter() - start, pid, sink
         )
     return {
-        "id": experiment_id,
         "ok": True,
         "result": result.to_dict(),
         "wall": time.perf_counter() - start,
         "pid": pid,
         "warnings": sink,
-        "leaked": leaked_thread_count(),
     }
 
 
 @dataclass
 class _Task:
-    """Parent-side bookkeeping for one experiment in flight."""
+    """Parent-side bookkeeping for one experiment to execute."""
 
     experiment_id: str
     kwargs: Dict
     key: Optional[str]
     timeout_s: Optional[float]
-    attempts: int = 0  # executions submitted so far
-    transient_failures: int = 0  # retryable failures consumed so far
-    strikes: int = 0  # attributed worker crashes
-    submitted_at: float = 0.0
 
 
 class ExecutionEngine:
@@ -529,38 +412,14 @@ class ExecutionEngine:
 
     ``jobs`` caps the worker processes; ``jobs=0`` means one per CPU.
     ``use_cache=False`` (or the ``CRYOWIRE_NO_CACHE`` env var) disables
-    memoization but keeps the manifest instrumentation.
-
-    Fault-tolerance knobs:
-
-    ``retries``
-        How many times a *transient* failure (timeout or
-        :class:`~repro.util.faults.TransientFault`) is re-executed,
-        with capped exponential backoff and seeded jitter between
-        attempts. Deterministic driver exceptions are never retried.
-    ``timeout_s``
-        Engine-wide wall-clock budget per experiment. ``None`` defers
-        to the spec's ``timeout_s`` and then to the cost-scaled
-        :data:`DEFAULT_TIMEOUT_S`; ``0`` disables timeouts.
-    ``crash_strikes``
-        A worker crash respawns the pool and re-runs the in-flight
-        experiments isolated (one single-worker pool each) to attribute
-        the crash; an experiment is quarantined once it has crashed
-        ``crash_strikes`` isolated workers.
-    ``leak_threshold``
-        Timed-out drivers leave their daemon thread computing (see
-        :func:`leaked_thread_count`). Once a worker process holds this
-        many *live* leaked threads, it refuses new submissions
-        (non-transient :class:`LeakedThreadLimit` failures) instead of
-        silently degrading. ``0`` disables the check; the default keeps
-        a long-running service honest while never triggering in a
-        healthy batch run.
-    ``strict``
-        Drivers run under a strict guard context: the first
-        model-validity warning raises
-        :class:`~repro.util.guards.ModelValidityError` inside the worker
-        and the experiment fails (non-transient) instead of producing a
-        result with caveats.
+    memoization but keeps the manifest instrumentation. ``timeout_s`` is
+    the wall-clock budget per experiment: ``None`` defers to the
+    cost-scaled :data:`DEFAULT_TIMEOUT_S`, and ``0`` disables timeouts
+    (the driver then runs on the calling thread). Under ``strict`` the
+    drivers run in a strict guard context: the first model-validity
+    warning raises :class:`~repro.util.guards.ModelValidityError` inside
+    the worker and the experiment fails instead of producing a result
+    with caveats.
     """
 
     def __init__(
@@ -568,33 +427,16 @@ class ExecutionEngine:
         jobs: int = 1,
         use_cache: bool = True,
         cache_dir: Optional[Union[str, Path]] = None,
-        retries: int = 0,
         timeout_s: Optional[float] = None,
-        crash_strikes: int = 2,
-        backoff_base_s: float = 0.05,
-        backoff_cap_s: float = 2.0,
         strict: bool = False,
-        leak_threshold: int = 32,
     ) -> None:
         if jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {jobs}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if crash_strikes < 1:
-            raise ValueError(f"crash_strikes must be >= 1, got {crash_strikes}")
-        if leak_threshold < 0:
-            raise ValueError(f"leak_threshold must be >= 0, got {leak_threshold}")
         self.jobs = jobs or os.cpu_count() or 1
         self.cache = ResultCache(cache_dir)
         self.use_cache = use_cache and not cache_disabled_by_env()
-        self.retries = retries
         self.timeout_s = timeout_s
-        self.crash_strikes = crash_strikes
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
         self.strict = strict
-        self.leak_threshold = leak_threshold
-        self._backoff_rng = make_rng(None, stream="engine.backoff")
 
     # -- scheduling ---------------------------------------------------------
 
@@ -607,53 +449,37 @@ class ExecutionEngine:
         )
 
     def _timeout_for(self, spec: ExperimentSpec) -> Optional[float]:
-        """Effective budget: engine override > spec override > cost default."""
-        if self.timeout_s is not None:
-            return self.timeout_s if self.timeout_s > 0 else None
-        if spec.timeout_s is not None:
-            return spec.timeout_s if spec.timeout_s > 0 else None
-        return DEFAULT_TIMEOUT_S[spec.cost]
+        """Effective budget: the engine's ``timeout_s``, else the cost default."""
+        if self.timeout_s is None:
+            return DEFAULT_TIMEOUT_S[spec.cost]
+        return self.timeout_s if self.timeout_s > 0 else None
 
-    def _backoff_s(self, failure_index: int) -> float:
-        """Capped exponential backoff with seeded jitter (failure_index >= 1)."""
-        delay = min(
-            self.backoff_cap_s, self.backoff_base_s * (2 ** (failure_index - 1))
-        )
-        return delay * (0.5 + 0.5 * float(self._backoff_rng.random()))
+    def _task(self, experiment_id: str, kwargs: Dict) -> _Task:
+        """Resolve the spec (failing fast on unknown ids) and cache key."""
+        spec = get_spec(experiment_id)
+        cacheable = self.use_cache and self.cache.is_cacheable(kwargs)
+        key = self.cache.key_for(spec, kwargs) if cacheable else None
+        return _Task(experiment_id, kwargs, key, self._timeout_for(spec))
+
+    def _cached(self, task: _Task) -> Optional[ExperimentResult]:
+        return self.cache.get(task.key) if task.key is not None else None
 
     # -- execution ----------------------------------------------------------
 
     def run_one(self, experiment_id: str, **kwargs) -> ExperimentResult:
-        """Cached serial execution of a single experiment (with retries)."""
-        spec = get_spec(experiment_id)
-        cacheable = self.use_cache and self.cache.is_cacheable(kwargs)
-        key = self.cache.key_for(spec, kwargs) if cacheable else None
-        if key is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached
-        task = _Task(experiment_id, kwargs, key, self._timeout_for(spec))
-        while True:
-            task.attempts += 1
-            payload = _execute(
-                experiment_id,
-                kwargs,
-                task.timeout_s,
-                self.strict,
-                self.leak_threshold,
-            )
-            if self._wants_retry(task, payload):
-                time.sleep(self._backoff_s(task.transient_failures))
-                continue
-            if payload["ok"]:
-                result = ExperimentResult.from_dict(payload["result"])
-                if key is not None:
-                    self.cache.put(key, result)
-                return result
+        """Cached serial execution of a single experiment."""
+        task = self._task(experiment_id, kwargs)
+        cached = self._cached(task)
+        if cached is not None:
+            return cached
+        results: Dict[str, ExperimentResult] = {}
+        manifest = RunManifest()
+        self._run_inline([task], results, manifest)
+        if experiment_id not in results:
             raise ExperimentExecutionError(
-                f"{experiment_id} failed after {task.attempts} attempt(s): "
-                f"{payload['error']}"
+                f"{experiment_id} failed: {manifest.records[0].error}"
             )
+        return results[experiment_id]
 
     def run(
         self,
@@ -665,11 +491,12 @@ class ExecutionEngine:
         """Run ``experiment_ids`` (cache-first, misses fanned out).
 
         Returns every result plus the run manifest. If any experiment
-        fails after retries, ``keep_going=True`` returns the partial
-        :class:`RunOutcome` anyway; otherwise the fleet still drains
-        and an :class:`ExperimentExecutionError` carrying that partial
-        outcome (``exc.outcome``) is raised. ``resume=True`` skips
-        experiments the previous manifest already marks completed.
+        fails, ``keep_going=True`` returns the partial
+        :class:`RunOutcome` anyway; otherwise the rest still run and an
+        :class:`ExperimentExecutionError` carrying that partial outcome
+        (``exc.outcome``) is raised. ``resume=True`` records the
+        experiments the previous manifest marks completed as ``skipped``
+        when the cache still serves their result; the rest run as usual.
         """
         kwargs_by_id = kwargs_by_id or {}
         started = time.perf_counter()
@@ -684,35 +511,14 @@ class ExecutionEngine:
         done_before = self._previously_completed() if resume else frozenset()
 
         for experiment_id in self.schedule(experiment_ids):
-            kwargs = kwargs_by_id.get(experiment_id, {})
-            spec = get_spec(experiment_id)  # fail fast on unknown ids
-            cacheable = self.use_cache and self.cache.is_cacheable(kwargs)
-            key = self.cache.key_for(spec, kwargs) if cacheable else None
-            if experiment_id in done_before:
-                start = time.perf_counter()
-                cached = self.cache.get(key) if key is not None else None
-                if cached is not None:
-                    results[experiment_id] = cached
-                manifest.records.append(
-                    RunRecord(
-                        experiment_id,
-                        SKIPPED,
-                        time.perf_counter() - start,
-                        os.getpid(),
-                        attempts=0,
-                    )
-                )
+            task = self._task(experiment_id, kwargs_by_id.get(experiment_id, {}))
+            cached = self._cached(task)
+            if cached is None:
+                pending.append(task)
                 continue
-            cached = self.cache.get(key) if key is not None else None
-            if cached is not None:
-                results[experiment_id] = cached
-                manifest.records.append(
-                    RunRecord(experiment_id, HIT, 0.0, os.getpid())
-                )
-            else:
-                pending.append(
-                    _Task(experiment_id, kwargs, key, self._timeout_for(spec))
-                )
+            results[experiment_id] = cached
+            status = SKIPPED if experiment_id in done_before else HIT
+            manifest.records.append(RunRecord(experiment_id, status, 0.0, os.getpid()))
 
         if self.jobs > 1 and len(pending) > 1:
             self._run_pool(pending, results, manifest)
@@ -745,24 +551,6 @@ class ExecutionEngine:
             r.experiment_id for r in last.records if r.status in COMPLETED_STATUSES
         )
 
-    # -- outcome bookkeeping ------------------------------------------------
-
-    def _wants_retry(self, task: _Task, payload: Dict) -> bool:
-        """Consume one retry budget slot for a transient failure."""
-        if payload["ok"] or not payload.get("transient"):
-            return False
-        if task.transient_failures >= self.retries:
-            return False
-        task.transient_failures += 1
-        _LOG.info(
-            "%s: transient failure (%s), retry %d/%d",
-            task.experiment_id,
-            payload["error"],
-            task.transient_failures,
-            self.retries,
-        )
-        return True
-
     def _finish(
         self,
         task: _Task,
@@ -770,42 +558,26 @@ class ExecutionEngine:
         results: Dict[str, ExperimentResult],
         manifest: RunManifest,
     ) -> None:
-        """Record the final outcome of ``task`` (success or failure)."""
-        warnings = list(payload.get("warnings", []))
-        leaked = payload.get("leaked", 0)
+        """Record the outcome of ``task`` (success or failure)."""
         if payload["ok"]:
             result = ExperimentResult.from_dict(payload["result"])
             results[task.experiment_id] = result
             if task.key is not None:
                 self.cache.put(task.key, result)
-            status = MISS if task.key is not None else UNCACHED
-            manifest.records.append(
-                RunRecord(
-                    task.experiment_id,
-                    status,
-                    payload["wall"],
-                    payload["pid"],
-                    attempts=max(1, task.attempts),
-                    warnings=warnings,
-                    leaked_threads=leaked,
-                )
-            )
-            return
-        status = TIMEOUT if payload.get("kind") == "timeout" else ERROR
+            status, error = (MISS if task.key is not None else UNCACHED), ""
+        else:
+            status = TIMEOUT if payload["kind"] == "timeout" else ERROR
+            error = payload["error"]
         manifest.records.append(
             RunRecord(
                 task.experiment_id,
                 status,
                 payload["wall"],
                 payload["pid"],
-                error=payload["error"],
-                attempts=max(1, task.attempts),
-                warnings=warnings,
-                leaked_threads=leaked,
+                error,
+                list(payload["warnings"]),
             )
         )
-
-    # -- serial path --------------------------------------------------------
 
     def _run_inline(
         self,
@@ -814,25 +586,10 @@ class ExecutionEngine:
         manifest: RunManifest,
     ) -> None:
         for task in pending:
-            while True:
-                task.attempts += 1
-                payload = _execute(
-                    task.experiment_id,
-                    task.kwargs,
-                    task.timeout_s,
-                    self.strict,
-                    self.leak_threshold,
-                )
-                if self._wants_retry(task, payload):
-                    time.sleep(self._backoff_s(task.transient_failures))
-                    continue
-                self._finish(task, payload, results, manifest)
-                break
-
-    # -- pool path ----------------------------------------------------------
-
-    def _new_pool(self, n_tasks: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=max(1, min(self.jobs, n_tasks)))
+            payload = _execute(
+                task.experiment_id, task.kwargs, task.timeout_s, self.strict
+            )
+            self._finish(task, payload, results, manifest)
 
     def _run_pool(
         self,
@@ -840,198 +597,38 @@ class ExecutionEngine:
         results: Dict[str, ExperimentResult],
         manifest: RunManifest,
     ) -> None:
-        tasks = {task.experiment_id: task for task in pending}
-        order = {task.experiment_id: i for i, task in enumerate(pending)}
-        ready = deque(task.experiment_id for task in pending)
-        deferred: List[Tuple[float, str]] = []  # (monotonic due time, id)
-        pool = self._new_pool(len(pending))
-        futures: Dict = {}
+        """Fan ``pending`` out over one pool, in schedule order.
+
+        A future that raises becomes one ``error`` record: a worker that
+        dies fails every unfinished future with ``BrokenProcessPool``,
+        and an argument that cannot be pickled fails its own.
+        """
+        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(pending)))
         try:
-            while ready or deferred or futures:
-                now = time.monotonic()
-                if deferred:
-                    due = [eid for t, eid in deferred if t <= now]
-                    if due:
-                        deferred = [(t, eid) for t, eid in deferred if t > now]
-                        ready.extend(due)
-                while ready and len(futures) < self.jobs:
-                    task = tasks[ready.popleft()]
-                    task.attempts += 1
-                    task.submitted_at = time.perf_counter()
-                    try:
-                        future = pool.submit(
-                            _execute,
-                            task.experiment_id,
-                            task.kwargs,
-                            task.timeout_s,
-                            self.strict,
-                            self.leak_threshold,
-                        )
-                    except BrokenProcessPool:
-                        # A crash landed between the last harvest and
-                        # this submit, so the break surfaces here rather
-                        # than at future.result(). This task never ran —
-                        # put it back — and recover the in-flight set
-                        # exactly as the harvest path would.
-                        task.attempts -= 1
-                        ready.appendleft(task.experiment_id)
-                        pool = self._recover_broken_pool(
-                            pool, futures, tasks, order, ready, deferred,
-                            results, manifest,
-                        )
-                        continue
-                    futures[future] = task.experiment_id
-                if not futures:
-                    # Everything is waiting out a backoff window.
-                    next_due = min(t for t, _ in deferred)
-                    time.sleep(max(0.0, next_due - time.monotonic()))
-                    continue
-                wait_timeout = None
-                if deferred:
-                    wait_timeout = max(
-                        0.0, min(t for t, _ in deferred) - time.monotonic()
+            futures: Dict[Future, _Task] = {}
+            for task in pending:
+                try:
+                    future = pool.submit(
+                        _execute,
+                        task.experiment_id,
+                        task.kwargs,
+                        task.timeout_s,
+                        self.strict,
                     )
-                done, _ = wait(
-                    set(futures), timeout=wait_timeout, return_when=FIRST_COMPLETED
-                )
-                broken: List[str] = []
-                for future in done:
-                    experiment_id = futures.pop(future)
-                    task = tasks[experiment_id]
-                    try:
-                        payload = future.result()
-                    except BrokenProcessPool:
-                        broken.append(experiment_id)
-                        continue
-                    except Exception as exc:  # noqa: BLE001 - submission failure
-                        payload = _error_payload(
-                            experiment_id,
-                            exc,
-                            time.perf_counter() - task.submitted_at,
-                            0,
-                        )
-                    if self._wants_retry(task, payload):
-                        deferred.append(
-                            (
-                                time.monotonic()
-                                + self._backoff_s(task.transient_failures),
-                                experiment_id,
-                            )
-                        )
-                    else:
-                        self._finish(task, payload, results, manifest)
-                if broken:
-                    pool = self._recover_broken_pool(
-                        pool, futures, tasks, order, ready, deferred,
-                        results, manifest, crashed=broken,
-                    )
+                except BrokenProcessPool as exc:
+                    # A worker died before this task was submitted.
+                    future = Future()
+                    future.set_exception(exc)
+                futures[future] = task
+            for future in as_completed(futures):
+                task = futures[future]
+                try:
+                    payload = future.result()
+                except Exception as exc:  # noqa: BLE001 - recorded, not raised
+                    payload = _error_payload(task.experiment_id, exc, 0.0, 0)
+                self._finish(task, payload, results, manifest)
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
-
-    def _recover_broken_pool(
-        self,
-        pool,
-        futures: Dict,
-        tasks: Dict[str, "_Task"],
-        order: Dict[str, int],
-        ready: Deque[str],
-        deferred: List[Tuple[float, str]],
-        results: Dict[str, ExperimentResult],
-        manifest: RunManifest,
-        crashed: Sequence[str] = (),
-    ):
-        """Shut a broken pool down, re-run the in-flight set isolated,
-        and hand back a fresh pool sized for the remaining work.
-
-        Every submitted-but-unharvested experiment is a crash candidate
-        (``crashed`` seeds the list with the ones whose futures already
-        reported the break).
-        """
-        candidates = list(crashed)
-        candidates.extend(futures.values())
-        futures.clear()
-        pool.shutdown(wait=True, cancel_futures=True)
-        if candidates:
-            candidates.sort(key=lambda eid: order[eid])
-            _LOG.warning(
-                "worker crash broke the pool; re-running %d in-flight "
-                "experiment(s) isolated: %s",
-                len(candidates),
-                ", ".join(candidates),
-            )
-            self._recover_crashed(candidates, tasks, results, manifest)
-        return self._new_pool(max(1, len(ready) + len(deferred)))
-
-    def _run_isolated(self, task: _Task) -> Tuple[Optional[Dict], bool]:
-        """One execution in a fresh single-worker pool.
-
-        Returns ``(payload, crashed)``: a crash here is unambiguously
-        attributable to ``task``.
-        """
-        with ProcessPoolExecutor(max_workers=1) as solo:
-            future = solo.submit(
-                _execute,
-                task.experiment_id,
-                task.kwargs,
-                task.timeout_s,
-                self.strict,
-                self.leak_threshold,
-            )
-            try:
-                return future.result(), False
-            except BrokenProcessPool:
-                return None, True
-            except Exception as exc:  # noqa: BLE001 - submission failure
-                return _error_payload(task.experiment_id, exc, 0.0, 0), False
-
-    def _recover_crashed(
-        self,
-        candidate_ids: Sequence[str],
-        tasks: Dict[str, _Task],
-        results: Dict[str, ExperimentResult],
-        manifest: RunManifest,
-    ) -> None:
-        """Re-run crash candidates isolated, striking the real crasher.
-
-        Experiments that merely shared the pool with the crasher
-        complete here; the one that keeps killing its own worker
-        accumulates strikes and is quarantined at ``crash_strikes``.
-        """
-        for experiment_id in candidate_ids:
-            task = tasks[experiment_id]
-            while True:
-                task.attempts += 1
-                payload, crashed = self._run_isolated(task)
-                if crashed:
-                    task.strikes += 1
-                    _LOG.warning(
-                        "%s crashed its isolated worker (strike %d/%d)",
-                        experiment_id,
-                        task.strikes,
-                        self.crash_strikes,
-                    )
-                    if task.strikes >= self.crash_strikes:
-                        manifest.records.append(
-                            RunRecord(
-                                experiment_id,
-                                QUARANTINED,
-                                0.0,
-                                0,
-                                error=(
-                                    f"quarantined after {task.strikes} "
-                                    f"worker crash(es)"
-                                ),
-                                attempts=task.attempts,
-                            )
-                        )
-                        break
-                    time.sleep(self._backoff_s(task.strikes))
-                    continue
-                if self._wants_retry(task, payload):
-                    time.sleep(self._backoff_s(task.transient_failures))
-                    continue
-                self._finish(task, payload, results, manifest)
-                break
 
 
 def run_experiments(
@@ -1039,7 +636,6 @@ def run_experiments(
     jobs: int = 1,
     use_cache: bool = True,
     cache_dir: Optional[Union[str, Path]] = None,
-    retries: int = 0,
     timeout_s: Optional[float] = None,
     strict: bool = False,
     **run_kwargs,
@@ -1049,7 +645,6 @@ def run_experiments(
         jobs=jobs,
         use_cache=use_cache,
         cache_dir=cache_dir,
-        retries=retries,
         timeout_s=timeout_s,
         strict=strict,
     )

@@ -38,20 +38,12 @@ class ExperimentSpec:
     cost: str = "fast"  # "fast" | "slow"; slow experiments are scheduled first
     section: str = ""  # paper artefact it regenerates, e.g. "Fig. 23"
     tags: Tuple[str, ...] = ()
-    #: Per-experiment wall-clock budget in seconds. ``None`` defers to the
-    #: engine's cost-scaled default; ``0`` disables the timeout entirely.
-    timeout_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.cost not in ("fast", "slow"):
             raise ValueError(
                 f"{self.experiment_id}: cost must be 'fast' or 'slow', "
                 f"got {self.cost!r}"
-            )
-        if self.timeout_s is not None and self.timeout_s < 0:
-            raise ValueError(
-                f"{self.experiment_id}: timeout_s must be >= 0 or None, "
-                f"got {self.timeout_s!r}"
             )
 
     @property
@@ -69,7 +61,6 @@ def experiment(
     cost: str = "fast",
     section: str = "",
     tags: Tuple[str, ...] = (),
-    timeout_s: Optional[float] = None,
 ) -> Callable[[Runner], Runner]:
     """Register the decorated function as the runner for ``experiment_id``."""
 
@@ -85,7 +76,6 @@ def experiment(
             cost=cost,
             section=section,
             tags=tuple(tags),
-            timeout_s=timeout_s,
         )
         return runner
 

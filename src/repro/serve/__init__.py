@@ -4,16 +4,15 @@ The package turns the registry/engine/batch stack into an async
 HTTP/JSON API (stdlib ``asyncio`` only — no framework):
 
 * :mod:`repro.serve.service` — :class:`ModelService`, the protocol-free
-  domain layer: point / grid / IPC model queries against the vectorized
-  batch kernels, experiment runs through the execution engine, and the
-  service-wide statistics (`TechContext` hit rates, guard tallies,
-  leaked-thread gauges).
+  domain layer: point / grid / IPC / cryostat model queries against the
+  vectorized batch kernels, and the service-wide statistics
+  (`TechContext` hit rates, guard tallies).
 * :mod:`repro.serve.batching` — :class:`MicroBatcher`, the request
   queue that coalesces concurrent point queries into one
   :class:`~repro.tech.batch.OperatingPointBatch` per device card.
 * :mod:`repro.serve.overload` — the budget vocabulary: per-request
-  :class:`Deadline` time budgets, the bounded :class:`AdmissionGate`
-  (shed, don't queue), and the experiment-path :class:`CircuitBreaker`.
+  :class:`Deadline` time budgets and the bounded :class:`AdmissionGate`
+  (shed, don't queue).
 * :mod:`repro.serve.http` — a minimal asyncio HTTP/1.1 layer (request
   parsing, keep-alive, structured JSON errors).
 * :mod:`repro.serve.app` — :class:`CryoWireServer`, wiring routes to
@@ -27,8 +26,6 @@ from repro.serve.batching import MicroBatcher
 from repro.serve.overload import (
     AdmissionGate,
     BatcherClosed,
-    BreakerOpen,
-    CircuitBreaker,
     Deadline,
     DeadlineExceeded,
     InvalidDeadline,
@@ -39,8 +36,6 @@ from repro.serve.service import ModelService, PointQuery, QueryError, WireSpec
 __all__ = [
     "AdmissionGate",
     "BatcherClosed",
-    "BreakerOpen",
-    "CircuitBreaker",
     "CryoWireServer",
     "Deadline",
     "DeadlineExceeded",

@@ -6,14 +6,14 @@ The server wires four layers together:
 * :class:`~repro.serve.batching.MicroBatcher` coalesces concurrent
   ``POST /v1/query`` requests into vectorized batches;
 * :mod:`repro.serve.overload` enforces the request budgets — deadlines,
-  admission, the experiment-path circuit breaker, drain;
+  admission, drain;
 * :mod:`repro.serve.http` speaks just enough HTTP/1.1.
 
 Two dedicated single-thread executors keep the event loop responsive:
-the *model* executor runs point batches and grids (fast, vectorized),
-the *experiment* executor runs engine experiments and system-level IPC
-solves (slow, seconds) — so a long experiment never stalls the query
-path.
+the *model* executor runs point batches, grids and cryostat pricing
+(fast, vectorized), the *IPC* executor runs system-level IPC solves
+(milliseconds each, as long as a whole point query) — so an IPC solve
+never stalls the query path.
 
 Overload semantics, hop by hop:
 
@@ -25,16 +25,13 @@ Overload semantics, hop by hop:
 * a bounded :class:`~repro.serve.overload.AdmissionGate` (plus the
   batcher's ``max_queue``) sheds excess load with ``503 overloaded`` +
   ``Retry-After`` instead of queuing without bound;
-* a :class:`~repro.serve.overload.CircuitBreaker` around the experiment
-  executor opens after consecutive failures/timeouts (``503
-  breaker_open``) and half-opens on a probe;
 * :meth:`CryoWireServer.stop` *drains*: the listener closes, in-flight
   requests finish (or are failed structured once the drain timeout
   expires), the batcher flushes, and the executors are joined — the
   path taken (``graceful``/``forced``) is recorded in ``/stats``.
   ``cryowire serve`` wires ``SIGTERM`` to this drain.
 * ``GET /healthz`` is pure liveness; ``GET /readyz`` is readiness and
-  goes 503 while draining or while the breaker is open.
+  goes 503 while draining.
 
 On ``start()`` the server installs its service's
 :class:`~repro.tech.context.TechContext` as the process-global active
@@ -48,7 +45,6 @@ per-request.
 from __future__ import annotations
 
 import asyncio
-import math
 import signal
 import threading
 import time
@@ -68,13 +64,10 @@ from repro.serve.http import (
 from repro.serve.overload import (
     AdmissionGate,
     BatcherClosed,
-    BreakerOpen,
-    CircuitBreaker,
     Deadline,
     DeadlineExceeded,
     InvalidDeadline,
     QueueFull,
-    BREAKER_OPEN,
     consume_result,
 )
 from repro.serve.service import (
@@ -84,7 +77,7 @@ from repro.serve.service import (
     parse_point_query,
 )
 from repro.tech.context import get_context, set_context
-from repro.util.faults import FatalFault, TransientFault, fault_point
+from repro.util.faults import FatalFault, fault_point
 
 #: Routes that bypass admission control and deadlines: health probes and
 #: stats must answer even when the service is saturated or draining.
@@ -108,25 +101,20 @@ class CryoWireServer:
         max_queue: Optional[int] = 512,
         default_deadline_ms: Optional[float] = 10_000.0,
         drain_timeout_s: float = 5.0,
-        breaker_threshold: int = 5,
-        breaker_reset_s: float = 30.0,
     ) -> None:
         self.service = service if service is not None else ModelService()
         self.host = host
-        self._requested_port = port
+        self._port = port
         if default_deadline_ms is not None and default_deadline_ms <= 0:
             default_deadline_ms = None
         self.default_deadline_ms = default_deadline_ms
         self.drain_timeout_s = drain_timeout_s
         self.gate = AdmissionGate(max_inflight)
-        self.breaker = CircuitBreaker(
-            failure_threshold=breaker_threshold, reset_timeout_s=breaker_reset_s
-        )
         self._model_executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="cryowire-model"
         )
-        self._experiment_executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="cryowire-exp"
+        self._ipc_executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="cryowire-ipc"
         )
         self.batcher = MicroBatcher(
             self.service.evaluate_points,
@@ -152,10 +140,8 @@ class CryoWireServer:
     # ------------------------------------------------------------------
     @property
     def port(self) -> int:
-        """The bound port (resolves ``port=0`` after :meth:`start`)."""
-        if self._server is None:
-            return self._requested_port
-        return self._server.sockets[0].getsockname()[1]
+        """The bound port (resolves ``port=0`` from :meth:`start` on)."""
+        return self._port
 
     async def start(self) -> None:
         """Bind the socket, start the batcher, install the warm context."""
@@ -167,22 +153,23 @@ class CryoWireServer:
         set_context(self.service.context)
         self.batcher.start()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
+            self._handle_connection, self.host, self._port
         )
+        self._port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self, drain_timeout_s: Optional[float] = None) -> Dict:
         """Graceful drain: unbind, flush, resolve everything, then join.
 
         Sequence: mark draining (``/readyz`` goes 503, new requests are
-        refused with ``503 shutting_down``), close the listener, wait
-        for in-flight requests to finish within the drain timeout, stop
-        the batcher (flushing its queue; a timed-out flush fails the
-        leftover futures with a structured ``shutting_down`` error so no
-        waiter is ever abandoned), close lingering connections, and join
-        the executors — blocking joins only on the graceful path, so a
-        wedged executor thread cannot hang shutdown. The outcome record
-        (``path``: ``graceful``/``forced``) lands in :attr:`last_drain`
-        and ``/stats``.
+        refused with ``503 shutting_down``), stop accepting and close the
+        listener, wait for in-flight requests to finish within the drain
+        timeout, stop the batcher (flushing its queue; a timed-out flush
+        fails the leftover futures with a structured ``shutting_down``
+        error so no waiter is ever abandoned), close lingering
+        connections, and join the executors — blocking joins only on the
+        graceful path, so a wedged executor thread cannot hang shutdown.
+        The outcome record (``path``: ``graceful``/``forced``) lands in
+        :attr:`last_drain` and ``/stats``.
         """
         if self._stopped:
             return self.last_drain or {"path": "already-stopped"}
@@ -190,6 +177,14 @@ class CryoWireServer:
         t0 = time.monotonic()
         self._draining = True
         if self._server is not None:
+            # Stop accepting before closing: a connection accepted but
+            # not yet attached when the listener closes fails to attach
+            # and is never answered. One yield lets the accepted ones
+            # attach; they are then refused with 503 shutting_down.
+            loop = asyncio.get_running_loop()
+            for sock in self._server.sockets:
+                loop.remove_reader(sock.fileno())
+            await asyncio.sleep(0)
             self._server.close()
             await self._server.wait_closed()
             self._server = None
@@ -212,7 +207,7 @@ class CryoWireServer:
         if self._conn_tasks:
             await asyncio.wait(list(self._conn_tasks), timeout=1.0)
         self._model_executor.shutdown(wait=drained)
-        self._experiment_executor.shutdown(wait=drained)
+        self._ipc_executor.shutdown(wait=drained)
         if self._previous_context is not None:
             set_context(self._previous_context)
             self._previous_context = None
@@ -267,7 +262,6 @@ class CryoWireServer:
             f"shed_overload={overload['shed_overload']} "
             f"shed_deadline={overload['shed_deadline']} "
             f"shed_shutdown={overload['shed_shutdown']} "
-            f"breaker_opens={overload['breaker']['opens']} "
             f"batches={batching['batches']} points={batching['points']} "
             f"drain_flushed={batch_drain.get('flushed', 0)} "
             f"drain_failed={batch_drain.get('failed', 0)}"
@@ -297,19 +291,9 @@ class CryoWireServer:
                     break
                 try:
                     # Chaos site for connection-level failures: an
-                    # injected transient/fatal here must still produce
-                    # exactly one structured response, never a torn one.
+                    # injected fault here must still produce exactly one
+                    # structured response, never a torn one.
                     fault_point("serve.connection")
-                except TransientFault as exc:
-                    await write_response(
-                        writer,
-                        503,
-                        error_payload(
-                            "upstream_transient", str(exc), retryable=True
-                        ),
-                        keep_alive=False,
-                    )
-                    break
                 except FatalFault as exc:
                     await write_response(
                         writer,
@@ -419,23 +403,11 @@ class CryoWireServer:
                 error_payload("overloaded", str(exc), retryable=True),
                 {"Retry-After": "1"},
             )
-        except BreakerOpen as exc:
-            return (
-                503,
-                error_payload("breaker_open", str(exc), retryable=True),
-                {"Retry-After": str(int(math.ceil(exc.retry_after_s)))},
-            )
         except BatcherClosed as exc:
             self._n_shed_shutdown += 1
             return (
                 503,
                 error_payload("shutting_down", str(exc), retryable=True),
-                {},
-            )
-        except TransientFault as exc:
-            return (
-                503,
-                error_payload("upstream_transient", str(exc), retryable=True),
                 {},
             )
         except FatalFault as exc:
@@ -492,31 +464,6 @@ class CryoWireServer:
                 deadline, where="evaluating on the executor"
             ) from None
 
-    async def _experiment_hop(self, deadline, fn, *args):
-        """The experiment-executor hop, guarded by the circuit breaker.
-
-        Upstream failures (driver exceptions, injected faults, deadline
-        timeouts) count toward opening the breaker; client-shaped
-        ``QueryError``\\ s (unknown experiment, bad kwargs) do not.
-        """
-        if not self.breaker.allow():
-            raise BreakerOpen(self.breaker.retry_after_s())
-        try:
-            result = await self._in_executor(
-                self._experiment_executor, deadline, fn, *args
-            )
-        except QueryError as exc:
-            if exc.code in ("experiment_failed", "leaked_thread_limit"):
-                self.breaker.record_failure()
-            raise
-        except asyncio.CancelledError:
-            raise
-        except Exception:
-            self.breaker.record_failure()
-            raise
-        self.breaker.record_success()
-        return result
-
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
@@ -529,8 +476,6 @@ class CryoWireServer:
         if key == ("GET", "/readyz"):
             if self._draining:
                 return 503, {"ready": False, "reason": "draining"}
-            if self.breaker.state == BREAKER_OPEN:
-                return 503, {"ready": False, "reason": "breaker_open"}
             return 200, {"ready": True}
         if key == ("GET", "/stats"):
             return 200, self.stats()
@@ -540,8 +485,6 @@ class CryoWireServer:
             raise DeadlineExceeded(deadline, where="admitted")
         if key == ("GET", "/v1/cards"):
             return 200, self.service.describe_cards()
-        if key == ("GET", "/v1/experiments"):
-            return 200, self.service.describe_experiments()
         if key == ("POST", "/v1/query"):
             query = parse_point_query(request.json())
             payload = await self.batcher.submit(query, deadline=deadline)
@@ -557,8 +500,8 @@ class CryoWireServer:
             )
         if key == ("POST", "/v1/ipc"):
             body = request.json()
-            return 200, await self._experiment_hop(
-                deadline, self.service.evaluate_ipc, body
+            return 200, await self._in_executor(
+                self._ipc_executor, deadline, self.service.evaluate_ipc, body
             )
         if key == ("POST", "/v1/cryostat"):
             plan = parse_cryostat_request(request.json())
@@ -583,22 +526,15 @@ class CryoWireServer:
                 for name, verdict in zip(stage_queries, verdicts)
             }
             return 200, payload
-        if key == ("POST", "/v1/experiment"):
-            body = request.json()
-            return 200, await self._experiment_hop(
-                deadline, self.service.run_experiment, body
-            )
         known_paths = {
             "/healthz",
             "/readyz",
             "/stats",
             "/v1/cards",
-            "/v1/experiments",
             "/v1/query",
             "/v1/grid",
             "/v1/ipc",
             "/v1/cryostat",
-            "/v1/experiment",
         }
         if request.path in known_paths:
             raise HttpError(
@@ -621,7 +557,6 @@ class CryoWireServer:
             "default_deadline_ms": self.default_deadline_ms,
             "drain_timeout_s": self.drain_timeout_s,
             "draining": self._draining,
-            "breaker": self.breaker.stats(),
             "drain": self.last_drain,
         }
         return payload
@@ -718,8 +653,6 @@ def serve_in_thread(
     max_queue: Optional[int] = 512,
     default_deadline_ms: Optional[float] = 10_000.0,
     drain_timeout_s: float = 5.0,
-    breaker_threshold: int = 5,
-    breaker_reset_s: float = 30.0,
 ) -> ServerHandle:
     """Boot a :class:`CryoWireServer` on a background thread.
 
@@ -737,8 +670,6 @@ def serve_in_thread(
         max_queue=max_queue,
         default_deadline_ms=default_deadline_ms,
         drain_timeout_s=drain_timeout_s,
-        breaker_threshold=breaker_threshold,
-        breaker_reset_s=breaker_reset_s,
     )
     ready = threading.Event()
     box: Dict[str, object] = {}

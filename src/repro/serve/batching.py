@@ -46,7 +46,7 @@ Overload behaviour is budgeted, not implicit:
   recorded in :attr:`last_drain`.
 
 The chaos fault site ``serve.batch.drain`` wraps each batch evaluation
-on the executor thread, so seeded hangs/transients exercise exactly the
+on the executor thread, so seeded hangs and faults exercise exactly the
 fan-out and drain paths above without wedging the event loop.
 
 ``enabled=False`` keeps the same code path but evaluates each query as

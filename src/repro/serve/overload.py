@@ -14,16 +14,12 @@ This module is the serve layer's budget vocabulary:
   refused up front with ``503 overloaded`` + ``Retry-After`` instead of
   queuing without bound (shed, don't queue: bounded queues are what keep
   admitted-request latency bounded under overload).
-* :class:`CircuitBreaker` — closed / open / half-open around the slow
-  experiment executor: consecutive failures or timeouts open it, a
-  single probe is admitted after the reset window, and one success
-  closes it again.
 
 The structured exceptions (:class:`DeadlineExceeded`, :class:`QueueFull`,
-:class:`BatcherClosed`, :class:`BreakerOpen`) are the contract between
-the batcher/executor layers and the transport: each maps to exactly one
-HTTP status + stable error code in :mod:`repro.serve.app`, so every
-overload outcome is a structured response, never a torn connection.
+:class:`BatcherClosed`) are the contract between the batcher/executor
+layers and the transport: each maps to exactly one HTTP status + stable
+error code in :mod:`repro.serve.app`, so every overload outcome is a
+structured response, never a torn connection.
 
 Everything here is stdlib-only and thread-safe (counters are touched
 from the event loop *and* from test/driver threads).
@@ -38,15 +34,10 @@ from typing import Dict, Optional
 __all__ = [
     "AdmissionGate",
     "BatcherClosed",
-    "BreakerOpen",
-    "CircuitBreaker",
     "Deadline",
     "DeadlineExceeded",
     "InvalidDeadline",
     "QueueFull",
-    "BREAKER_CLOSED",
-    "BREAKER_HALF_OPEN",
-    "BREAKER_OPEN",
 ]
 
 
@@ -228,114 +219,3 @@ class AdmissionGate:
                 "shed_overload": self._shed,
             }
 
-
-# ----------------------------------------------------------------------
-# circuit breaker
-# ----------------------------------------------------------------------
-BREAKER_CLOSED = "closed"
-BREAKER_OPEN = "open"
-BREAKER_HALF_OPEN = "half_open"
-
-
-class BreakerOpen(Exception):
-    """The circuit is open: fail fast instead of queueing on a sick hop."""
-
-    def __init__(self, retry_after_s: float) -> None:
-        super().__init__(
-            "circuit breaker is open after repeated upstream failures; "
-            f"retry in ~{retry_after_s:.0f} s"
-        )
-        self.retry_after_s = retry_after_s
-
-
-class CircuitBreaker:
-    """Consecutive-failure circuit breaker with a half-open probe.
-
-    * **closed** — everything flows; ``failure_threshold`` consecutive
-      failures (exceptions or timeouts on the guarded hop) open it.
-    * **open** — every call is refused with :class:`BreakerOpen` until
-      ``reset_timeout_s`` has elapsed.
-    * **half-open** — exactly one probe request is admitted; its success
-      closes the breaker, its failure re-opens it (full reset window).
-    """
-
-    def __init__(
-        self, failure_threshold: int = 5, reset_timeout_s: float = 30.0
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if reset_timeout_s <= 0:
-            raise ValueError("reset_timeout_s must be positive")
-        self.failure_threshold = failure_threshold
-        self.reset_timeout_s = reset_timeout_s
-        self._lock = threading.Lock()
-        self._state = BREAKER_CLOSED
-        self._consecutive_failures = 0
-        self._opened_at = 0.0
-        self._probe_inflight = False
-        self._opens = 0
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            self._maybe_half_open_locked()
-            return self._state
-
-    def _maybe_half_open_locked(self) -> None:
-        if (
-            self._state == BREAKER_OPEN
-            and time.monotonic() - self._opened_at >= self.reset_timeout_s
-        ):
-            self._state = BREAKER_HALF_OPEN
-            self._probe_inflight = False
-
-    def allow(self) -> bool:
-        """May a request pass right now? (Half-open admits one probe.)"""
-        with self._lock:
-            self._maybe_half_open_locked()
-            if self._state == BREAKER_CLOSED:
-                return True
-            if self._state == BREAKER_OPEN:
-                return False
-            if self._probe_inflight:
-                return False
-            self._probe_inflight = True
-            return True
-
-    def record_success(self) -> None:
-        with self._lock:
-            self._state = BREAKER_CLOSED
-            self._consecutive_failures = 0
-            self._probe_inflight = False
-
-    def record_failure(self) -> None:
-        with self._lock:
-            self._consecutive_failures += 1
-            self._probe_inflight = False
-            if (
-                self._state == BREAKER_HALF_OPEN
-                or self._consecutive_failures >= self.failure_threshold
-            ):
-                if self._state != BREAKER_OPEN:
-                    self._opens += 1
-                self._state = BREAKER_OPEN
-                self._opened_at = time.monotonic()
-
-    def retry_after_s(self) -> float:
-        """How long until the next probe could be admitted (>= 1 s)."""
-        with self._lock:
-            if self._state != BREAKER_OPEN:
-                return 1.0
-            remaining = self.reset_timeout_s - (time.monotonic() - self._opened_at)
-            return max(1.0, remaining)
-
-    def stats(self) -> Dict:
-        with self._lock:
-            self._maybe_half_open_locked()
-            return {
-                "state": self._state,
-                "consecutive_failures": self._consecutive_failures,
-                "failure_threshold": self.failure_threshold,
-                "reset_timeout_s": self.reset_timeout_s,
-                "opens": self._opens,
-            }

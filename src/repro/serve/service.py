@@ -18,8 +18,6 @@ plain Python values so it can be tested (and reused) without a socket:
 * :meth:`ModelService.evaluate_cryostat` — multi-stage cryostat pricing
   (heat ledger + TCO); the transport layers per-stage silicon metrics on
   top via the micro-batched point path.
-* :meth:`ModelService.run_experiment` — registry experiments through
-  the (cached, guarded, leak-bounded) execution engine.
 
 Failure isolation: one bad point must not poison the coalesced batch it
 happens to share with unrelated requests. Queries are pre-screened with
@@ -37,13 +35,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.engine import (
-    ExecutionEngine,
-    LeakedThreadLimit,
-    check_leak_budget,
-    leaked_thread_count,
-)
-from repro.experiments.registry import get_spec, iter_specs
 from repro.system.config import (
     BASELINE_300K_MESH,
     CHP_77K_CRYOBUS,
@@ -441,7 +432,6 @@ class _ServiceCounters:
     grid_queries: int = 0
     ipc_queries: int = 0
     cryostat_queries: int = 0
-    experiment_runs: int = 0
     guard_counts: Counter = field(default_factory=Counter)
 
 
@@ -450,9 +440,8 @@ class ModelService:
 
     Owns the warm :class:`~repro.tech.context.TechContext` (size-capped:
     a long-running process must not grow its memo store without bound),
-    the :class:`~repro.tech.wire.CryoWireModel`, the per-configuration
-    :class:`~repro.system.multicore.MulticoreSystem` instances and a
-    serial :class:`~repro.experiments.engine.ExecutionEngine`.
+    the :class:`~repro.tech.wire.CryoWireModel` and the per-configuration
+    :class:`~repro.system.multicore.MulticoreSystem` instances.
 
     Thread-safety: the tech context locks internally; everything else
     this class mutates sits behind ``self._lock``. Model evaluation is
@@ -460,21 +449,9 @@ class ModelService:
     here assumes a particular caller thread.
     """
 
-    def __init__(
-        self,
-        max_cache_entries: Optional[int] = 4096,
-        leak_threshold: int = 32,
-        use_result_cache: bool = False,
-    ) -> None:
+    def __init__(self, max_cache_entries: Optional[int] = 4096) -> None:
         self.context = TechContext(max_entries=max_cache_entries)
         self.wire_model = CryoWireModel()
-        self.leak_threshold = leak_threshold
-        self.engine = ExecutionEngine(
-            jobs=1,
-            use_cache=use_result_cache,
-            retries=0,
-            leak_threshold=leak_threshold,
-        )
         self._systems: Dict[str, MulticoreSystem] = {}
         self._lock = threading.Lock()
         self._counters = _ServiceCounters()
@@ -771,7 +748,6 @@ class ModelService:
     # ------------------------------------------------------------------
     def evaluate_ipc(self, data: Dict) -> Dict:
         """Evaluate one workload on one named Table 4 system."""
-        fault_point("serve.executor.experiment")
         if not isinstance(data, dict):
             raise QueryError("invalid_request", "request body must be a JSON object")
         unknown = set(data) - {"system", "workload"}
@@ -893,51 +869,6 @@ class ModelService:
         return queries
 
     # ------------------------------------------------------------------
-    # experiments
-    # ------------------------------------------------------------------
-    def run_experiment(self, data: Dict) -> Dict:
-        """Run one registry experiment through the execution engine.
-
-        Refuses (``503``-shaped :class:`QueryError`) once the worker has
-        accumulated too many leaked timeout threads — the serve-side
-        symptom of the engine bug this PR fixes.
-        """
-        fault_point("serve.executor.experiment")
-        if not isinstance(data, dict):
-            raise QueryError("invalid_request", "request body must be a JSON object")
-        unknown = set(data) - {"experiment", "kwargs"}
-        if unknown:
-            raise QueryError(
-                "invalid_request",
-                f"unknown field(s): {', '.join(sorted(unknown))}",
-            )
-        experiment_id = data.get("experiment")
-        if not isinstance(experiment_id, str):
-            raise QueryError("invalid_request", "experiment (string) is required")
-        try:
-            get_spec(experiment_id)
-        except KeyError as exc:
-            raise QueryError("unknown_experiment", str(exc.args[0])) from None
-        kwargs = data.get("kwargs", {})
-        if not isinstance(kwargs, dict):
-            raise QueryError("invalid_request", "kwargs must be an object")
-        try:
-            check_leak_budget(self.leak_threshold)
-        except LeakedThreadLimit as exc:
-            raise QueryError("leaked_thread_limit", str(exc), status=503) from None
-        with self._lock:
-            self._counters.experiment_runs += 1
-        try:
-            result = self.engine.run_one(experiment_id, **kwargs)
-        except QueryError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - surfaced as structured 422
-            raise QueryError(
-                "experiment_failed", f"{type(exc).__name__}: {exc}"
-            ) from None
-        return {"result": result.to_dict(), "leaked_threads": leaked_thread_count()}
-
-    # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def describe_cards(self) -> Dict:
@@ -957,19 +888,6 @@ class ModelService:
             },
         }
 
-    def describe_experiments(self) -> Dict:
-        return {
-            "experiments": [
-                {
-                    "id": spec.experiment_id,
-                    "cost": spec.cost,
-                    "section": spec.section,
-                    "tags": list(spec.tags),
-                }
-                for spec in iter_specs()
-            ]
-        }
-
     def stats(self) -> Dict:
         """Service-level statistics (merged into ``GET /stats``)."""
         cache = self.context.stats()
@@ -983,7 +901,6 @@ class ModelService:
                     "grid_queries": counters.grid_queries,
                     "ipc_queries": counters.ipc_queries,
                     "cryostat_queries": counters.cryostat_queries,
-                    "experiment_runs": counters.experiment_runs,
                 },
                 "guards": dict(counters.guard_counts),
             }
@@ -995,7 +912,6 @@ class ModelService:
             "evictions": cache.evictions,
             "max_entries": cache.max_entries,
         }
-        payload["engine"] = {"leaked_threads": leaked_thread_count()}
         return payload
 
 

@@ -1,38 +1,34 @@
 """Deterministic, site-addressed fault injection.
 
-The execution engine must survive worker crashes, hung drivers,
-transient exceptions and corrupted cache bytes. This module provides
-the harness that *provokes* those failures on demand, so the chaos test
-suite can prove each recovery path instead of waiting for production to
+The execution engine must survive driver exceptions, worker crashes,
+hung drivers and corrupted cache bytes. This module provides the
+harness that *provokes* those failures on demand, so the chaos test
+suite can prove each failure path instead of waiting for production to
 exercise it.
 
 A :class:`FaultPlan` names *injection sites* — stable string labels the
 production code declares by calling :func:`fault_point` (for control
 faults) or :func:`maybe_corrupt` (for data faults). Engine sites:
 
-* ``engine.worker``        — inside a pool worker, before the driver runs
-* ``driver.<experiment>``  — one site per experiment driver (globbable:
-  a spec with site ``driver.*`` matches every driver)
+* ``driver.<experiment>``  — one site per experiment driver, before it
+  runs (globbable: a spec with site ``driver.*`` matches every driver)
 * ``cache.read`` / ``cache.write`` — byte-corruption sites in the
   result cache
 
 Serve-path sites (the ``cryowire serve`` stack, exercised by
 ``tests/test_serve_chaos.py``):
 
-* ``serve.connection``          — per-request, on the event loop right
-  after the request is parsed (connection-level transients/fatals)
-* ``serve.batch.drain``         — around each coalesced batch
-  evaluation, on the model executor thread (a ``hang`` here wedges the
-  batch, not the event loop)
-* ``serve.executor.model``      — entry of the model-executor work
-  (point batches, grids, cryostat pricing)
-* ``serve.executor.experiment`` — entry of the experiment-executor work
-  (IPC solves, registry experiments); failures here feed the circuit
-  breaker
+* ``serve.connection``     — per-request, on the event loop right after
+  the request is parsed (connection-level failures)
+* ``serve.batch.drain``    — around each coalesced batch evaluation, on
+  the model executor thread (a ``hang`` here wedges the batch, not the
+  event loop)
+* ``serve.executor.model`` — entry of the model-executor work (point
+  batches, grids, cryostat pricing)
 
 ``kill`` faults are for out-of-process workers only — the serve sites
 run in the host process, so plans targeting them should stick to
-``transient`` / ``fatal`` / ``hang``.
+``fatal`` / ``hang``.
 
 Determinism: every fire/no-fire decision is a pure function of the plan
 seed, the site label and the per-site trial index (a SHA-256 hash mapped
@@ -66,25 +62,20 @@ FAULT_PLAN_ENV = "CRYOWIRE_FAULT_PLAN"
 
 # -- fault kinds -------------------------------------------------------------
 
-TRANSIENT = "transient"  # raise TransientFault (retryable)
-FATAL = "fatal"  # raise FatalFault (never retried)
+FATAL = "fatal"  # raise FatalFault
 HANG = "hang"  # sleep delay_s at the site (provokes timeouts)
 KILL = "kill"  # os._exit: simulates a worker crash / OOM kill
 CORRUPT = "corrupt"  # mangle bytes passing through maybe_corrupt()
 
-KINDS = (TRANSIENT, FATAL, HANG, KILL, CORRUPT)
+KINDS = (FATAL, HANG, KILL, CORRUPT)
 
 
 class InjectedFault(RuntimeError):
     """Base class of every exception the injector raises."""
 
 
-class TransientFault(InjectedFault):
-    """An injected failure the engine is expected to retry away."""
-
-
 class FatalFault(InjectedFault):
-    """An injected failure that must *not* be retried."""
+    """An injected failure: the work at the site fails."""
 
 
 @dataclass(frozen=True)
@@ -242,8 +233,6 @@ class FaultInjector:
                 continue
             if not self._should_fire(index, spec, site):
                 continue
-            if spec.kind == TRANSIENT:
-                raise TransientFault(f"injected transient fault at {site}")
             if spec.kind == FATAL:
                 raise FatalFault(f"injected fatal fault at {site}")
             if spec.kind == HANG:

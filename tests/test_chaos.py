@@ -1,15 +1,14 @@
 """Chaos suite: deterministic fault injection against the execution engine.
 
 Every test installs a seeded :class:`~repro.util.faults.FaultPlan` and
-asserts a specific recovery path of the engine end-to-end, with real
-experiment drivers:
+asserts one failure path of the engine end-to-end, with real experiment
+drivers:
 
-* a transient raise succeeds on retry, with the attempt recorded;
-* a hung driver hits its wall-clock budget and is retried;
-* a killed worker breaks the pool, the in-flight experiments are
-  re-run isolated, and the run still completes correctly;
-* a driver that keeps crashing workers is quarantined instead of
-  wedging the fleet;
+* a hung driver hits its wall-clock budget and becomes one ``timeout``
+  record;
+* a killed worker breaks the pool, every experiment it left unfinished
+  becomes an ``error`` record, and ``resume`` completes them
+  byte-identically;
 * a corrupted cache entry is quarantined and recomputed;
 * identical seeds replay identical fault sequences (and manifests).
 
@@ -24,16 +23,18 @@ import pytest
 from repro.experiments.cache import ResultCache
 from repro.experiments.engine import (
     ERROR,
+    FAILURE_STATUSES,
     HIT,
     MISS,
-    QUARANTINED,
     SKIPPED,
+    TIMEOUT,
+    UNCACHED,
     ExecutionEngine,
-    ExperimentExecutionError,
+    load_last_manifest,
 )
 from repro.experiments.registry import run_experiment
 from repro.util import faults
-from repro.util.faults import FaultInjector, FaultPlan, FaultSpec, TransientFault
+from repro.util.faults import FatalFault, FaultInjector, FaultPlan, FaultSpec
 
 pytestmark = pytest.mark.chaos
 
@@ -47,8 +48,6 @@ def _clean_faults():
 
 
 def _engine(tmp_path, **kwargs):
-    kwargs.setdefault("backoff_base_s", 0.01)
-    kwargs.setdefault("backoff_cap_s", 0.05)
     return ExecutionEngine(cache_dir=tmp_path / "cache", **kwargs)
 
 
@@ -69,23 +68,23 @@ class TestInjectorPlumbing:
         assert FaultPlan.from_json(plan.to_json()) == plan
 
     def test_env_var_carries_the_plan_across_processes(self, monkeypatch):
-        plan = FaultPlan(specs=(FaultSpec("driver.x", faults.TRANSIENT),), seed=3)
+        plan = FaultPlan(specs=(FaultSpec("driver.x", faults.FATAL),), seed=3)
         # What a freshly spawned worker would see: only the env var.
         monkeypatch.setenv(faults.FAULT_PLAN_ENV, plan.to_json())
         injector = faults.active()
         assert injector is not None
         assert injector.plan == plan
-        with pytest.raises(TransientFault):
+        with pytest.raises(FatalFault):
             injector.check("driver.x")
 
     def test_ledger_budget_is_shared_across_injectors(self, tmp_path):
         plan = FaultPlan(
-            specs=(FaultSpec("driver.x", faults.TRANSIENT, max_fires=1),),
+            specs=(FaultSpec("driver.x", faults.FATAL, max_fires=1),),
             seed=3,
             ledger_dir=str(tmp_path),
         )
         first = FaultInjector(plan)
-        with pytest.raises(TransientFault):
+        with pytest.raises(FatalFault):
             first.check("driver.x")
         # A second injector (fresh "process") sees the spent budget.
         second = FaultInjector(plan)
@@ -98,74 +97,27 @@ class TestInjectorPlumbing:
         faults.fault_point("driver.this")  # no match, no fault
 
 
-class TestTransientFaults:
-    def test_transient_raise_succeeds_on_retry(self, tmp_path):
-        faults.install(
-            FaultPlan(
-                specs=(FaultSpec("driver.fig20", faults.TRANSIENT, max_fires=1),),
-                seed=7,
-            )
-        )
-        outcome = _engine(tmp_path, jobs=1, retries=2).run(["fig20"])
-        record = _by_id(outcome)["fig20"]
-        assert record.status == MISS
-        assert record.attempts == 2
-        assert outcome.results["fig20"].to_text() == run_experiment("fig20").to_text()
-        assert outcome.manifest.n_retries == 1
-
-    def test_transient_without_retry_budget_fails(self, tmp_path):
-        faults.install(
-            FaultPlan(
-                specs=(FaultSpec("driver.fig20", faults.TRANSIENT, max_fires=1),),
-                seed=7,
-            )
-        )
-        with pytest.raises(ExperimentExecutionError) as excinfo:
-            _engine(tmp_path, jobs=1, retries=0).run(["fig20"])
-        record = _by_id(excinfo.value.outcome)["fig20"]
-        assert record.status == ERROR
-        assert "injected transient fault" in record.error
-        assert record.attempts == 1
-
-
 class TestHangFaults:
-    def test_hung_driver_times_out_and_is_retried(self, tmp_path):
-        faults.install(
-            FaultPlan(
-                specs=(
-                    FaultSpec(
-                        "driver.table4", faults.HANG, max_fires=1, delay_s=5.0
-                    ),
-                ),
-                seed=7,
-            )
-        )
-        outcome = _engine(tmp_path, jobs=1, retries=1, timeout_s=1.0).run(["table4"])
-        record = _by_id(outcome)["table4"]
-        assert record.status == MISS
-        assert record.attempts == 2
-        assert (
-            outcome.results["table4"].to_text() == run_experiment("table4").to_text()
-        )
-
-    def test_hang_exhausting_retries_is_a_timeout(self, tmp_path):
+    def test_hung_driver_is_one_timeout_record(self, tmp_path):
         faults.install(
             FaultPlan(
                 specs=(FaultSpec("driver.table4", faults.HANG, delay_s=5.0),),
                 seed=7,
             )
         )
-        outcome = _engine(tmp_path, jobs=1, retries=1, timeout_s=0.5).run(
+        outcome = _engine(tmp_path, jobs=1, timeout_s=0.5).run(
             ["table4"], keep_going=True
         )
-        record = _by_id(outcome)["table4"]
-        assert record.status == "timeout"
-        assert record.attempts == 2
+        [record] = outcome.manifest.records
+        assert (record.experiment_id, record.status) == ("table4", TIMEOUT)
+        assert "0.5s wall-clock budget" in record.error
         assert "table4" not in outcome.results
 
 
 class TestWorkerCrashes:
     def test_worker_crash_mid_run_recovers_and_completes(self, tmp_path):
+        """A killed worker fails what it left unfinished, one ``error``
+        record each; ``resume`` re-runs exactly those, byte-identically."""
         faults.install(
             FaultPlan(
                 specs=(FaultSpec("driver.fig20", faults.KILL, max_fires=1),),
@@ -174,32 +126,19 @@ class TestWorkerCrashes:
             )
         )
         ids = ["fig20", "fig03", "table4", "fig22"]
-        outcome = _engine(tmp_path, jobs=2, retries=1).run(ids)
-        records = _by_id(outcome)
-        assert all(records[eid].status == MISS for eid in ids)
-        assert records["fig20"].attempts >= 2  # crashed once, re-ran isolated
-        for eid in ids:
-            assert outcome.results[eid].to_text() == run_experiment(eid).to_text()
+        engine = _engine(tmp_path, jobs=2)
+        records = _by_id(engine.run(ids, keep_going=True))
+        assert records["fig20"].status == ERROR
+        assert "BrokenProcessPool" in records["fig20"].error
+        assert {r.status for r in records.values()} <= {MISS, ERROR}
+        failed = {eid for eid, r in records.items() if r.status == ERROR}
 
-    def test_poison_driver_is_quarantined(self, tmp_path):
-        faults.install(
-            FaultPlan(
-                specs=(FaultSpec("driver.fig20", faults.KILL),),  # unlimited
-                seed=7,
-                ledger_dir=str(tmp_path / "ledger"),
-            )
-        )
-        ids = ["fig20", "fig03", "table4"]
-        outcome = _engine(tmp_path, jobs=2, retries=1, crash_strikes=2).run(
-            ids, keep_going=True
-        )
-        records = _by_id(outcome)
-        assert records["fig20"].status == QUARANTINED
-        assert "quarantined after 2 worker crash(es)" in records["fig20"].error
-        assert records["fig03"].status == MISS
-        assert records["table4"].status == MISS
-        assert "fig20" not in outcome.results
-        assert outcome.manifest.n_quarantined == 1
+        resumed = engine.run(ids, resume=True)  # the kill budget is spent
+        assert {eid: r.status for eid, r in _by_id(resumed).items()} == {
+            eid: MISS if eid in failed else SKIPPED for eid in ids
+        }
+        for eid in ids:
+            assert resumed.results[eid].to_json() == run_experiment(eid).to_json()
 
 
 class TestCacheCorruption:
@@ -256,13 +195,13 @@ class TestDeterminism:
                 try:
                     injector.check(site)
                     decisions.append((site, "ok"))
-                except TransientFault:
+                except FatalFault:
                     decisions.append((site, "fault"))
             return decisions
 
         def plan(seed):
             return FaultPlan(
-                specs=(FaultSpec("driver.*", faults.TRANSIENT, probability=0.4),),
+                specs=(FaultSpec("driver.*", faults.FATAL, probability=0.4),),
                 seed=seed,
             )
 
@@ -277,30 +216,29 @@ class TestDeterminism:
         def run_once(tag):
             faults.install(
                 FaultPlan(
-                    specs=(
-                        FaultSpec("driver.*", faults.TRANSIENT, probability=0.5),
-                    ),
+                    specs=(FaultSpec("driver.*", faults.FATAL, probability=0.5),),
                     seed=1234,
                 )
             )
-            engine = _engine(tmp_path / tag, jobs=1, use_cache=False, retries=3)
+            engine = _engine(tmp_path / tag, jobs=1, use_cache=False)
             outcome = engine.run(ids, keep_going=True)
             faults.clear()
             return [
-                (r.experiment_id, r.status, r.attempts, r.error)
+                (r.experiment_id, r.status, r.error)
                 for r in outcome.manifest.records
             ]
 
         first = run_once("a")
         second = run_once("b")
         assert first == second
-        assert sum(attempts for _, _, attempts, _ in first) > len(ids)  # faults fired
+        assert {status for _, status, _ in first} == {UNCACHED, ERROR}  # faults fired
 
 
 class TestKeepGoingAndResume:
-    """The acceptance scenario: kill + hang + transient + fatal + cache
-    corruption across >= 6 experiments, salvage with ``keep_going``,
-    then ``resume`` re-executes only the failure."""
+    """The acceptance scenario: kill + hang + fatal + cache corruption
+    across >= 6 experiments, salvage with ``keep_going``, then a clean
+    ``resume`` re-executes exactly what the cache cannot serve: the
+    failures and the corrupted entry."""
 
     def test_keep_going_then_resume_reruns_only_failures(self, tmp_path):
         ids = ["fig02", "fig03", "fig20", "fig22", "table1", "table4"]
@@ -308,50 +246,51 @@ class TestKeepGoingAndResume:
             specs=(
                 FaultSpec("driver.fig20", faults.KILL, max_fires=1),
                 FaultSpec("driver.table4", faults.HANG, max_fires=1, delay_s=8.0),
-                FaultSpec("driver.fig03", faults.TRANSIENT, max_fires=1),
-                FaultSpec("driver.table1", faults.FATAL),  # never recovers
+                FaultSpec("driver.table1", faults.FATAL),
                 FaultSpec("cache.write", faults.CORRUPT, max_fires=1),
             ),
             seed=7,
             ledger_dir=str(tmp_path / "ledger"),
         )
         faults.install(plan)
-        engine = _engine(tmp_path, jobs=2, retries=2, timeout_s=3.0)
+        engine = _engine(tmp_path, jobs=2, timeout_s=3.0)
         outcome = engine.run(ids, keep_going=True)
         records = _by_id(outcome)
 
-        survivors = [eid for eid in ids if eid != "table1"]
-        for eid in survivors:
+        failed = {eid for eid, r in records.items() if r.status in FAILURE_STATUSES}
+        # The faulted drivers never complete. Which of the others the
+        # dead worker takes down with it depends on timing.
+        assert {"fig20", "table1", "table4"} <= failed
+        own_fault = {"table1": "FatalFault", "table4": "ExperimentTimeout"}
+        for eid in failed:
+            assert records[eid].error.startswith(
+                ("BrokenProcessPool", own_fault.get(eid, "BrokenProcessPool"))
+            ), records[eid]
+        for eid in set(ids) - failed:
             assert records[eid].status == MISS, records[eid]
-            assert outcome.results[eid].to_text() == run_experiment(eid).to_text()
-        assert records["table1"].status == ERROR
-        assert "injected fatal fault" in records["table1"].error
-        # >= rather than ==: a retry in flight when the crash broke the
-        # pool is discarded and re-submitted, inflating the count by one.
-        assert records["fig20"].attempts >= 2  # crashed, recovered
-        assert records["fig03"].attempts >= 2  # transient, retried
-        assert records["table4"].attempts >= 2  # hung, timed out, retried
-        assert "table1" not in outcome.results
+            assert outcome.results[eid].to_json() == run_experiment(eid).to_json()
+        assert failed.isdisjoint(outcome.results)
+        # The first result written went through the corrupting write.
+        corrupted = next(r.experiment_id for r in outcome.manifest.records
+                         if r.status == MISS)
 
-        # Follow-up --resume run: only the failed experiment re-executes.
-        resumed = engine.run(ids, keep_going=True, resume=True)
-        resumed_records = _by_id(resumed)
-        for eid in survivors:
-            assert resumed_records[eid].status == SKIPPED
-            assert resumed_records[eid].attempts == 0
-        assert resumed_records["table1"].status == ERROR  # fatal is forever
-        assert resumed_records["table1"].attempts >= 1
-
+        faults.clear()
+        resumed = engine.run(ids, resume=True)
+        assert {eid: r.status for eid, r in _by_id(resumed).items()} == {
+            eid: MISS if eid in failed | {corrupted} else SKIPPED for eid in ids
+        }
+        for eid in ids:
+            assert resumed.results[eid].to_json() == run_experiment(eid).to_json()
         # The write-corrupted entry was detected while resuming and
         # quarantined rather than served.
         assert ResultCache(tmp_path / "cache").quarantined_count() == 1
 
 
-class TestCliResumeAfterQuarantine:
-    def test_cli_resume_after_keep_going_quarantine(self, capsys, tmp_path):
-        """A --keep-going run whose record set ends with a quarantined
-        experiment must be resumable from the CLI: once the fault plan
-        is gone, --resume re-runs only the quarantined loser."""
+class TestCliResumeAfterCrash:
+    def test_cli_resume_after_keep_going_crash(self, capsys, tmp_path):
+        """A --keep-going run that loses a worker must be resumable from
+        the CLI: once the fault plan is gone, --resume re-runs only what
+        the crash failed and prints every table."""
         from repro.experiments.cli import main
 
         faults.install(
@@ -367,16 +306,18 @@ class TestCliResumeAfterQuarantine:
             + cache_flags
         )
         assert rc == 1
-        captured = capsys.readouterr()
-        assert "quarantined" in captured.err
-        assert "forwarding_wire_8wide" in captured.out  # table1 salvaged
+        assert "failed: fig20 [error]: BrokenProcessPool" in capsys.readouterr().err
+        crashed = load_last_manifest(tmp_path / "c")
+        n_failed = crashed.n_failures
+        assert n_failed in (1, 2)  # table1 may have died with the worker
 
         faults.clear()
         rc = main(["run", "fig20", "table1", "--jobs", "2", "--resume"]
                   + cache_flags)
         assert rc == 0
-        capsys.readouterr()
+        out = capsys.readouterr().out
+        assert "cryobus" in out and "forwarding_wire_8wide" in out
         assert main(["stats"] + cache_flags) == 0
         out = capsys.readouterr().out
-        assert "skipped 1" in out  # table1 kept; fig20 re-ran clean
-        assert "quarantined 0" in out
+        assert f"{n_failed} misses" in out
+        assert f"skipped {2 - n_failed}" in out

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.cli import main
+from repro.experiments.engine import load_last_manifest
 from repro.experiments.registry import EXPERIMENTS
 
 
@@ -97,17 +98,47 @@ class TestFaultToleranceFlags:
         capsys.readouterr()
         assert main(["stats"] + cache_flags) == 0
         out = capsys.readouterr().out
-        assert "retries 0" in out
+        assert "timeouts 0" in out
         assert "cache: 1 entries, 0 quarantined" in out
 
-    def test_rejects_negative_retries_and_timeout(self):
+    def test_rejects_negative_jobs_and_timeout(self):
         with pytest.raises(SystemExit):
-            main(["run", "fig20", "--retries", "-1"])
+            main(["run", "fig20", "--jobs", "-1"])
         with pytest.raises(SystemExit):
             main(["run", "fig20", "--timeout", "-2"])
 
 
 class TestResumeAfterFailures:
+    @pytest.mark.parametrize("damage", ["truncate", "delete", "no-cache"])
+    def test_resume_reruns_what_the_cache_cannot_serve(
+        self, capsys, tmp_path, damage
+    ):
+        """--resume skips a completed experiment only while the cache
+        still serves its result; anything else re-runs, and every table
+        is printed."""
+        ids = ["fig20", "table4"]
+        flags = ["--cache-dir", str(tmp_path / "c")]
+        if damage == "no-cache":
+            flags.append("--no-cache")
+        assert main(["run", *ids] + flags) == 0
+        full = capsys.readouterr().out
+        entries = sorted((tmp_path / "c").glob("*.json"))
+        entries = [p for p in entries if p.name != "last_run.json"]
+        if damage == "truncate":
+            entries[0].write_bytes(entries[0].read_bytes()[:20])
+        elif damage == "delete":
+            entries[0].unlink()
+
+        assert main(["run", *ids, "--resume"] + flags) == 0
+        assert capsys.readouterr().out == full
+        statuses = sorted(
+            r.status for r in load_last_manifest(tmp_path / "c").records
+        )
+        if damage == "no-cache":
+            assert statuses == ["uncached", "uncached"]
+        else:
+            assert statuses == ["miss", "skipped"]
+
     def test_resume_after_keep_going_timeout_reruns_only_the_loser(
         self, capsys, tmp_path
     ):

@@ -5,24 +5,19 @@ import importlib.util
 import json
 import logging
 import os
-import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import ResultCache, payload_digest
 from repro.experiments.cli import main
 from repro.experiments.engine import (
     DEFAULT_TIMEOUT_S,
     ExecutionEngine,
     ExperimentExecutionError,
-    LeakedThreadLimit,
     RunManifest,
-    RunRecord,
-    check_leak_budget,
-    leaked_thread_count,
     load_last_manifest,
     run_experiments,
 )
@@ -353,10 +348,6 @@ class TestEngine:
         assert engine._timeout_for(slow) == DEFAULT_TIMEOUT_S["slow"]
         assert ExecutionEngine(jobs=1, timeout_s=5.0)._timeout_for(fast) == 5.0
         assert ExecutionEngine(jobs=1, timeout_s=0)._timeout_for(fast) is None
-        spec = ExperimentSpec("_t", lambda: None, timeout_s=9.0)
-        assert engine._timeout_for(spec) == 9.0
-        disabled = ExperimentSpec("_t2", lambda: None, timeout_s=0)
-        assert engine._timeout_for(disabled) is None
 
     def test_resume_skips_completed_experiments(self, tmp_path):
         engine = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
@@ -385,10 +376,16 @@ class TestEngine:
         assert len(pids) > 1  # really ran in worker processes
 
 
+#: One ``payload_digest`` per experiment at default kwargs: the digest
+#: the result cache stores, over rows, notes and guard warnings alike.
+GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "experiments.json"
+
+
 @pytest.mark.slow
 class TestFullSuiteParallelAndWarmCache:
     """The acceptance property: ``cryowire all --jobs 4`` equals serial
-    ``cryowire all`` byte-for-byte, and a warm rerun is >= 90% hits."""
+    ``cryowire all`` byte-for-byte, every result matches its golden
+    digest, and a warm rerun is >= 90% hits."""
 
     def test_all_parallel_vs_serial_and_warm_rerun(self, tmp_path):
         ids = sorted(EXPERIMENTS)
@@ -397,6 +394,17 @@ class TestFullSuiteParallelAndWarmCache:
         serial_tables = {eid: run_experiment(eid).to_text() for eid in ids}
         for eid in ids:
             assert cold.results[eid].to_text() == serial_tables[eid]
+
+        golden = json.loads(GOLDEN_DIGESTS.read_text())
+        digests = {eid: payload_digest(cold.results[eid].to_dict()) for eid in ids}
+        changed = sorted(
+            f"{eid}: {digests.get(eid)}"
+            for eid in set(golden) | set(digests)
+            if golden.get(eid) != digests.get(eid)
+        )
+        assert not changed, "\n".join(
+            ["outputs differ from tests/golden/experiments.json:", *changed]
+        )
 
         warm = ExecutionEngine(jobs=4, cache_dir=cache_dir).run(ids)
         for eid in ids:
@@ -433,33 +441,68 @@ class TestLoadLastManifest:
         )
         assert [r.status for r in outcome.manifest.records] == ["miss"]
 
-    def test_schema4_manifest_with_retired_keys_drives_resume(self, tmp_path):
-        """Manifests written before schema 5 carry a top-level ``shards``
-        count and a per-record ``shard`` index; both are ignored on read."""
+    @pytest.mark.parametrize(
+        "legacy",
+        [
+            {
+                "schema": 4,
+                "jobs": 1,
+                "shards": 2,
+                "records": [
+                    {"experiment_id": "fig20", "status": "miss", "shard": 1,
+                     "attempts": 2, "leaked_threads": 1},
+                    {"experiment_id": "table1", "status": "miss", "shard": 0},
+                    {"experiment_id": "fig03", "status": "quarantined",
+                     "attempts": 2},
+                ],
+            },
+            {
+                "schema": 5,
+                "jobs": 2,
+                "totals": {"retries": 1, "quarantined": 1, "leaked_threads": 1},
+                "records": [
+                    {"experiment_id": "fig20", "status": "miss", "attempts": 2,
+                     "leaked_threads": 1},
+                    {"experiment_id": "table1", "status": "miss", "attempts": 1},
+                    {"experiment_id": "fig03", "status": "quarantined",
+                     "attempts": 2},
+                ],
+            },
+        ],
+        ids=["schema4", "schema5"],
+    )
+    def test_old_manifest_with_retired_keys_drives_resume(self, tmp_path, legacy):
+        """Older manifests carry keys this engine no longer writes: the
+        ``shards`` count and ``shard`` index (schema 4), per-record
+        ``attempts`` and ``leaked_threads``, ``retries`` totals and the
+        ``quarantined`` status. The keys are ignored on read, and a
+        record whose status is not a completion is a plain cache hit."""
+        ids = ["fig20", "table1", "fig03"]
         cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
-        legacy = {
-            "schema": 4,
-            "jobs": 1,
-            "shards": 2,
-            "records": [
-                {"experiment_id": "fig20", "status": "miss", "shard": 1},
-                {"experiment_id": "table1", "status": "miss", "shard": 0},
-            ],
-        }
+        ExecutionEngine(jobs=1, cache_dir=cache_dir).run(ids)
         (cache_dir / "last_run.json").write_text(json.dumps(legacy))
 
         manifest = load_last_manifest(cache_dir)
         assert [(r.experiment_id, r.status) for r in manifest.records] == [
             ("fig20", "miss"),
             ("table1", "miss"),
+            ("fig03", "quarantined"),
         ]
+        assert manifest.records[0].to_dict() == {
+            "experiment_id": "fig20",
+            "status": "miss",
+            "wall_time_s": 0.0,
+            "worker_pid": 0,
+            "error": "",
+            "warnings": [],
+        }
         outcome = ExecutionEngine(jobs=1, cache_dir=cache_dir).run(
-            ["fig20", "table1"], resume=True
+            ids, resume=True
         )
         assert {r.experiment_id: r.status for r in outcome.manifest.records} == {
             "fig20": "skipped",
             "table1": "skipped",
+            "fig03": "hit",
         }
 
 
@@ -527,141 +570,3 @@ class TestCliFlags:
         capsys.readouterr()
         assert main(["stats"] + cache_flags) == 0
         assert "2 hits" in capsys.readouterr().out
-
-
-class TestLeakedThreadTracking:
-    """The timeout path's leaked daemon threads: tracked, bounded, drained.
-
-    Every test that provokes a leak gates the sleeping driver on an
-    event and drains it before returning, so the process-wide gauge is
-    back to zero for whoever runs next (the serve tests assert on it).
-    """
-
-    @staticmethod
-    def _drain(stop_event, deadline_s=10.0):
-        stop_event.set()
-        deadline = time.monotonic() + deadline_s
-        while leaked_thread_count() > 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert leaked_thread_count() == 0, "leaked driver thread failed to drain"
-
-    def test_timeout_registers_a_leaked_thread(self):
-        stop = threading.Event()
-
-        @experiment("_engine_test_leak_sleeper")
-        def _runner():
-            stop.wait(30.0)
-            result = ExperimentResult("_engine_test_leak_sleeper", "t", ("k", "v"))
-            result.add_row("x", 1.0)
-            return result
-
-        engine = ExecutionEngine(jobs=1, use_cache=False, timeout_s=0.1, retries=0)
-        try:
-            with pytest.raises(ExperimentExecutionError, match="wall-clock"):
-                engine.run_one("_engine_test_leak_sleeper")
-            assert leaked_thread_count() >= 1
-        finally:
-            self._drain(stop)
-            _SPECS.pop("_engine_test_leak_sleeper", None)
-
-    def test_check_leak_budget_thresholds(self):
-        stop = threading.Event()
-
-        @experiment("_engine_test_leak_budget")
-        def _runner():
-            stop.wait(30.0)
-            result = ExperimentResult("_engine_test_leak_budget", "t", ("k", "v"))
-            result.add_row("x", 1.0)
-            return result
-
-        engine = ExecutionEngine(jobs=1, use_cache=False, timeout_s=0.1, retries=0)
-        try:
-            with pytest.raises(ExperimentExecutionError):
-                engine.run_one("_engine_test_leak_budget")
-            # One live leak: a budget of 1 is spent, 0 disables the check.
-            with pytest.raises(LeakedThreadLimit, match="refusing new submissions"):
-                check_leak_budget(1)
-            check_leak_budget(0)
-            check_leak_budget(leaked_thread_count() + 1)
-        finally:
-            self._drain(stop)
-            _SPECS.pop("_engine_test_leak_budget", None)
-        check_leak_budget(1)  # drained: the budget is free again
-
-    def test_engine_refuses_submissions_past_the_leak_threshold(self):
-        stop = threading.Event()
-
-        @experiment("_engine_test_leak_refuse_sleeper")
-        def _sleeper():
-            stop.wait(30.0)
-            result = ExperimentResult(
-                "_engine_test_leak_refuse_sleeper", "t", ("k", "v")
-            )
-            result.add_row("x", 1.0)
-            return result
-
-        @experiment("_engine_test_leak_refuse_victim")
-        def _victim():
-            result = ExperimentResult(
-                "_engine_test_leak_refuse_victim", "t", ("k", "v")
-            )
-            result.add_row("x", 1.0)
-            return result
-
-        try:
-            leaky = ExecutionEngine(
-                jobs=1, use_cache=False, timeout_s=0.1, retries=0, leak_threshold=0
-            )
-            with pytest.raises(ExperimentExecutionError):
-                leaky.run_one("_engine_test_leak_refuse_sleeper")
-            assert leaked_thread_count() >= 1
-
-            bounded = ExecutionEngine(
-                jobs=1, use_cache=False, retries=0, leak_threshold=1
-            )
-            with pytest.raises(ExperimentExecutionError, match="LeakedThreadLimit"):
-                bounded.run_one("_engine_test_leak_refuse_victim")
-
-            # The same submission sails through once the threshold allows it
-            # (the refusal is the budget, not the experiment).
-            tolerant = ExecutionEngine(
-                jobs=1, use_cache=False, retries=0, leak_threshold=0
-            )
-            result = tolerant.run_one("_engine_test_leak_refuse_victim")
-            assert result.rows == [("x", 1.0)]
-        finally:
-            self._drain(stop)
-            _SPECS.pop("_engine_test_leak_refuse_sleeper", None)
-            _SPECS.pop("_engine_test_leak_refuse_victim", None)
-
-    def test_engine_rejects_negative_leak_threshold(self):
-        with pytest.raises(ValueError, match="leak_threshold"):
-            ExecutionEngine(jobs=1, leak_threshold=-1)
-
-    def test_manifest_rolls_up_leaks_per_worker(self):
-        """Records carry a per-worker gauge; the manifest total is the
-        max per pid summed over pids, not the sum over records."""
-        manifest = RunManifest(jobs=2, cache_dir="", cache_enabled=False)
-        manifest.records = [
-            RunRecord("a", "miss", worker_pid=100, leaked_threads=1),
-            RunRecord("b", "miss", worker_pid=100, leaked_threads=3),
-            RunRecord("c", "miss", worker_pid=200, leaked_threads=2),
-            RunRecord("d", "hit", worker_pid=200, leaked_threads=0),
-        ]
-        assert manifest.n_leaked_threads == 5
-        assert manifest.to_dict()["totals"]["leaked_threads"] == 5
-        revived = RunRecord.from_dict(manifest.records[1].to_dict())
-        assert revived.leaked_threads == 3
-
-
-class TestBackoffJitterStreams:
-    """Backoff jitter is seeded: every engine replays the same schedule."""
-
-    @staticmethod
-    def _schedule(engine, n=8):
-        return [engine._backoff_s(i) for i in range(1, n + 1)]
-
-    def test_same_seed_same_stream_replays_identically(self):
-        a = ExecutionEngine(jobs=1)
-        b = ExecutionEngine(jobs=1)
-        assert self._schedule(a) == self._schedule(b)
