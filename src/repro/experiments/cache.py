@@ -46,8 +46,6 @@ _LOG = logging.getLogger(__name__)
 
 #: Environment variable overriding the cache location.
 CACHE_DIR_ENV = "CRYOWIRE_CACHE_DIR"
-#: Environment variable disabling caching entirely (any non-empty value).
-NO_CACHE_ENV = "CRYOWIRE_NO_CACHE"
 
 #: File (inside the cache dir) holding the manifest of the last run.
 MANIFEST_NAME = "last_run.json"
@@ -66,10 +64,6 @@ def default_cache_dir() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg) if xdg else Path.home() / ".cache"
     return base / "cryowire"
-
-
-def cache_disabled_by_env() -> bool:
-    return bool(os.environ.get(NO_CACHE_ENV))
 
 
 def payload_digest(result_dict: Dict) -> str:

@@ -8,7 +8,7 @@ Usage::
     cryowire run table3 --output out/      # one artifact file per experiment
     cryowire all --jobs 4                  # everything, 4 worker processes
     cryowire all --no-cache                # force recomputation
-    cryowire report                        # paper-vs-measured summary
+    cryowire report                        # paper anchors; exit 1 out of band
     cryowire stats                         # manifest of the last engine run
     cryowire audit                         # physical-invariant sweep
     cryowire audit --point 4,0.4,0.6       # + describe an off-domain point
@@ -185,7 +185,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_recovery_flags(all_parser)
 
     report = sub.add_parser(
-        "report", help="paper-vs-measured summary of every anchor"
+        "report",
+        help="paper-vs-measured table of every anchor; exits 1 on a row "
+        "out of its band or a median |diff| over the limit",
     )
     _add_engine_flags(report)
 
@@ -385,10 +387,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         return 1 if outcome.failures else 0
     if args.command == "report":
-        from repro.experiments.report import main as report_main
+        from repro.experiments.report import breaches, collect, render
 
-        print(report_main(runner=_engine(args).run_one))
-        return 0
+        rows = collect(_engine(args).run_one)
+        print(render(rows))
+        return 1 if breaches(rows) else 0
     if args.command == "audit":
         from repro.util.guards import ModelValidityError
         from repro.validation.invariants import run_audit

@@ -54,7 +54,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.cache import ResultCache, cache_disabled_by_env
+from repro.experiments.cache import ResultCache
 from repro.experiments.registry import ExperimentSpec, get_spec
 from repro.util.faults import fault_point
 from repro.util.guards import GuardContext, use_guards
@@ -411,11 +411,11 @@ class ExecutionEngine:
     """Runs experiments through the cache and (optionally) a process pool.
 
     ``jobs`` caps the worker processes; ``jobs=0`` means one per CPU.
-    ``use_cache=False`` (or the ``CRYOWIRE_NO_CACHE`` env var) disables
-    memoization but keeps the manifest instrumentation. ``timeout_s`` is
-    the wall-clock budget per experiment: ``None`` defers to the
-    cost-scaled :data:`DEFAULT_TIMEOUT_S`, and ``0`` disables timeouts
-    (the driver then runs on the calling thread). Under ``strict`` the
+    ``use_cache=False`` disables memoization but keeps the manifest
+    instrumentation. ``timeout_s`` is the wall-clock budget per
+    experiment: ``None`` defers to the cost-scaled
+    :data:`DEFAULT_TIMEOUT_S`, and ``0`` disables timeouts (the driver
+    then runs on the calling thread). Under ``strict`` the
     drivers run in a strict guard context: the first model-validity
     warning raises :class:`~repro.util.guards.ModelValidityError` inside
     the worker and the experiment fails instead of producing a result
@@ -434,7 +434,7 @@ class ExecutionEngine:
             raise ValueError(f"jobs must be >= 0, got {jobs}")
         self.jobs = jobs or os.cpu_count() or 1
         self.cache = ResultCache(cache_dir)
-        self.use_cache = use_cache and not cache_disabled_by_env()
+        self.use_cache = use_cache
         self.timeout_s = timeout_s
         self.strict = strict
 

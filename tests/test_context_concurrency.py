@@ -1,7 +1,10 @@
-"""TechContext under threads, and the LRU cap a long-running owner needs.
+"""TechContext: what a warm context saves, under threads, and the LRU
+cap a long-running owner needs.
 
-The serve layer shares one process-global context across worker
-threads; these tests pin the two properties that makes safe:
+A warm context must return the same floats as a cold one without
+re-deriving anything. The serve layer shares one process-global context
+across worker threads; these tests pin the two properties that makes
+safe:
 
 * concurrent lookups never tear the store or the counters — every
   lookup is accounted exactly once, and warm lookups hand back one
@@ -13,11 +16,72 @@ threads; these tests pin the two properties that makes safe:
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
-from repro.tech import OperatingPoint, TechContext, cryo_mosfet, use_context
+from repro.noc.link import WireLinkModel
+from repro.noc.router import RouterModel
+from repro.system.config import EVALUATION_SYSTEMS
+from repro.system.multicore import MulticoreSystem
+from repro.tech import (
+    CryoWireModel,
+    OperatingPoint,
+    TechContext,
+    cryo_mosfet,
+    use_context,
+)
 from repro.tech.mosfet import FREEPDK45_CARD
+from repro.workloads.profiles import PARSEC_2_1
+
+
+class TestWarmReuse:
+    @staticmethod
+    def _physics_sweep() -> float:
+        """Re-price wires, links and routers across a temperature sweep."""
+        wires, links, router = CryoWireModel(), WireLinkModel(), RouterModel()
+        acc = 0.0
+        for t in range(77, 301, 8):
+            op = OperatingPoint.at(float(t))
+            for length_um in (500.0, 1000.0, 2000.0, 4000.0, 6220.0):
+                acc += wires.repeated_delay("global", length_um, op)
+                acc += wires.unrepeated_delay("semi_global", length_um, op)
+            acc += links.hop_delay_ns(op)
+            acc += router.frequency_ghz(op)
+        return acc
+
+    def test_warm_sweep_is_transparent_and_twice_as_fast(self):
+        """A 2-vCPU host reads about 3 ms warm against 70 ms cold."""
+        with use_context(TechContext()) as ctx:
+            start = time.perf_counter()
+            cold_value = self._physics_sweep()
+            cold_s = time.perf_counter() - start
+            cold = ctx.stats()
+            warm_s = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                warm_value = self._physics_sweep()
+                warm_s = min(warm_s, time.perf_counter() - start)
+            warm = ctx.stats()
+        assert warm_value == cold_value
+        assert cold.misses > 100  # the sweep really derives physics
+        assert warm.misses == cold.misses
+        assert warm.hits > cold.hits
+        assert warm_s < cold_s / 2.0
+
+    def test_table4_suite_rederives_nothing_warm(self):
+        """The Fig. 17/23 workload: 5 systems x PARSEC, run twice."""
+        def suite():
+            for config in EVALUATION_SYSTEMS:
+                MulticoreSystem(config).evaluate_suite(PARSEC_2_1)
+
+        with use_context(TechContext()) as ctx:
+            suite()
+            cold = ctx.stats()
+            suite()
+            warm = ctx.stats()
+        assert warm.misses == cold.misses
+        assert warm.hits > cold.hits
 
 
 class TestThreadSafety:

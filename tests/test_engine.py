@@ -29,6 +29,7 @@ from repro.experiments.registry import (
     get_spec,
     run_experiment,
 )
+from repro.experiments.report import breaches, collect
 
 
 def _sample_result() -> ExperimentResult:
@@ -248,11 +249,6 @@ class TestEngine:
         assert statuses == ["uncached", "uncached"]
         assert engine.cache.entry_count() == 0
 
-    def test_no_cache_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CRYOWIRE_NO_CACHE", "1")
-        engine = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
-        assert not engine.use_cache
-
     def test_manifest_written_and_loadable(self, tmp_path):
         engine = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
         outcome = engine.run(["fig20"])
@@ -387,11 +383,11 @@ class TestFullSuiteParallelAndWarmCache:
     ``cryowire all`` byte-for-byte, every result matches its golden
     digest, and a warm rerun is >= 90% hits."""
 
-    def test_all_parallel_vs_serial_and_warm_rerun(self, tmp_path):
+    def test_all_parallel_vs_serial_and_warm_rerun(self, tmp_path, experiment_result):
         ids = sorted(EXPERIMENTS)
         cache_dir = tmp_path / "cache"
         cold = ExecutionEngine(jobs=4, cache_dir=cache_dir).run(ids)
-        serial_tables = {eid: run_experiment(eid).to_text() for eid in ids}
+        serial_tables = {eid: experiment_result(eid).to_text() for eid in ids}
         for eid in ids:
             assert cold.results[eid].to_text() == serial_tables[eid]
 
@@ -405,6 +401,8 @@ class TestFullSuiteParallelAndWarmCache:
         assert not changed, "\n".join(
             ["outputs differ from tests/golden/experiments.json:", *changed]
         )
+        breached = breaches(collect(cold.results.__getitem__))
+        assert not breached, "\n".join(["paper anchors out of band:", *breached])
 
         warm = ExecutionEngine(jobs=4, cache_dir=cache_dir).run(ids)
         for eid in ids:

@@ -91,6 +91,12 @@ class TestMeasurementAccounting:
         assert point.acceptance == 1.0
         assert not point.saturated
 
+    def test_mesh_acceptance_is_exactly_one_at_low_load(self):
+        sim = FlitLevelSimulator(Mesh(64))
+        point = sim.simulate(make_pattern("uniform", 64), 0.002, n_cycles=4000)
+        assert point.acceptance == 1.0
+        assert not point.saturated
+
     def test_flattened_butterfly_not_falsely_saturated(self):
         sim = FlitLevelSimulator(FlattenedButterfly(16, concentration=4))
         point = sim.simulate(make_pattern("uniform", 16), 0.01, n_cycles=3000)

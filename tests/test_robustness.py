@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.experiments.robustness import run
-
 
 @pytest.fixture(scope="module")
-def result():
-    return run()
+def result(experiment_result):
+    return experiment_result("robustness")
 
 
 class TestRobustness:

@@ -23,6 +23,7 @@ import http.client
 import json
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -37,8 +38,9 @@ from repro.serve import (
     WireSpec,
     serve_in_thread,
 )
+from repro.experiments.cache import payload_digest
 from repro.serve.overload import Deadline
-from repro.serve.service import parse_point_query
+from repro.serve.service import parse_cryostat_request, parse_point_query
 from repro.system.config import CHP_77K_MESH
 from repro.system.multicore import MulticoreSystem
 from repro.tech import (
@@ -1073,3 +1075,98 @@ class TestServerTeardown:
         assert handle.last_stop_outcome == "forced"
         assert elapsed < 5.0
         assert not handle._thread.is_alive()
+
+
+# ----------------------------------------------------------------------
+# golden answers
+# ----------------------------------------------------------------------
+GOLDEN_SERVE = Path(__file__).parent / "golden" / "serve.json"
+
+_WIRES = {
+    "freepdk45": {"layer": "global", "length_um": 6220.0},
+    "industry_2z": {"layer": "semi_global", "length_um": 900.0},
+    "cryo_lowvth": {"layer": "local", "length_um": 250.0},
+}
+
+#: Fixed requests whose ``ModelService`` answers tests/golden/serve.json
+#: pins by ``payload_digest``: a point on every card with and without a
+#: wire, an aligned and a product grid, one IPC query, one cryostat plan.
+GOLDEN_REQUESTS = {
+    **{
+        f"query/{card}": (
+            "/v1/query", {"card": card, "operating_point": OP_CRYOSP_VOLTAGES}
+        )
+        for card in _WIRES
+    },
+    **{
+        f"query/{card}+wire": (
+            "/v1/query",
+            {"card": card, "operating_point": {"temperature_k": 135.0},
+             "wire": wire},
+        )
+        for card, wire in _WIRES.items()
+    },
+    "grid/aligned": (
+        "/v1/grid",
+        {"temperature_k": [77.0, 135.0, 300.0], "vdd_v": [0.64, 0.8, 1.25],
+         "vth_v": [0.25, 0.3, None]},
+    ),
+    "grid/product": (
+        "/v1/grid",
+        {"card": "industry_2z", "mode": "product",
+         "temperature_k": [77.0, 200.0, 300.0], "vdd_v": [0.7, 1.0]},
+    ),
+    "ipc": ("/v1/ipc", {"system": "cryosp_77k_cryobus", "workload": "streamcluster"}),
+    "cryostat": (
+        "/v1/cryostat",
+        {
+            "links": [
+                {"kind": "electrical", "hot_stage": "300K", "cold_stage": "77K",
+                 "lanes": 64},
+                {"kind": "electrical", "hot_stage": "77K", "cold_stage": "4K",
+                 "lanes": 16},
+            ],
+            "placements": [
+                {"component": "core", "stage": "77K", "device_power_w": 10.0},
+                {"component": "qctrl", "stage": "4K", "device_power_w": 0.05},
+            ],
+        },
+    ),
+}
+
+
+def _golden_answer(service: ModelService, path: str, body):
+    """What the route answers, without the transport: a point query is
+    evaluated alone, and a cryostat plan carries its stage metrics."""
+    if path == "/v1/query":
+        return service.evaluate_points([parse_point_query(body)])[0]
+    if path == "/v1/grid":
+        return service.evaluate_grid(body)
+    if path == "/v1/ipc":
+        return service.evaluate_ipc(body)
+    plan = parse_cryostat_request(body)
+    payload = service.evaluate_cryostat(plan)
+    payload["stage_metrics"] = {
+        name: service.evaluate_points([query])[0]
+        for name, query in service.stage_point_queries(plan).items()
+    }
+    return payload
+
+
+class TestGoldenAnswers:
+    def test_answers_match_their_golden_digests(self):
+        service = ModelService()
+        with use_context(service.context):
+            digests = {
+                rid: payload_digest(_golden_answer(service, *request))
+                for rid, request in GOLDEN_REQUESTS.items()
+            }
+        golden = json.loads(GOLDEN_SERVE.read_text())
+        changed = sorted(
+            f"{rid}: {digests.get(rid)}"
+            for rid in set(golden) | set(digests)
+            if golden.get(rid) != digests.get(rid)
+        )
+        assert not changed, "\n".join(
+            ["answers differ from tests/golden/serve.json:", *changed]
+        )

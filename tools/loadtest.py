@@ -29,9 +29,15 @@ Usage::
     python tools/loadtest.py --url http://127.0.0.1:8077 --duration 10
     python tools/loadtest.py --overload-only --duration 6
 
-``--require-coalescing`` exits non-zero unless the batcher coalesced in
-the A/B phase's batched closed loop (CI's regression tripwire).
-End-to-end serve numbers are recorded by ``python -m benchmarks.e2e``.
+``--require-coalescing`` is CI's regression tripwire. It exits non-zero
+unless the diurnal phase completed every request without an error, and
+the A/B phase's batched closed loop coalesced and beat the unbatched
+twin by ``MIN_AB_SPEEDUP``. The A/B clients are threads of the server's
+own process, so they share its interpreter lock and the ratio prices
+that contention as well as coalescing: it is a floor, not a measurement
+of what batching is worth. At ``--self-host --duration 10`` a 2-vCPU
+host reads 1.9-2.0x. End-to-end serve numbers are recorded by
+``python -m benchmarks.e2e``.
 
 Stdlib only — ``http.client`` with one keep-alive connection per client
 thread, no external load-generation dependency.
@@ -56,6 +62,9 @@ VDD_RANGE_V = (0.6, 1.25)
 VTH_V = 0.25
 WIRE_LENGTHS_UM = (500.0, 2000.0, 6220.0)
 CARDS = ("freepdk45", "industry_2z")
+
+#: ``--require-coalescing`` floor on batched vs unbatched A/B throughput.
+MIN_AB_SPEEDUP = 1.3
 
 #: Repeated grids in the diurnal mix (dashboards re-requesting the same
 #: sweep — the warm-context story).
@@ -520,6 +529,27 @@ def run_overload_phase(
     }
 
 
+def coalescing_failures(report: Dict) -> List[str]:
+    """What ``--require-coalescing`` rejects in a self-hosted report."""
+    diurnal, ab = report["diurnal"], report["ab"]
+    failures = []
+    if diurnal["errors"] or diurnal["completed"] != diurnal["requests"]:
+        failures.append(
+            f"diurnal phase completed {diurnal['completed']}/"
+            f"{diurnal['requests']} requests with {diurnal['errors']} error(s)"
+        )
+    if ab["batched_coalescing_rate"] <= 0.0:
+        failures.append(
+            f"micro-batcher never coalesced (A/B rate {ab['batched_coalescing_rate']})"
+        )
+    if ab["speedup"] < MIN_AB_SPEEDUP:
+        failures.append(
+            f"micro-batching only worth {ab['speedup']:.2f}x "
+            f"(floor: {MIN_AB_SPEEDUP:g}x)"
+        )
+    return failures
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Replay a diurnal synthetic query stream against cryowire serve."
@@ -547,8 +577,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--require-coalescing",
         action="store_true",
-        help="exit non-zero unless the micro-batcher coalesced in the A/B "
-        "phase's batched closed loop (CI tripwire; needs --self-host)",
+        help="exit non-zero unless every diurnal request completed without "
+        "an error and the A/B phase's batched closed loop coalesced and beat "
+        f"the unbatched twin by {MIN_AB_SPEEDUP:g}x (CI tripwire; needs "
+        "--self-host)",
     )
     parser.add_argument(
         "--overload",
@@ -607,12 +639,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         overload_failed = not overload_report["ok"]
     print(json.dumps(report, indent=2))
     if args.require_coalescing:
-        rate = report["ab"]["batched_coalescing_rate"]
-        if rate <= 0.0:
-            print(
-                f"FAIL: micro-batcher never coalesced (A/B rate {rate})",
-                file=sys.stderr,
-            )
+        failures = coalescing_failures(report)
+        for failure in failures:
+            print(f"FAIL: {failure}", file=sys.stderr)
+        if failures:
             return 1
     if overload_failed:
         for check in report["overload"]["checks"]:
