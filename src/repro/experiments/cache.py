@@ -40,7 +40,6 @@ from repro import __version__
 from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import ExperimentSpec
 from repro.util.digest import canonical_json, file_digest, is_plain_data, sha256_hex
-from repro.util.faults import maybe_corrupt
 
 _LOG = logging.getLogger(__name__)
 
@@ -139,7 +138,7 @@ class ResultCache:
         """
         path = self._entry_path(key)
         try:
-            raw = maybe_corrupt("cache.read", path.read_bytes())
+            raw = path.read_bytes()
         except OSError:
             return None
         try:
@@ -185,9 +184,7 @@ class ResultCache:
             "result": result_dict,
             "digest": payload_digest(result_dict),
         }
-        raw = maybe_corrupt(
-            "cache.write", json.dumps(payload).encode("utf-8")
-        )
+        raw = json.dumps(payload).encode("utf-8")
         path = self._entry_path(key)
         last_error: Optional[OSError] = None
         for _attempt in range(2):

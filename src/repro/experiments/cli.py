@@ -249,24 +249,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bind port (default 8077; 0 = ephemeral)",
     )
     serve.add_argument(
-        "--max-batch",
-        type=int,
-        default=256,
-        metavar="N",
-        help="largest coalesced point batch (default 256)",
-    )
-    serve.add_argument(
         "--no-batching",
         action="store_true",
         help="disable micro-batching (each query evaluated alone; "
         "the load-test A/B control)",
-    )
-    serve.add_argument(
-        "--cache-entries",
-        type=int,
-        default=4096,
-        metavar="N",
-        help="LRU cap on the warm TechContext memo store (default 4096)",
     )
     serve.add_argument(
         "--max-inflight",
@@ -275,14 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="admission cap on concurrently dispatched requests; excess "
         "load is shed with 503 overloaded + Retry-After (default 64)",
-    )
-    serve.add_argument(
-        "--max-queue",
-        type=int,
-        default=512,
-        metavar="N",
-        help="cap on the micro-batcher's pending queue depth; 0 removes "
-        "the bound (default 512)",
     )
     serve.add_argument(
         "--default-deadline-ms",
@@ -416,26 +394,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(report.to_text())
         return 0 if report.ok else 1
     if args.command == "serve":
-        from repro.serve import CryoWireServer, ModelService
+        from repro.serve import CryoWireServer
 
-        if args.max_batch < 1:
-            raise SystemExit("error: --max-batch must be >= 1")
-        if args.cache_entries < 1:
-            raise SystemExit("error: --cache-entries must be >= 1")
         if args.max_inflight < 1:
             raise SystemExit("error: --max-inflight must be >= 1")
-        if args.max_queue < 0:
-            raise SystemExit("error: --max-queue must be >= 0")
         if args.drain_timeout_s < 0:
             raise SystemExit("error: --drain-timeout-s must be >= 0")
         server = CryoWireServer(
-            service=ModelService(max_cache_entries=args.cache_entries),
             host=args.host,
             port=args.port,
-            max_batch=args.max_batch,
             batching_enabled=not args.no_batching,
             max_inflight=args.max_inflight,
-            max_queue=args.max_queue if args.max_queue > 0 else None,
             default_deadline_ms=args.default_deadline_ms,
             drain_timeout_s=args.drain_timeout_s,
         )

@@ -35,8 +35,8 @@ Determinism: the experiment drivers are pure functions of their kwargs
 (all randomness goes through seeded ``make_rng``), so parallel execution
 returns byte-identical tables to the serial path — a property the test
 suite asserts over the full registry. Fault injection (see
-:mod:`repro.util.faults`) is equally deterministic: the chaos suite
-replays identical fault sequences from a fixed seed.
+:mod:`repro.util.faults`) is equally deterministic: a plan strikes fixed
+driver sites on every call, so the same plan gives the same manifest.
 """
 
 from __future__ import annotations
@@ -629,26 +629,6 @@ class ExecutionEngine:
                 self._finish(task, payload, results, manifest)
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
-
-
-def run_experiments(
-    experiment_ids: Sequence[str],
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[Union[str, Path]] = None,
-    timeout_s: Optional[float] = None,
-    strict: bool = False,
-    **run_kwargs,
-) -> RunOutcome:
-    """One-shot convenience wrapper around :class:`ExecutionEngine`."""
-    engine = ExecutionEngine(
-        jobs=jobs,
-        use_cache=use_cache,
-        cache_dir=cache_dir,
-        timeout_s=timeout_s,
-        strict=strict,
-    )
-    return engine.run(experiment_ids, **run_kwargs)
 
 
 def load_last_manifest(

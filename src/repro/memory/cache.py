@@ -97,11 +97,6 @@ class FunctionalCache:
         entries.move_to_end(tag)
         return entries[tag]
 
-    def contains(self, address: int) -> bool:
-        set_idx, tag = self._locate(address)
-        entries = self._sets.get(set_idx)
-        return entries is not None and tag in entries
-
     def insert(self, address: int, payload: object) -> Optional[Tuple[int, object]]:
         """Insert/overwrite a line; returns (victim_address, payload) if
         an eviction occurred."""

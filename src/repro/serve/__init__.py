@@ -29,7 +29,6 @@ from repro.serve.overload import (
     Deadline,
     DeadlineExceeded,
     InvalidDeadline,
-    QueueFull,
 )
 from repro.serve.service import ModelService, PointQuery, QueryError, WireSpec
 
@@ -44,7 +43,6 @@ __all__ = [
     "ModelService",
     "PointQuery",
     "QueryError",
-    "QueueFull",
     "ServerHandle",
     "serve_in_thread",
     "WireSpec",

@@ -9,11 +9,9 @@ The server wires four layers together:
   admission, drain;
 * :mod:`repro.serve.http` speaks just enough HTTP/1.1.
 
-Two dedicated single-thread executors keep the event loop responsive:
-the *model* executor runs point batches, grids and cryostat pricing
-(fast, vectorized), the *IPC* executor runs system-level IPC solves
-(milliseconds each, as long as a whole point query) — so an IPC solve
-never stalls the query path.
+One single-thread *model* executor keeps the event loop responsive: it
+runs point batches, grids, IPC solves and cryostat pricing, one at a
+time, in submission order.
 
 Overload semantics, hop by hop:
 
@@ -22,12 +20,14 @@ Overload semantics, hop by hop:
   covers queueing *and* compute, expired requests are answered ``408
   deadline_exceeded`` (shed before kernel work when they expire while
   queued), and every ``/v1/*`` response records the remaining budget;
-* a bounded :class:`~repro.serve.overload.AdmissionGate` (plus the
-  batcher's ``max_queue``) sheds excess load with ``503 overloaded`` +
-  ``Retry-After`` instead of queuing without bound;
+* a bounded :class:`~repro.serve.overload.AdmissionGate` sheds excess
+  load with ``503 overloaded`` + ``Retry-After`` instead of queuing
+  without bound. It is the one load bound: every point the batcher
+  queues belongs to an admitted request, which holds its slot while it
+  waits and takes its point with it when it leaves;
 * :meth:`CryoWireServer.stop` *drains*: the listener closes, in-flight
   requests finish (or are failed structured once the drain timeout
-  expires), the batcher flushes, and the executors are joined — the
+  expires), the batcher flushes, and the executor is joined — the
   path taken (``graceful``/``forced``) is recorded in ``/stats``.
   ``cryowire serve`` wires ``SIGTERM`` to this drain.
 * ``GET /healthz`` is pure liveness; ``GET /readyz`` is readiness and
@@ -67,8 +67,6 @@ from repro.serve.overload import (
     Deadline,
     DeadlineExceeded,
     InvalidDeadline,
-    QueueFull,
-    consume_result,
 )
 from repro.serve.service import (
     ModelService,
@@ -77,7 +75,6 @@ from repro.serve.service import (
     parse_point_query,
 )
 from repro.tech.context import get_context, set_context
-from repro.util.faults import FatalFault, fault_point
 
 #: Routes that bypass admission control and deadlines: health probes and
 #: stats must answer even when the service is saturated or draining.
@@ -95,10 +92,8 @@ class CryoWireServer:
         service: Optional[ModelService] = None,
         host: str = "127.0.0.1",
         port: int = 8077,
-        max_batch: int = 256,
         batching_enabled: bool = True,
         max_inflight: int = 64,
-        max_queue: Optional[int] = 512,
         default_deadline_ms: Optional[float] = 10_000.0,
         drain_timeout_s: float = 5.0,
     ) -> None:
@@ -113,15 +108,10 @@ class CryoWireServer:
         self._model_executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="cryowire-model"
         )
-        self._ipc_executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="cryowire-ipc"
-        )
         self.batcher = MicroBatcher(
             self.service.evaluate_points,
-            max_batch=max_batch,
             enabled=batching_enabled,
             executor=self._model_executor,
-            max_queue=max_queue,
         )
         self._server: Optional[asyncio.base_events.Server] = None
         self._previous_context = None
@@ -166,7 +156,7 @@ class CryoWireServer:
         timeout, stop the batcher (flushing its queue; a timed-out flush
         fails the leftover futures with a structured ``shutting_down``
         error so no waiter is ever abandoned), close lingering
-        connections, and join the executors — blocking joins only on the
+        connections, and join the executor — a blocking join only on the
         graceful path, so a wedged executor thread cannot hang shutdown.
         The outcome record (``path``: ``graceful``/``forced``) lands in
         :attr:`last_drain` and ``/stats``.
@@ -190,7 +180,7 @@ class CryoWireServer:
             self._server = None
         inflight_at_stop = self.gate.inflight
         # In-flight requests are still being answered (the batcher
-        # worker and executors are live); give them the drain window.
+        # worker and the executor are live); give them the drain window.
         drained = await self.gate.wait_idle(timeout)
         path = "graceful" if drained else "forced"
         remaining = max(0.0, timeout - (time.monotonic() - t0))
@@ -207,7 +197,6 @@ class CryoWireServer:
         if self._conn_tasks:
             await asyncio.wait(list(self._conn_tasks), timeout=1.0)
         self._model_executor.shutdown(wait=drained)
-        self._ipc_executor.shutdown(wait=drained)
         if self._previous_context is not None:
             set_context(self._previous_context)
             self._previous_context = None
@@ -288,19 +277,6 @@ class CryoWireServer:
                     )
                     break
                 if request is None:
-                    break
-                try:
-                    # Chaos site for connection-level failures: an
-                    # injected fault here must still produce exactly one
-                    # structured response, never a torn one.
-                    fault_point("serve.connection")
-                except FatalFault as exc:
-                    await write_response(
-                        writer,
-                        500,
-                        error_payload("upstream_fatal", str(exc)),
-                        keep_alive=False,
-                    )
                     break
                 status, payload, headers = await self._admit_and_dispatch(
                     request
@@ -397,12 +373,6 @@ class CryoWireServer:
                 ),
                 {},
             )
-        except QueueFull as exc:
-            return (
-                503,
-                error_payload("overloaded", str(exc), retryable=True),
-                {"Retry-After": "1"},
-            )
         except BatcherClosed as exc:
             self._n_shed_shutdown += 1
             return (
@@ -410,8 +380,6 @@ class CryoWireServer:
                 error_payload("shutting_down", str(exc), retryable=True),
                 {},
             )
-        except FatalFault as exc:
-            return 500, error_payload("upstream_fatal", str(exc)), {}
         except asyncio.CancelledError:
             if self._draining:
                 # Forced drain cancelled this request mid-hop: answer it
@@ -439,19 +407,20 @@ class CryoWireServer:
     # ------------------------------------------------------------------
     # executor hops
     # ------------------------------------------------------------------
-    async def _in_executor(self, executor, deadline, fn, *args):
-        """Run ``fn`` on ``executor`` inside the request's time budget.
+    async def _in_executor(self, deadline, fn, *args):
+        """Run ``fn`` on the model executor inside the request's budget.
 
         The budget is checked *before* submission (an already-expired
         request is shed without spending executor time) and enforced
-        while waiting: on expiry the waiter abandons the hop (the late
-        result is discarded) and the request answers ``408`` with
-        bounded latency even if the executor thread is wedged.
+        while waiting: on expiry the waiter cancels the hop (work that
+        has not started never runs; a late result is discarded) and the
+        request answers ``408`` with bounded latency even if the
+        executor thread is wedged.
         """
         if deadline is not None and deadline.expired:
             raise DeadlineExceeded(deadline, where="awaiting the executor")
         loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(executor, fn, *args)
+        future = loop.run_in_executor(self._model_executor, fn, *args)
         if deadline is None:
             return await future
         try:
@@ -459,7 +428,7 @@ class CryoWireServer:
                 asyncio.shield(future), deadline.remaining_s()
             )
         except asyncio.TimeoutError:
-            future.add_done_callback(consume_result)
+            future.cancel()
             raise DeadlineExceeded(
                 deadline, where="evaluating on the executor"
             ) from None
@@ -496,20 +465,17 @@ class CryoWireServer:
         if key == ("POST", "/v1/grid"):
             body = request.json()
             return 200, await self._in_executor(
-                self._model_executor, deadline, self.service.evaluate_grid, body
+                deadline, self.service.evaluate_grid, body
             )
         if key == ("POST", "/v1/ipc"):
             body = request.json()
             return 200, await self._in_executor(
-                self._ipc_executor, deadline, self.service.evaluate_ipc, body
+                deadline, self.service.evaluate_ipc, body
             )
         if key == ("POST", "/v1/cryostat"):
             plan = parse_cryostat_request(request.json())
             payload = await self._in_executor(
-                self._model_executor,
-                deadline,
-                self.service.evaluate_cryostat,
-                plan,
+                deadline, self.service.evaluate_cryostat, plan
             )
             # Silicon metrics per in-domain stage ride the micro-batched
             # point path: concurrent stage queries (and any simultaneous
@@ -646,11 +612,9 @@ def serve_in_thread(
     service: Optional[ModelService] = None,
     host: str = "127.0.0.1",
     port: int = 0,
-    max_batch: int = 256,
     batching_enabled: bool = True,
     start_timeout_s: float = 15.0,
     max_inflight: int = 64,
-    max_queue: Optional[int] = 512,
     default_deadline_ms: Optional[float] = 10_000.0,
     drain_timeout_s: float = 5.0,
 ) -> ServerHandle:
@@ -664,10 +628,8 @@ def serve_in_thread(
         service=service,
         host=host,
         port=port,
-        max_batch=max_batch,
         batching_enabled=batching_enabled,
         max_inflight=max_inflight,
-        max_queue=max_queue,
         default_deadline_ms=default_deadline_ms,
         drain_timeout_s=drain_timeout_s,
     )

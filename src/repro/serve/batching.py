@@ -34,9 +34,11 @@ Overload behaviour is budgeted, not implicit:
   and a waiter whose batch is still computing when the budget runs out
   abandons the future (the late result is discarded) so its latency
   stays bounded even if the executor is wedged;
-* ``max_queue`` bounds the pending list; submissions beyond it are shed
-  with :class:`~repro.serve.overload.QueueFull` instead of queuing
-  unboundedly;
+* the pending list has no cap of its own: every entry belongs to a
+  request the server's :class:`~repro.serve.overload.AdmissionGate`
+  admitted, that request holds its slot while it waits, and a waiter
+  that leaves (deadline, cancellation) takes its entry with it, so the
+  gate bounds the queue;
 * :meth:`stop` *drains*: new submissions are refused with
   :class:`~repro.serve.overload.BatcherClosed`, the worker flushes what
   is pending (deadline sweeps still apply), and only if the flush
@@ -44,10 +46,6 @@ Overload behaviour is budgeted, not implicit:
   futures failed — every future is resolved exactly once either way,
   and the outcome (``drained`` vs ``forced``, counts, duration) is
   recorded in :attr:`last_drain`.
-
-The chaos fault site ``serve.batch.drain`` wraps each batch evaluation
-on the executor thread, so seeded hangs and faults exercise exactly the
-fan-out and drain paths above without wedging the event loop.
 
 ``enabled=False`` keeps the same code path but evaluates each query as
 its own length-1 batch — the A/B control the load-test harness uses to
@@ -59,16 +57,13 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.serve.overload import (
     BatcherClosed,
     Deadline,
     DeadlineExceeded,
-    QueueFull,
-    consume_result as _consume_result,
 )
-from repro.util.faults import fault_point
 
 #: A queued request: the query, its waiter, and its (optional) budget.
 _Entry = Tuple[object, asyncio.Future, Optional[Deadline]]
@@ -87,31 +82,21 @@ class MicroBatcher:
     evaluate:
         ``(queries) -> [payload, ...]`` — must return exactly one result
         per query, in order. Runs on ``executor`` (never on the loop).
-    max_batch:
-        Hard cap per drained batch; the remainder stays pending and is
-        drained immediately after.
-    max_queue:
-        Admission bound on the pending list; ``None`` = unbounded (the
-        pre-overload-control behaviour, kept for direct library use).
     enabled:
         ``False`` evaluates each query individually (the A/B control).
     """
 
+    #: Hard cap per drained batch; the remainder stays pending and is
+    #: drained immediately after.
+    max_batch = 256
+
     def __init__(
         self,
         evaluate: Callable[[Sequence[object]], List[object]],
-        max_batch: int = 256,
         enabled: bool = True,
         executor: Optional[ThreadPoolExecutor] = None,
-        max_queue: Optional[int] = None,
     ) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if max_queue is not None and max_queue < 1:
-            raise ValueError("max_queue must be >= 1 (or None for unbounded)")
         self._evaluate = evaluate
-        self.max_batch = max_batch
-        self.max_queue = max_queue
         self.enabled = enabled
         self._executor = executor or ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="cryowire-model"
@@ -129,7 +114,6 @@ class MicroBatcher:
         self._n_batches = 0
         self._n_points = 0
         self._max_batch_seen = 0
-        self._n_shed_queue_full = 0
         self._n_shed_deadline_queued = 0
         self._n_shed_deadline_wait = 0
 
@@ -229,21 +213,22 @@ class MicroBatcher:
         if not self.enabled:
             # A/B control: one length-1 evaluation per request, still on
             # the model executor so the comparison isolates coalescing.
-            future = loop.run_in_executor(
-                self._executor, self._evaluate_batch, [query]
-            )
+            future = loop.run_in_executor(self._executor, self._evaluate, [query])
             results = await self._await_with_deadline(future, deadline)
             self._account(1)
             return results[0]
-        if self.max_queue is not None and len(self._pending) >= self.max_queue:
-            self._n_shed_queue_full += 1
-            raise QueueFull(len(self._pending), self.max_queue)
         if self._worker is None:
             self.start()
-        future: asyncio.Future = loop.create_future()
-        self._pending.append((query, future, deadline))
+        entry: _Entry = (query, loop.create_future(), deadline)
+        self._pending.append(entry)
         self._wake.set()
-        return await self._await_with_deadline(future, deadline)
+        try:
+            return await self._await_with_deadline(entry[1], deadline)
+        except (DeadlineExceeded, asyncio.CancelledError):
+            # The waiter is gone: so is its entry, so the queue never
+            # holds more than the requests the gate has admitted.
+            self._pending[:] = [e for e in self._pending if e is not entry]
+            raise
 
     async def _await_with_deadline(
         self, future: "asyncio.Future", deadline: Optional[Deadline]
@@ -255,21 +240,17 @@ class MicroBatcher:
                 asyncio.shield(future), deadline.remaining_s()
             )
         except asyncio.TimeoutError:
-            # Abandon: the batch may still complete; its result for this
-            # query is discarded (co-batched neighbours are unaffected).
+            # Abandon: work that has not started never runs; a batch
+            # already computing completes, and its result for this query
+            # is discarded (co-batched neighbours are unaffected).
             if not future.done():
                 self._n_shed_deadline_wait += 1
-            future.add_done_callback(_consume_result)
+            future.cancel()
             raise DeadlineExceeded(deadline, where="awaiting evaluation") from None
 
     # ------------------------------------------------------------------
     # the drain worker
     # ------------------------------------------------------------------
-    def _evaluate_batch(self, queries: List[object]) -> List[object]:
-        """Executor-side wrapper: the ``serve.batch.drain`` chaos site."""
-        fault_point("serve.batch.drain")
-        return self._evaluate(queries)
-
     def _sweep_expired(self) -> None:
         """Shed queued entries whose budget ran out (before kernel work)."""
         if not self._pending:
@@ -277,10 +258,6 @@ class MicroBatcher:
         keep: List[_Entry] = []
         for entry in self._pending:
             _, future, deadline = entry
-            if future.done():
-                # Abandoned waiter (deadline fired mid-wait): drop the
-                # entry entirely — evaluating it would be wasted work.
-                continue
             if deadline is not None and deadline.expired:
                 self._n_shed_deadline_queued += 1
                 future.set_exception(
@@ -311,7 +288,7 @@ class MicroBatcher:
                 # _inflight_chunk populated: stop() fails those futures
                 # so no waiter is ever abandoned.
                 results = await loop.run_in_executor(
-                    self._executor, self._evaluate_batch, queries
+                    self._executor, self._evaluate, queries
                 )
                 if len(results) != len(queries):
                     raise RuntimeError(
@@ -352,7 +329,6 @@ class MicroBatcher:
         return {
             "enabled": self.enabled,
             "max_batch": self.max_batch,
-            "max_queue": self.max_queue,
             "queue_depth": len(self._pending),
             "requests": self._n_requests,
             "batches": self._n_batches,
@@ -364,12 +340,7 @@ class MicroBatcher:
             "coalescing_rate": (
                 coalesced / self._n_points if self._n_points else 0.0
             ),
-            "shed_queue_full": self._n_shed_queue_full,
             "shed_deadline_queued": self._n_shed_deadline_queued,
             "shed_deadline_wait": self._n_shed_deadline_wait,
             "last_drain": self.last_drain,
         }
-
-
-#: Type of the evaluate hook (documentation only; kept loose at runtime).
-EvaluateHook = Callable[[Sequence[object]], Awaitable[List[object]]]

@@ -1,7 +1,7 @@
 """Overload-resilience primitives for the serve layer.
 
 A model-query service that fronts user traffic needs explicit budgets —
-time, queue depth, concurrency — enforced at every hop, the same way a
+time and concurrency — enforced at every hop, the same way a
 cryogenic link budget prices every component against a hard envelope.
 This module is the serve layer's budget vocabulary:
 
@@ -13,9 +13,12 @@ This module is the serve layer's budget vocabulary:
 * :class:`AdmissionGate` — a bounded in-flight counter. Excess load is
   refused up front with ``503 overloaded`` + ``Retry-After`` instead of
   queuing without bound (shed, don't queue: bounded queues are what keep
-  admitted-request latency bounded under overload).
+  admitted-request latency bounded under overload). It is the serve
+  layer's one load bound: the micro-batcher only ever queues points of
+  admitted requests, each holding its slot while it waits and taking
+  its point with it when it leaves.
 
-The structured exceptions (:class:`DeadlineExceeded`, :class:`QueueFull`,
+The structured exceptions (:class:`DeadlineExceeded`,
 :class:`BatcherClosed`) are the contract between the batcher/executor
 layers and the transport: each maps to exactly one HTTP status + stable
 error code in :mod:`repro.serve.app`, so every overload outcome is a
@@ -37,7 +40,6 @@ __all__ = [
     "Deadline",
     "DeadlineExceeded",
     "InvalidDeadline",
-    "QueueFull",
 ]
 
 
@@ -129,31 +131,9 @@ class Deadline:
         )
 
 
-def consume_result(future) -> None:
-    """Swallow an abandoned future's outcome.
-
-    Done-callback for futures whose waiter gave up (deadline fired while
-    the batch was still computing): retrieves the late result/exception
-    so asyncio never logs 'exception was never retrieved'.
-    """
-    if not future.cancelled():
-        future.exception()
-
-
 # ----------------------------------------------------------------------
 # admission control
 # ----------------------------------------------------------------------
-class QueueFull(Exception):
-    """The batcher's pending queue is at capacity (maps to ``503``)."""
-
-    def __init__(self, depth: int, max_queue: int) -> None:
-        super().__init__(
-            f"batch queue is full ({depth} pending, cap {max_queue})"
-        )
-        self.depth = depth
-        self.max_queue = max_queue
-
-
 class BatcherClosed(RuntimeError):
     """The batcher is draining or stopped (maps to ``503 shutting_down``)."""
 

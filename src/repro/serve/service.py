@@ -49,6 +49,7 @@ from repro.power.tco import cryostat_tco_w
 from repro.tech.batch import OperatingPointBatch
 from repro.tech.constants import T_MODEL_MAX, T_MODEL_MIN
 from repro.tech.context import TechContext
+from repro.tech.metal import FREEPDK45_STACK
 from repro.tech.mosfet import DEVICE_CARDS, CryoMOSFET, MOSFETCard, cryo_mosfet
 from repro.tech.operating_point import OperatingPoint
 from repro.tech.wire import CryoWireModel
@@ -62,7 +63,6 @@ from repro.thermal import (
     optical_link,
     standard_stack,
 )
-from repro.util.faults import fault_point
 from repro.util.guards import (
     ERROR,
     GuardContext,
@@ -135,6 +135,17 @@ def _device_card(card_name) -> MOSFETCard:
         "unknown_card",
         f"unknown device card {card_name!r}; "
         f"available: {', '.join(sorted(DEVICE_CARDS))}",
+    )
+
+
+def _wire_layer(layer) -> str:
+    """The metal layer a wire names; any other JSON value is a 422."""
+    if isinstance(layer, str) and layer in FREEPDK45_STACK.layers:
+        return layer
+    raise QueryError(
+        "unknown_layer",
+        f"unknown wire layer {layer!r}; "
+        f"available: {', '.join(sorted(FREEPDK45_STACK.layers))}",
     )
 
 
@@ -219,9 +230,10 @@ def parse_point_query(data: Dict) -> PointQuery:
             raise QueryError(
                 "invalid_wire", "wire must be {layer, length_um}"
             )
+        layer = _wire_layer(wire_data["layer"])
         try:
             wire = WireSpec(
-                layer=str(wire_data["layer"]),
+                layer=layer,
                 length_um=_finite(wire_data["length_um"], "wire.length_um"),
             )
         except (TypeError, ValueError) as exc:
@@ -438,19 +450,23 @@ class _ServiceCounters:
 class ModelService:
     """The serve layer's single shared model stack.
 
-    Owns the warm :class:`~repro.tech.context.TechContext` (size-capped:
-    a long-running process must not grow its memo store without bound),
-    the :class:`~repro.tech.wire.CryoWireModel` and the per-configuration
+    Owns the warm :class:`~repro.tech.context.TechContext` (capped at
+    :attr:`CACHE_ENTRIES`: a long-running process must not grow its memo
+    store without bound), the :class:`~repro.tech.wire.CryoWireModel`
+    and the per-configuration
     :class:`~repro.system.multicore.MulticoreSystem` instances.
 
     Thread-safety: the tech context locks internally; everything else
     this class mutates sits behind ``self._lock``. Model evaluation is
-    expected to run on the app's dedicated executor threads, but nothing
+    expected to run on the app's model executor thread, but nothing
     here assumes a particular caller thread.
     """
 
-    def __init__(self, max_cache_entries: Optional[int] = 4096) -> None:
-        self.context = TechContext(max_entries=max_cache_entries)
+    #: LRU cap on the warm TechContext memo store.
+    CACHE_ENTRIES = 4096
+
+    def __init__(self) -> None:
+        self.context = TechContext(max_entries=self.CACHE_ENTRIES)
         self.wire_model = CryoWireModel()
         self._systems: Dict[str, MulticoreSystem] = {}
         self._lock = threading.Lock()
@@ -466,7 +482,6 @@ class ModelService:
         or ``{"ok": False, "error": {...}}`` — a per-point verdict, so
         the transport can answer each coalesced request independently.
         """
-        fault_point("serve.executor.model")
         with self._lock:
             self._counters.point_queries += len(queries)
         results: List[Optional[Dict]] = [None] * len(queries)
@@ -583,7 +598,7 @@ class ModelService:
             if query.wire is not None:
                 by_layer.setdefault(query.wire.layer, []).append(i)
         for layer, indices in by_layer.items():
-            optimizer = self._optimizer(layer)
+            optimizer = self.wire_model.optimizer(layer)
             lengths = [group[i].wire.length_um for i in indices]
             design = optimizer.optimize_batch(lengths, batch[indices])
             for j, i in enumerate(indices):
@@ -600,9 +615,8 @@ class ModelService:
                 vth_eff = mosfet.effective_vth(query.op)
                 wire = None
                 if query.wire is not None:
-                    design = self._optimizer(query.wire.layer).optimize(
-                        query.wire.length_um, query.op
-                    )
+                    optimizer = self.wire_model.optimizer(query.wire.layer)
+                    design = optimizer.optimize(query.wire.length_um, query.op)
                     wire = self._wire_payload(query.wire, design)
             self._absorb(guards)
         except ValueError as exc:
@@ -658,12 +672,6 @@ class ModelService:
     def _mosfet(self, card_name: str) -> CryoMOSFET:
         return cryo_mosfet(_device_card(card_name))
 
-    def _optimizer(self, layer: str):
-        try:
-            return self.wire_model.optimizer(layer)
-        except KeyError as exc:
-            raise QueryError("unknown_layer", str(exc.args[0])) from None
-
     # ------------------------------------------------------------------
     # grid queries
     # ------------------------------------------------------------------
@@ -675,7 +683,6 @@ class ModelService:
         (``mode="product"``). The response carries the resolved point
         columns plus one metric array per kernel.
         """
-        fault_point("serve.executor.model")
         if not isinstance(data, dict):
             raise QueryError("invalid_request", "request body must be a JSON object")
         unknown = set(data) - {"card", "mode", "temperature_k", "vdd_v", "vth_v"}
@@ -822,7 +829,6 @@ class ModelService:
         the micro-batched point path (so concurrent cryostat requests
         coalesce with ordinary ``/v1/query`` traffic).
         """
-        fault_point("serve.executor.model")
         with self._lock:
             self._counters.cryostat_queries += 1
         cryostat = plan.cryostat

@@ -108,7 +108,10 @@ class ConvergenceInfo:
     below :data:`CONVERGENCE_RTOL`. ``damping`` is the final damping
     factor in effect (> :data:`INITIAL_DAMPING` means the iterate
     oscillated and the loop stabilised itself); ``saturation_clamped``
-    records whether the NoC load ever had to be clamped below saturation.
+    records whether the final iterate's NoC load had to be clamped below
+    saturation, i.e. whether the answer sits on the 98 % clamp. An early
+    iterate that overshoots capacity on a solve that then settles below
+    it does not count.
     """
 
     converged: bool
@@ -241,9 +244,10 @@ class MulticoreSystem:
         reports how many iterations actually ran, and ``convergence``
         carries the certificate: final relative residual, the damping in
         effect (raised adaptively if the iterate oscillated), and whether
-        the saturation clamp ever engaged. A solve that ends uncertified
-        (residual above :data:`CONVERGENCE_RTOL`) or clamped records a
-        guard warning (an error under a strict :class:`GuardContext`).
+        the final iterate sits on the saturation clamp. A solve that ends
+        uncertified (residual above :data:`CONVERGENCE_RTOL`) or clamped
+        records a guard warning (an error under a strict
+        :class:`GuardContext`).
         """
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
@@ -280,11 +284,14 @@ class MulticoreSystem:
             # Clamp into the stable region; the fixed point settles just
             # below saturation when demand exceeds capacity (the
             # equilibrium latency at 98 % utilisation matches the
-            # throughput-limited operating point).
+            # throughput-limited operating point). The flag describes
+            # this iterate, so after the loop it describes the final one:
+            # an early overshoot the solve later leaves behind is not a
+            # saturated answer.
             sat = self.noc.saturation_rate()
-            if load >= sat:
+            saturation_clamped = load >= sat
+            if saturation_clamped:
                 load = 0.98 * sat
-                saturation_clamped = True
 
             hit = self.hierarchy.l3_hit(load)
             miss = self.hierarchy.l3_miss(load)

@@ -244,18 +244,6 @@ class OperatingPointBatch:
         return self._key
 
     @property
-    def element_keys(self) -> Tuple[Tuple[float, Optional[float], Optional[float]], ...]:
-        """Per-element scalar memoization keys (``OperatingPoint.key``)."""
-        return tuple(
-            (
-                float(self.temperature_k[i]),
-                _nan_to_none(self.vdd_v[i]),
-                _nan_to_none(self.vth_v[i]),
-            )
-            for i in range(len(self))
-        )
-
-    @property
     def is_cryogenic(self) -> np.ndarray:
         """Boolean mask mirroring :attr:`OperatingPoint.is_cryogenic`."""
         return self.temperature_k < 200.0

@@ -103,10 +103,6 @@ class MetalLayer:
         """
         return self.resistance_per_um(op) * self.capacitance_f_per_um
 
-    def rc_per_um2_batch(self, op: OperatingPointBatchLike = None) -> np.ndarray:
-        """Vectorized :meth:`rc_per_um2` over an operating-point batch."""
-        return self.resistance_per_um_batch(op) * self.capacitance_f_per_um
-
     def speedup_at(self, op: OperatingPoint) -> float:
         """Asymptotic RC-wire speed-up at the operating point vs 300 K.
 
@@ -115,12 +111,6 @@ class MetalLayer:
         inverse resistivity ratio.
         """
         return 1.0 / self.resistivity.ratio_vs_room(op.temperature_k)
-
-    def speedup_at_batch(self, op: OperatingPointBatchLike) -> np.ndarray:
-        """Vectorized :meth:`speedup_at` over an operating-point batch."""
-        batch = as_operating_point_batch(op)
-        return 1.0 / self.resistivity.ratio_vs_room_batch(batch.temperature_k)
-
 
 #: ohm * femtofarad expressed in nanoseconds.
 OHM_FF_TO_NS = 1e-6

@@ -137,9 +137,6 @@ class CryoMOSFET:
     # ------------------------------------------------------------------
     # voltage resolution
     # ------------------------------------------------------------------
-    def _vdd(self, op: OperatingPoint) -> float:
-        return self.card.vdd_nominal_v if op.vdd_v is None else op.vdd_v
-
     def _vdd_batch(self, batch: OperatingPointBatch) -> np.ndarray:
         """The rail column with NaN ("card nominal") resolved."""
         return np.where(np.isnan(batch.vdd_v), self.card.vdd_nominal_v, batch.vdd_v)
@@ -233,10 +230,6 @@ class CryoMOSFET:
         """Transistor speed-up versus (300 K, nominal V); > 1 means faster."""
         return 1.0 / self.gate_delay_factor(op)
 
-    def delay_speedup_batch(self, op: OperatingPointBatchLike = None) -> np.ndarray:
-        """Vectorized :meth:`delay_speedup` over an operating-point batch."""
-        return 1.0 / self.gate_delay_factor_batch(op)
-
     # ------------------------------------------------------------------
     # leakage
     # ------------------------------------------------------------------
@@ -245,12 +238,6 @@ class CryoMOSFET:
         return float(
             self._subthreshold_swing_batch(OperatingPointBatch.from_points([op]))[0]
         )
-
-    def subthreshold_swing_batch(
-        self, op: OperatingPointBatchLike = None
-    ) -> np.ndarray:
-        """Vectorized :meth:`subthreshold_swing` over a batch."""
-        return self._subthreshold_swing_batch(as_operating_point_batch(op))
 
     def _subthreshold_swing_batch(self, batch: OperatingPointBatch) -> np.ndarray:
         t = check_temperature_batch(batch.temperature_k)

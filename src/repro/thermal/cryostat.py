@@ -196,10 +196,6 @@ class Cryostat:
     # -- introspection ------------------------------------------------------
 
     @property
-    def warmest(self) -> ThermalStage:
-        return self.stages[0]
-
-    @property
     def coldest(self) -> ThermalStage:
         return self.stages[-1]
 

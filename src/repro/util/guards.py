@@ -283,12 +283,6 @@ def set_guards(context: GuardContext) -> None:
     _LOCAL.active = context
 
 
-def clear_guards() -> None:
-    """Drop this thread's context, reverting to the shared default."""
-    if hasattr(_LOCAL, "active"):
-        del _LOCAL.active
-
-
 @contextmanager
 def use_guards(
     context: Optional[GuardContext] = None,

@@ -51,11 +51,6 @@ class ModelValidation:
         """Relative error of the prediction against the measurement."""
         return abs(self.predicted_speedup - self.measured_speedup) / self.measured_speedup
 
-    @property
-    def within_error_bars(self) -> bool:
-        return self.measured_lower <= self.predicted_speedup <= self.measured_upper
-
-
 def _nominal_op(temperature_k: float) -> OperatingPoint:
     return OperatingPoint(
         name=f"{temperature_k:.0f}K nominal", temperature_k=temperature_k,

@@ -19,7 +19,6 @@ from repro.experiments.engine import (
     ExperimentExecutionError,
     RunManifest,
     load_last_manifest,
-    run_experiments,
 )
 from repro.experiments.registry import (
     EXPERIMENTS,
@@ -363,9 +362,9 @@ class TestEngine:
 
     def test_parallel_matches_serial_on_subset(self, tmp_path):
         ids = ["fig20", "fig22", "fig03", "table1", "table4"]
-        parallel = run_experiments(
-            ids, jobs=2, use_cache=False, cache_dir=tmp_path / "cache"
-        )
+        parallel = ExecutionEngine(
+            jobs=2, use_cache=False, cache_dir=tmp_path / "cache"
+        ).run(ids)
         for eid in ids:
             assert parallel.results[eid].to_text() == run_experiment(eid).to_text()
         pids = {r.worker_pid for r in parallel.manifest.records}

@@ -1,20 +1,25 @@
-"""Serve-path chaos suite: seeded faults against a live server.
+"""Serve-path chaos suite: a failing or stalled model behind a live server.
 
-Extends the engine's chaos machinery to the layer that fronts user
-traffic. Every test installs a deterministic
-:class:`~repro.util.faults.FaultPlan` targeting the serve sites
-(``serve.connection``, ``serve.batch.drain``, ``serve.executor.model``)
-and asserts the overload-resilience contract end-to-end over real HTTP:
+The serve layer's failures come from its model calls, so each test hands
+``serve_in_thread(service=...)`` a real :class:`ModelService` whose
+first point batch or grid raises or stalls, and asserts the
+overload-resilience contract end-to-end over real HTTP:
 
-* every request gets **exactly one structured response** — an injected
-  fatal/hang never tears a reply or drops a waiter;
+* every request gets **exactly one structured response** — a failing
+  or stalled model call never tears a reply or drops a waiter;
 * a hung batch bounds the latency of deadline-carrying requests (they
   answer ``408`` while the batch is still sleeping) and their
   neighbours still get **bit-identical** answers;
+* a request whose budget runs out takes its queued work with it, so
+  the admission gate bounds the batcher's queue;
 * a drain under load completes inside the drain timeout with **zero
-  abandoned in-flight futures**, even when a seeded hang wedges the
-  batch mid-drain (the forced path fails leftovers with structured
+  abandoned in-flight futures**, even when a hang wedges the batch
+  mid-drain (the forced path fails leftovers with structured
   ``503 shutting_down``, never silence).
+
+The fake must be the service passed in at construction: the batcher
+binds ``service.evaluate_points`` when the server is built, so a patch
+applied afterwards never runs.
 
 Run serially (``pytest -m chaos``): the suite boots real servers and
 sleeps through real hangs.
@@ -29,7 +34,7 @@ import time
 
 import pytest
 
-from repro.serve import serve_in_thread
+from repro.serve import ModelService, serve_in_thread
 from repro.tech import (
     FREEPDK45_CARD,
     OperatingPoint,
@@ -37,8 +42,6 @@ from repro.tech import (
     cryo_mosfet,
     use_context,
 )
-from repro.util import faults
-from repro.util.faults import FaultPlan, FaultSpec
 
 pytestmark = pytest.mark.chaos
 
@@ -48,12 +51,38 @@ QUERY_BODY = {
 }
 
 
-@pytest.fixture(autouse=True)
-def _clean_faults():
-    """No plan leaks in or out of any chaos test."""
-    faults.clear()
-    yield
-    faults.clear()
+class _FirstCallFails(ModelService):
+    """A real model whose first point batch or grid fails, then recovers.
+
+    The first call raises, or, when a hang is given, waits ``hang_s``
+    (or until :attr:`release` is set) before answering; every later
+    call answers normally. Model calls run one at a time on the
+    server's model executor, so the flag needs no lock.
+    """
+
+    def __init__(self, hang_s=None):
+        super().__init__()
+        self.hang_s = hang_s
+        self.struck = False
+        self.release = threading.Event()
+        self.grid_calls = 0
+
+    def _strike_once(self):
+        if self.struck:
+            return
+        self.struck = True
+        if self.hang_s is None:
+            raise RuntimeError("model call failed")
+        self.release.wait(self.hang_s)
+
+    def evaluate_points(self, queries):
+        self._strike_once()
+        return super().evaluate_points(queries)
+
+    def evaluate_grid(self, data):
+        self.grid_calls += 1
+        self._strike_once()
+        return super().evaluate_grid(data)
 
 
 def _expected_metrics():
@@ -89,29 +118,12 @@ def _request(port, method, path, payload=None, headers=None, timeout=30):
         conn.close()
 
 
-def _install(*specs, seed=11):
-    faults.install(FaultPlan(specs=tuple(specs), seed=seed))
-
-
-# ----------------------------------------------------------------------
-# connection-level faults
-# ----------------------------------------------------------------------
-class TestConnectionFaults:
-    def test_fatal_is_structured_500_not_a_torn_reply(self):
-        _install(FaultSpec("serve.connection", faults.FATAL, max_fires=1))
-        with serve_in_thread() as handle:
-            status, _, body = _request(handle.port, "GET", "/v1/cards")
-            assert status == 500
-            assert body["error"]["code"] == "upstream_fatal"
-            assert body["error"]["retryable"] is False
-            status, _, body = _request(handle.port, "GET", "/v1/cards")
-            assert status == 200
-            # The fault budget is spent; the next query must be untouched.
-            status, _, body = _request(
-                handle.port, "POST", "/v1/query", QUERY_BODY
-            )
-            assert status == 200
-            assert body["metrics"] == _expected_metrics()
+def _assert_model_failure(status, body):
+    """The structured 500 a failing model call answers."""
+    assert status == 500
+    assert body["error"]["code"] == "internal_error"
+    assert "model call failed" in body["error"]["message"]
+    assert body["error"]["retryable"] is False
 
 
 # ----------------------------------------------------------------------
@@ -119,19 +131,14 @@ class TestConnectionFaults:
 # ----------------------------------------------------------------------
 class TestBatchFaults:
     def test_hung_batch_bounds_deadline_and_neighbor_stays_exact(self):
-        """A seeded hang wedges the batch on the executor thread. The
+        """A hang wedges the batch on the executor thread. The
         deadline-carrying request must answer 408 while the batch is
         still sleeping (bounded latency), and its neighbour — in the
         hung batch or queued behind it, unaffected by the deadline —
         must still get the bit-identical answer once the hang clears."""
         hang_s = 0.8
-        _install(
-            FaultSpec(
-                "serve.batch.drain", faults.HANG, delay_s=hang_s, max_fires=1
-            )
-        )
         results = {}
-        with serve_in_thread() as handle:
+        with serve_in_thread(service=_FirstCallFails(hang_s=hang_s)) as handle:
 
             def short_deadline():
                 t0 = time.monotonic()
@@ -169,13 +176,12 @@ class TestBatchFaults:
         assert body["metrics"] == _expected_metrics()
 
     def test_batch_fatal_fans_out_structured_and_retries_exact(self):
-        """A fault inside the batch evaluation fails every coalesced
-        waiter with one structured 500 each (never silence, never a torn
-        reply); retries after the budget is spent are bit-identical."""
-        _install(FaultSpec("serve.batch.drain", faults.FATAL, max_fires=1))
+        """A failing batch evaluation fails every coalesced waiter with
+        one structured 500 each (never silence, never a torn reply);
+        retries once the model recovers are bit-identical."""
         outcomes = []
         lock = threading.Lock()
-        with serve_in_thread() as handle:
+        with serve_in_thread(service=_FirstCallFails()) as handle:
 
             def client():
                 outcome = _request(
@@ -193,18 +199,17 @@ class TestBatchFaults:
             n_failed = 0
             for status, _, body in outcomes:
                 # Exactly one structured response per request: either the
-                # injected fault (fanned out to the whole batch) or — if
-                # the two clients happened not to coalesce — the exact
-                # answer from the post-fault batch.
+                # failure (fanned out to the whole batch) or — if the two
+                # clients happened not to coalesce — the exact answer
+                # from the next batch.
                 if status == 500:
                     n_failed += 1
-                    assert body["error"]["code"] == "upstream_fatal"
-                    assert body["error"]["retryable"] is False
+                    _assert_model_failure(status, body)
                 else:
                     assert status == 200
                     assert body["metrics"] == expected
             assert n_failed >= 1
-            # The budget is spent: both retries answer exactly.
+            # The model has recovered: both retries answer exactly.
             for _ in range(2):
                 status, _, body = _request(
                     handle.port, "POST", "/v1/query", QUERY_BODY
@@ -213,15 +218,48 @@ class TestBatchFaults:
                 assert body["metrics"] == expected
 
     def test_model_executor_fatal_on_grid_is_structured(self):
-        _install(FaultSpec("serve.executor.model", faults.FATAL, max_fires=1))
         grid = {"temperature_k": [77.0, 300.0], "vdd_v": 0.64, "vth_v": 0.25}
-        with serve_in_thread() as handle:
+        with serve_in_thread(service=_FirstCallFails()) as handle:
             status, _, body = _request(handle.port, "POST", "/v1/grid", grid)
-            assert status == 500
-            assert body["error"]["code"] == "upstream_fatal"
+            _assert_model_failure(status, body)
             status, _, body = _request(handle.port, "POST", "/v1/grid", grid)
             assert status == 200
             assert body["points"]["temperature_k"] == [77.0, 300.0]
+
+
+# ----------------------------------------------------------------------
+# abandoned work
+# ----------------------------------------------------------------------
+class TestAbandonedWork:
+    def test_expired_waiters_leave_nothing_queued(self):
+        """While the first batch hangs, requests whose budget runs out
+        answer 408 and give back their gate slot. Each takes its queued
+        work with it: the batcher's queue never holds more points than
+        the gate admits, and an abandoned grid never reaches the model."""
+        service = _FirstCallFails(hang_s=30.0)
+        grid = {"temperature_k": [77.0, 300.0], "vdd_v": 0.64, "vth_v": 0.25}
+        short = {"X-CryoWire-Deadline-Ms": "5"}
+        with serve_in_thread(service=service, max_inflight=4) as handle:
+            wedged = threading.Thread(
+                target=_request,
+                args=(handle.port, "POST", "/v1/query", QUERY_BODY),
+            )
+            wedged.start()
+            time.sleep(0.2)  # the first batch is now hanging
+            requests = [("/v1/query", QUERY_BODY)] * 12 + [("/v1/grid", grid)] * 4
+            statuses = [
+                _request(handle.port, "POST", path, body, headers=short)[0]
+                for path, body in requests
+            ]
+            stats = handle.stats()
+            service.release.set()
+            wedged.join()
+            status, _, _ = _request(handle.port, "POST", "/v1/grid", grid)
+        assert statuses == [408] * len(requests)
+        assert stats["batching"]["batches"] == 0
+        assert stats["batching"]["queue_depth"] <= 4
+        assert status == 200
+        assert service.grid_calls == 1
 
 
 # ----------------------------------------------------------------------
@@ -285,17 +323,13 @@ class TestDrainUnderLoad:
         assert drain_wall < 5.0 + 2.0
 
     def test_hung_batch_forces_drain_and_still_answers_structured(self):
-        """A seeded hang wedges the batch exactly when the drain starts:
+        """A hang wedges the batch exactly when the drain starts:
         the graceful window expires, the forced path fails the wedged
         futures with structured 503 shutting_down — the client is
         answered, not abandoned — and stop() returns promptly."""
         hang_s = 2.0
-        _install(
-            FaultSpec(
-                "serve.batch.drain", faults.HANG, delay_s=hang_s, max_fires=1
-            )
-        )
         handle = serve_in_thread(
+            service=_FirstCallFails(hang_s=hang_s),
             drain_timeout_s=0.4,
             default_deadline_ms=30_000.0,
         )

@@ -377,8 +377,8 @@ def run_overload_phase(
 
     * excess load is answered ``503 overloaded`` with ``Retry-After``
       (never silently queued, never a torn response);
-    * admitted requests keep a bounded p99 — the queue in front of them
-      is capped, so overload cannot stretch their latency unboundedly;
+    * admitted requests keep a bounded p99 — the gate caps the queue in
+      front of them, so overload cannot stretch their latency unboundedly;
     * client-side and server-side accounting reconcile: every request
       the clients sent is either in the server's ``admitted`` or its
       ``shed_overload`` counter.
@@ -390,7 +390,6 @@ def run_overload_phase(
     clients = max(2, int(max_inflight * overload_factor))
     handle = serve_in_thread(
         max_inflight=max_inflight,
-        max_queue=max_inflight * 4,
         default_deadline_ms=deadline_ms,
         drain_timeout_s=5.0,
     )
