@@ -10,8 +10,6 @@ Usage::
     cryowire all --no-cache                # force recomputation
     cryowire report                        # paper anchors; exit 1 out of band
     cryowire stats                         # manifest of the last engine run
-    cryowire audit                         # physical-invariant sweep
-    cryowire audit --point 4,0.4,0.6       # + describe an off-domain point
     cryowire run fig23 --strict            # guard warnings become errors
     cryowire serve --port 8077             # long-running model-query API
 
@@ -26,26 +24,24 @@ worker attribution per experiment) that ``cryowire stats`` prints.
 
 Failures: ``--timeout SECONDS`` bounds each driver's wall clock (0
 disables; the default scales with the spec's cost tag). A driver
-exception, a timeout or a dead worker fails that experiment only;
-``--keep-going`` emits every completed result even when some
-experiments fail, and ``--resume`` re-runs only what the previous run
-did not complete (per the last manifest) or the cache no longer
-serves. Corrupt cache entries are quarantined under
-``<cache>/corrupt/`` and recomputed transparently; ``cryowire stats``
-reports timeouts, skipped experiments and quarantined entries.
+exception, a timeout or a dead worker fails that experiment only: the
+run still prints every completed result, reports each failure on
+stderr and exits 1. Rerunning the same command recomputes only the
+failures, since everything that completed is a cache hit. Corrupt
+cache entries are quarantined under ``<cache>/corrupt/`` and recomputed
+transparently; ``cryowire stats`` reports timeouts and quarantined
+entries.
 
 Physics guardrails: drivers run inside a guard context
 (:mod:`repro.util.guards`), so every result carries the structured
 model-validity warnings tripped while producing it. ``--strict``
-escalates the first warning to a failure. ``cryowire audit`` sweeps the
-physical-invariant suite (:mod:`repro.validation.invariants`) over an
-operating-point grid; ``--point T[,VDD[,VTH]]`` additionally validates
-arbitrary (including model-rejected) operating points.
+escalates the first warning to a failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Dict, Optional, Sequence
@@ -79,6 +75,13 @@ def _timeout(value: str) -> float:
     if timeout < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {timeout}")
     return timeout
+
+
+def _finite(value: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise argparse.ArgumentTypeError(f"must be finite, got {number}")
+    return number
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
@@ -128,21 +131,6 @@ def _engine(args: argparse.Namespace) -> ExecutionEngine:
     )
 
 
-def _add_recovery_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--keep-going",
-        action="store_true",
-        help="do not abort on experiment failures: emit every completed "
-        "result and report the failures (exit status 1)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip experiments the previous run already completed "
-        "(per the last run manifest) whose results are still cached",
-    )
-
-
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format",
@@ -177,12 +165,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_output_flags(run)
     _add_engine_flags(run)
-    _add_recovery_flags(run)
 
     all_parser = sub.add_parser("all", help="run every experiment")
     _add_output_flags(all_parser)
     _add_engine_flags(all_parser)
-    _add_recovery_flags(all_parser)
 
     report = sub.add_parser(
         "report",
@@ -197,39 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="cache directory holding the manifest",
-    )
-
-    audit = sub.add_parser(
-        "audit",
-        help="sweep the physical-invariant suite over an operating-point grid",
-    )
-    audit.add_argument(
-        "--temperatures",
-        default=None,
-        metavar="K[,K...]",
-        help="comma-separated temperature grid in kelvin "
-        "(default 77,135,200,250,300)",
-    )
-    audit.add_argument(
-        "--lengths",
-        default=None,
-        metavar="UM[,UM...]",
-        help="comma-separated wire-length grid in microns "
-        "(default 200,1000,2000,6000)",
-    )
-    audit.add_argument(
-        "--point",
-        action="append",
-        default=[],
-        metavar="T[,VDD[,VTH]]",
-        help="additionally validate this operating point (repeatable); "
-        "validated only, never fed to the models, so out-of-domain "
-        "points are described instead of crashed on",
-    )
-    audit.add_argument(
-        "--strict",
-        action="store_true",
-        help="raise on the first non-info finding instead of reporting",
     )
 
     serve = sub.add_parser(
@@ -264,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--default-deadline-ms",
-        type=float,
+        type=_finite,
         default=10_000.0,
         metavar="MS",
         help="per-request time budget when the client sends no "
@@ -273,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--drain-timeout-s",
-        type=float,
+        type=_finite,
         default=5.0,
         metavar="S",
         help="graceful-drain window on SIGTERM/SIGINT: in-flight work "
@@ -281,24 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "structured 503 shutting_down (default 5.0)",
     )
     return parser
-
-
-def _csv_floats(text: str, flag: str) -> list:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise SystemExit(f"error: {flag} expects comma-separated numbers, got {text!r}")
-
-
-def _parse_point(text: str) -> tuple:
-    parts = [part.strip() for part in text.split(",")]
-    if not parts or len(parts) > 3 or not parts[0]:
-        raise SystemExit(f"error: --point expects T[,VDD[,VTH]], got {text!r}")
-    try:
-        values = [float(part) if part else None for part in parts]
-    except ValueError:
-        raise SystemExit(f"error: --point expects numbers, got {text!r}")
-    return tuple(values) + (None,) * (3 - len(values))
 
 
 def _emit(
@@ -339,17 +274,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sorted(EXPERIMENTS) if args.command == "all" else list(args.experiments)
         )
         try:
-            outcome = _engine(args).run(
-                experiment_ids,
-                keep_going=args.keep_going,
-                resume=args.resume,
-            )
+            outcome = _engine(args).run(experiment_ids)
         except ExperimentExecutionError as exc:
             # Salvage the partial outcome: emit what completed, then fail.
             print(f"error: {exc}", file=sys.stderr)
             outcome = exc.outcome
-            if outcome is None:
-                return 1
         _emit(
             experiment_ids,
             outcome.results,
@@ -370,29 +299,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         rows = collect(_engine(args).run_one)
         print(render(rows))
         return 1 if breaches(rows) else 0
-    if args.command == "audit":
-        from repro.util.guards import ModelValidityError
-        from repro.validation.invariants import run_audit
-
-        temperatures = (
-            _csv_floats(args.temperatures, "--temperatures")
-            if args.temperatures
-            else None
-        )
-        lengths = _csv_floats(args.lengths, "--lengths") if args.lengths else None
-        points = [_parse_point(text) for text in args.point]
-        try:
-            report = run_audit(
-                temperatures=temperatures,
-                lengths_um=lengths,
-                extra_points=points,
-                strict=args.strict,
-            )
-        except ModelValidityError as exc:
-            print(f"audit failed under --strict: {exc}", file=sys.stderr)
-            return 1
-        print(report.to_text())
-        return 0 if report.ok else 1
     if args.command == "serve":
         from repro.serve import CryoWireServer
 

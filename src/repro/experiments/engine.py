@@ -19,17 +19,14 @@ wraps them in four layers:
   default). A driver exception, a timeout and a dead worker
   (``BrokenProcessPool`` fails every unfinished experiment) each become
   one ``error`` or ``timeout`` record; nothing is retried, because the
-  drivers are pure and seeded. ``run(..., keep_going=True)`` returns
-  every completed result instead of raising, and the raising path
-  attaches the partial :class:`RunOutcome` to
-  :class:`ExperimentExecutionError`. ``run(..., resume=True)`` then
-  re-runs exactly what the cache cannot serve.
+  drivers are pure and seeded. The rest of the run still completes,
+  and the partial :class:`RunOutcome` rides on the raised
+  :class:`ExperimentExecutionError`. A plain rerun then recomputes
+  exactly the failures: everything that completed is a cache hit.
 * **instrumentation** — every run produces a :class:`RunManifest`
   recording per-experiment wall time, status and worker attribution.
-  The manifest is written next to the cache (``last_run.json``),
-  rendered by ``cryowire stats``, and consumed by ``run(...,
-  resume=True)`` to mark the experiments the previous run already
-  completed.
+  The manifest is written next to the cache (``last_run.json``) and
+  rendered by ``cryowire stats``.
 
 Determinism: the experiment drivers are pure functions of their kwargs
 (all randomness goes through seeded ``make_rng``), so parallel execution
@@ -67,12 +64,9 @@ MISS = "miss"  # computed, then written to the cache
 UNCACHED = "uncached"  # computed; caching off or kwargs not cacheable
 ERROR = "error"  # the driver raised, or its worker died
 TIMEOUT = "timeout"  # the driver exceeded its wall-clock budget
-SKIPPED = "skipped"  # completed by a previous run and served from the cache
 
 #: Statuses that mean "this run produced no usable result".
 FAILURE_STATUSES = (ERROR, TIMEOUT)
-#: Statuses a ``--resume`` run treats as already done.
-COMPLETED_STATUSES = (HIT, MISS, UNCACHED, SKIPPED)
 
 #: Default wall-clock budget per experiment, scaled by the spec's cost
 #: tag. Generous on purpose: the timeout exists to unwedge hung drivers,
@@ -168,10 +162,6 @@ class RunManifest:
         return self._count(TIMEOUT)
 
     @property
-    def n_skipped(self) -> int:
-        return self._count(SKIPPED)
-
-    @property
     def n_failures(self) -> int:
         return sum(1 for r in self.records if r.status in FAILURE_STATUSES)
 
@@ -190,7 +180,7 @@ class RunManifest:
 
     def to_dict(self) -> Dict:
         return {
-            "schema": 6,
+            "schema": 7,
             "created_at": self.created_at,
             "jobs": self.jobs,
             "cache_dir": self.cache_dir,
@@ -203,7 +193,6 @@ class RunManifest:
                 "uncached": self.n_uncached,
                 "errors": self.n_errors,
                 "timeouts": self.n_timeouts,
-                "skipped": self.n_skipped,
                 "model_warnings": self.n_model_warnings,
                 "hit_rate": self.hit_rate,
                 "compute_s": self.compute_s,
@@ -258,7 +247,7 @@ class RunManifest:
             f"{self.n_misses} misses, {self.n_uncached} uncached, "
             f"{self.n_errors} errors; hit rate {self.hit_rate:.1%}"
         )
-        lines.append(f"timeouts {self.n_timeouts}, skipped {self.n_skipped}")
+        lines.append(f"timeouts {self.n_timeouts}")
         if self.n_model_warnings:
             lines.append(f"model warnings {self.n_model_warnings}")
         lines.append(
@@ -485,18 +474,12 @@ class ExecutionEngine:
         self,
         experiment_ids: Sequence[str],
         kwargs_by_id: Optional[Dict[str, Dict]] = None,
-        keep_going: bool = False,
-        resume: bool = False,
     ) -> RunOutcome:
         """Run ``experiment_ids`` (cache-first, misses fanned out).
 
         Returns every result plus the run manifest. If any experiment
-        fails, ``keep_going=True`` returns the partial
-        :class:`RunOutcome` anyway; otherwise the rest still run and an
-        :class:`ExperimentExecutionError` carrying that partial outcome
-        (``exc.outcome``) is raised. ``resume=True`` records the
-        experiments the previous manifest marks completed as ``skipped``
-        when the cache still serves their result; the rest run as usual.
+        fails, the rest still run and an :class:`ExperimentExecutionError`
+        carrying the partial outcome (``exc.outcome``) is raised.
         """
         kwargs_by_id = kwargs_by_id or {}
         started = time.perf_counter()
@@ -508,7 +491,6 @@ class ExecutionEngine:
         )
         results: Dict[str, ExperimentResult] = {}
         pending: List[_Task] = []
-        done_before = self._previously_completed() if resume else frozenset()
 
         for experiment_id in self.schedule(experiment_ids):
             task = self._task(experiment_id, kwargs_by_id.get(experiment_id, {}))
@@ -517,8 +499,7 @@ class ExecutionEngine:
                 pending.append(task)
                 continue
             results[experiment_id] = cached
-            status = SKIPPED if experiment_id in done_before else HIT
-            manifest.records.append(RunRecord(experiment_id, status, 0.0, os.getpid()))
+            manifest.records.append(RunRecord(experiment_id, HIT, 0.0, os.getpid()))
 
         if self.jobs > 1 and len(pending) > 1:
             self._run_pool(pending, results, manifest)
@@ -529,7 +510,7 @@ class ExecutionEngine:
         manifest.save(self.cache.manifest_path)
         outcome = RunOutcome(results=results, manifest=manifest)
         failures = outcome.failures
-        if failures and not keep_going:
+        if failures:
             detail = "; ".join(
                 f"{r.experiment_id} [{r.status}]: {r.error}" for r in failures
             )
@@ -537,19 +518,6 @@ class ExecutionEngine:
                 f"{len(failures)} experiment(s) failed: {detail}", outcome=outcome
             )
         return outcome
-
-    def _previously_completed(self) -> frozenset:
-        """Experiment ids the last manifest marks done (for ``resume``)."""
-        last = load_last_manifest(self.cache.cache_dir)
-        if last is None:
-            _LOG.warning(
-                "resume requested but no previous manifest is readable; "
-                "running everything"
-            )
-            return frozenset()
-        return frozenset(
-            r.experiment_id for r in last.records if r.status in COMPLETED_STATUSES
-        )
 
     def _finish(
         self,
@@ -636,10 +604,9 @@ def load_last_manifest(
 ) -> Optional[RunManifest]:
     """The manifest of the most recent engine run, if any.
 
-    Distinguishes the two failure modes so resume problems are
-    diagnosable: a missing manifest is normal (first run) and logged at
-    debug level; an unreadable one — not JSON, or JSON of the wrong
-    shape — is logged as a warning.
+    Distinguishes the two failure modes: a missing manifest is normal
+    (first run) and logged at debug level; an unreadable one — not
+    JSON, or JSON of the wrong shape — is logged as a warning.
     """
     path = ResultCache(cache_dir).manifest_path
     try:

@@ -45,6 +45,7 @@ per-request.
 from __future__ import annotations
 
 import asyncio
+import math
 import signal
 import threading
 import time
@@ -85,7 +86,14 @@ DEADLINE_HEADER = "x-cryowire-deadline-ms"
 
 
 class CryoWireServer:
-    """The ``cryowire serve`` application."""
+    """The ``cryowire serve`` application.
+
+    ``default_deadline_ms`` is the budget of a request that sends no
+    deadline header (``None`` or ``<= 0`` disables it), and
+    ``drain_timeout_s`` is the graceful-drain window. Both must be
+    finite: a NaN default would refuse every headerless request as the
+    client's fault, and a NaN drain window would force every drain.
+    """
 
     def __init__(
         self,
@@ -97,6 +105,14 @@ class CryoWireServer:
         default_deadline_ms: Optional[float] = 10_000.0,
         drain_timeout_s: float = 5.0,
     ) -> None:
+        if default_deadline_ms is not None and not math.isfinite(default_deadline_ms):
+            raise ValueError(
+                f"default_deadline_ms must be finite, got {default_deadline_ms!r}"
+            )
+        if not (math.isfinite(drain_timeout_s) and drain_timeout_s >= 0):
+            raise ValueError(
+                f"drain_timeout_s must be finite and >= 0, got {drain_timeout_s!r}"
+            )
         self.service = service if service is not None else ModelService()
         self.host = host
         self._port = port

@@ -24,7 +24,7 @@ happens to share with unrelated requests. Queries are pre-screened with
 the guard layer's domain validator, and if a grouped batch still raises
 (card-resolved overdrive collapse, say — invisible until the card's
 nominal voltages are substituted), the group is retried point-by-point
-through the scalar kernels so only the offending queries fail.
+as length-1 batches so only the offending queries fail.
 """
 
 from __future__ import annotations
@@ -349,15 +349,18 @@ def _parse_link(data: Dict, index: int) -> InterStageLink:
                 f"links[{index}]: unknown field(s): "
                 f"{', '.join(sorted(unknown))}",
             )
+        lanes = data.get("lanes", 1)
+        if isinstance(lanes, bool) or not isinstance(lanes, int):
+            raise TypeError(f"lanes must be a JSON integer, got {lanes!r}")
         make = electrical_link if kind == "electrical" else optical_link
         return make(
             str(data["hot_stage"]),
             str(data["cold_stage"]),
-            lanes=int(data.get("lanes", 1)),
+            lanes=lanes,
             name=str(data.get("name", f"link{index}")),
         )
     except (TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: ``lanes`` of JSON ``1e400`` is int(inf).
+        # OverflowError: a ``lanes`` integer too large to price as a float.
         raise QueryError("invalid_cryostat", f"links[{index}]: {exc}") from None
 
 
@@ -503,7 +506,7 @@ class ModelService:
                 # warning tier) are valid *thermal* stages but below the
                 # silicon device models' calibration floor; answer with
                 # a structured verdict instead of letting the point
-                # poison the coalesced batch into the scalar fallback.
+                # poison the coalesced batch into the per-point retry.
                 results[i] = {
                     "ok": False,
                     "error": {
@@ -530,12 +533,13 @@ class ModelService:
             except ValueError:
                 # One poisoned point (e.g. card-resolved overdrive below
                 # the validity floor) fails the whole vectorized call;
-                # retry the group through the scalar kernels so only the
-                # offending queries error. Scalar kernels are length-1
-                # batch wrappers, so the numbers do not change.
+                # retry the group one point at a time so only the
+                # offending queries error. Each retry is the same batch
+                # kernel at length 1, so the numbers and the guard tally
+                # are what the point would get alone.
                 with self._lock:
                     self._counters.scalar_fallbacks += 1
-                payloads = [self._evaluate_one_scalar(q) for q in group]
+                payloads = [self._evaluate_alone(card_name, q) for q in group]
             for i, payload in zip(indices, payloads):
                 results[i] = payload
         n_errors = sum(1 for r in results if r is not None and not r["ok"])
@@ -605,20 +609,10 @@ class ModelService:
                 wires[i] = self._wire_payload(group[i].wire, design[j])
         return wires
 
-    def _evaluate_one_scalar(self, query: PointQuery) -> Dict:
-        """Scalar-path evaluation of a single query (the fallback)."""
-        mosfet = self._mosfet(query.card_name)
+    def _evaluate_alone(self, card_name: str, query: PointQuery) -> Dict:
+        """One query as a length-1 batch; a domain error is its verdict."""
         try:
-            with use_guards(GuardContext()) as guards:
-                gate_delay = mosfet.gate_delay_factor(query.op)
-                leakage = mosfet.leakage_factor(query.op)
-                vth_eff = mosfet.effective_vth(query.op)
-                wire = None
-                if query.wire is not None:
-                    optimizer = self.wire_model.optimizer(query.wire.layer)
-                    design = optimizer.optimize(query.wire.length_um, query.op)
-                    wire = self._wire_payload(query.wire, design)
-            self._absorb(guards)
+            return self._evaluate_card_group(card_name, [query])[0]
         except ValueError as exc:
             return {
                 "ok": False,
@@ -628,13 +622,6 @@ class ModelService:
                     "warnings": self._screen(query.op, tally=False),
                 },
             }
-        return self._point_payload(
-            query,
-            gate_delay_factor=gate_delay,
-            leakage_factor=leakage,
-            effective_vth_v=vth_eff,
-            wire=wire,
-        )
 
     def _point_payload(
         self,

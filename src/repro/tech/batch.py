@@ -1,6 +1,6 @@
 """`OperatingPointBatch`: the array-of-structs mirror of `OperatingPoint`.
 
-Dense sweeps — audit grids, robustness sweeps, V_th device-card
+Dense sweeps — temperature grids, robustness sweeps, V_th device-card
 exploration — evaluate thousands of *fresh* ``(T, V_dd, V_th)`` points
 per experiment, which the scalar, per-``op.key`` memoized entry points
 serve one Python call at a time. This module introduces the batch

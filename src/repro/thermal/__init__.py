@@ -14,9 +14,9 @@ Consumers: ``repro.power.tco`` evaluates its temperature sweep through
 :meth:`Cryostat.two_stage`; the ``stage_assignment`` experiment sweeps
 component placements over the standard 300/77/4 K stack;
 ``POST /v1/cryostat`` prices caller-supplied stacks over the serve
-layer's micro-batched query path; ``cryowire audit`` checks the
-cryostat invariants (colder ⇒ higher CO, ledger conservation,
-moving-colder-never-cheaper).
+layer's micro-batched query path. The cryostat invariants (colder ⇒
+higher CO, ledger conservation, moving-colder-never-cheaper) are
+asserted by ``tests/test_thermal.py`` and ``tests/test_power.py``.
 """
 
 from repro.thermal.cryostat import (

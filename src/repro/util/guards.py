@@ -164,22 +164,15 @@ class SimulationStalled(RuntimeError):
 class GuardContext:
     """Collector (and, under ``strict``, escalator) of model warnings.
 
-    ``enabled=False`` turns every guard point into a near-no-op — the
-    benchmarked production state for code that opts out. Storage is
-    bounded (``max_records``); the per-severity counters keep counting
-    past the bound, so ``dropped`` says how many records aged out.
+    Storage is bounded (``max_records``); the per-severity counters keep
+    counting past the bound, so ``dropped`` says how many records aged
+    out.
     """
 
-    def __init__(
-        self,
-        strict: bool = False,
-        enabled: bool = True,
-        max_records: int = 10_000,
-    ) -> None:
+    def __init__(self, strict: bool = False, max_records: int = 10_000) -> None:
         if max_records < 1:
             raise ValueError("max_records must be >= 1")
         self.strict = strict
-        self.enabled = enabled
         self._records: Deque[ModelWarning] = deque(maxlen=max_records)
         self._counts: Dict[str, int] = {s: 0 for s in SEVERITIES}
         self._seen: Set[Tuple] = set()
@@ -195,8 +188,6 @@ class GuardContext:
         occurrence increments the counters and, under ``strict``,
         escalates.
         """
-        if not self.enabled:
-            return
         self._counts[warning.severity] += 1
         key = (warning.site, warning.severity, warning.message, warning.op)
         if key not in self._seen:
@@ -246,22 +237,6 @@ class GuardContext:
         """Distinct findings that aged out of the bounded store."""
         return len(self._seen) - len(self._records)
 
-    @property
-    def worst(self) -> Optional[str]:
-        """Highest severity recorded so far (``None`` when clean)."""
-        for severity in (ERROR, WARNING, INFO):
-            if self._counts[severity]:
-                return severity
-        return None
-
-    def has_errors(self) -> bool:
-        return self._counts[ERROR] > 0
-
-    def clear(self) -> None:
-        self._records.clear()
-        self._seen.clear()
-        self._counts = {s: 0 for s in SEVERITIES}
-
 
 # -- ambient (thread-local) context -----------------------------------------
 
@@ -278,17 +253,9 @@ def get_guards() -> GuardContext:
     return getattr(_LOCAL, "active", _DEFAULT)
 
 
-def set_guards(context: GuardContext) -> None:
-    """Install ``context`` as this thread's active guard context."""
-    _LOCAL.active = context
-
-
 @contextmanager
 def use_guards(
-    context: Optional[GuardContext] = None,
-    *,
-    strict: bool = False,
-    enabled: bool = True,
+    context: Optional[GuardContext] = None, *, strict: bool = False
 ) -> Iterator[GuardContext]:
     """Run a block under ``context`` (or a fresh one), then restore.
 
@@ -296,7 +263,7 @@ def use_guards(
     does not leak strictness into the surrounding code.
     """
     if context is None:
-        context = GuardContext(strict=strict, enabled=enabled)
+        context = GuardContext(strict=strict)
     previous = getattr(_LOCAL, "active", None)
     _LOCAL.active = context
     try:
@@ -353,12 +320,9 @@ def validate_operating_point(
     context) and returned. Accepts a raw ``(t, vdd, vth)`` triple as
     well as an ``OperatingPoint``, so out-of-domain points the
     ``OperatingPoint`` constructor itself rejects (``vth >= vdd``) can
-    still be *described* rather than crashed on — which is exactly what
-    ``cryowire audit --point`` needs.
+    still be *described* rather than crashed on.
     """
     context = guards if guards is not None else get_guards()
-    if not context.enabled:
-        return ()
     triple, name = _op_identity(op)
     if triple is None:
         raise TypeError("validate_operating_point needs a point, got None")
@@ -414,14 +378,12 @@ def validate_operating_point(
 def check_operating_point(op, site: str = "guards.operating_point"):
     """Hot-path guard: validate ``op`` and return it unchanged.
 
-    The clean path — an in-domain :class:`OperatingPoint` under an
-    enabled context — is a handful of comparisons with no allocation;
-    anything suspicious falls through to the full validator. Model
-    entry points call this on every evaluation.
+    The clean path — an in-domain :class:`OperatingPoint` — is a
+    handful of comparisons with no allocation; anything suspicious
+    falls through to the full validator. Model entry points call this
+    on every evaluation.
     """
     context = getattr(_LOCAL, "active", _DEFAULT)
-    if not context.enabled:
-        return op
     t = op.temperature_k
     vdd = op.vdd_v
     vth = op.vth_v
@@ -456,8 +418,6 @@ def validate_operating_point_batch(
     import numpy as np
 
     context = guards if guards is not None else get_guards()
-    if not context.enabled:
-        return ()
     t = np.asarray(batch.temperature_k, dtype=float)
     vdd = np.asarray(batch.vdd_v, dtype=float)
     vth = np.asarray(batch.vth_v, dtype=float)
@@ -546,8 +506,6 @@ def check_operating_point_batch(batch, site: str = "guards.operating_point"):
     import numpy as np
 
     context = getattr(_LOCAL, "active", _DEFAULT)
-    if not context.enabled:
-        return batch
     t = batch.temperature_k
     vdd = batch.vdd_v
     vth = batch.vth_v
@@ -574,8 +532,6 @@ def validate_wire_geometry(
 ) -> Tuple[ModelWarning, ...]:
     """Check a wire length against physical plausibility."""
     context = guards if guards is not None else get_guards()
-    if not context.enabled:
-        return ()
     label = f"{layer_name} wire" if layer_name else "wire"
     found: List[ModelWarning] = []
 
@@ -613,8 +569,6 @@ def validate_wire_geometry_batch(
     import numpy as np
 
     context = guards if guards is not None else get_guards()
-    if not context.enabled:
-        return ()
     lengths = np.asarray(lengths_um, dtype=float)
     n = lengths.shape[0]
     if n == 0:
@@ -663,8 +617,6 @@ def validate_workload_profile(
     the system model, where a bad rate silently corrupts the CPI stack.
     """
     context = guards if guards is not None else get_guards()
-    if not context.enabled:
-        return ()
     name = getattr(profile, "name", "<profile>")
     found: List[ModelWarning] = []
 

@@ -8,7 +8,7 @@ corrupt cache entry comes from bad bytes written into its file:
 * a hung driver hits its wall-clock budget and becomes one ``timeout``
   record;
 * a killed worker breaks the pool, every experiment it left unfinished
-  becomes an ``error`` record, and ``resume`` completes them
+  becomes an ``error`` record, and a plain rerun completes them
   byte-identically;
 * a corrupted cache entry is quarantined and recomputed;
 * the same plan gives the same manifest.
@@ -29,10 +29,10 @@ from repro.experiments.engine import (
     FAILURE_STATUSES,
     HIT,
     MISS,
-    SKIPPED,
     TIMEOUT,
     UNCACHED,
     ExecutionEngine,
+    ExperimentExecutionError,
     load_last_manifest,
 )
 from repro.experiments.registry import run_experiment
@@ -56,6 +56,13 @@ def _engine(tmp_path, **kwargs):
 
 def _by_id(outcome):
     return {r.experiment_id: r for r in outcome.manifest.records}
+
+
+def _failed_run(engine, ids):
+    """Run ``ids`` expecting failures; the partial outcome the error carries."""
+    with pytest.raises(ExperimentExecutionError) as excinfo:
+        engine.run(ids)
+    return excinfo.value.outcome
 
 
 def _corrupt(entry):
@@ -105,9 +112,7 @@ class TestHangFaults:
                 specs=(FaultSpec("driver.table4", faults.HANG, delay_s=5.0),)
             )
         )
-        outcome = _engine(tmp_path, jobs=1, timeout_s=0.5).run(
-            ["table4"], keep_going=True
-        )
+        outcome = _failed_run(_engine(tmp_path, jobs=1, timeout_s=0.5), ["table4"])
         [record] = outcome.manifest.records
         assert (record.experiment_id, record.status) == ("table4", TIMEOUT)
         assert "0.5s wall-clock budget" in record.error
@@ -117,20 +122,20 @@ class TestHangFaults:
 class TestWorkerCrashes:
     def test_worker_crash_mid_run_recovers_and_completes(self, tmp_path):
         """A killed worker fails what it left unfinished, one ``error``
-        record each; ``resume`` re-runs exactly those, byte-identically."""
+        record each; a plain rerun re-runs exactly those, byte-identically."""
         faults.install(FaultPlan(specs=(FaultSpec("driver.fig20", faults.KILL),)))
         ids = ["fig20", "fig03", "table4", "fig22"]
         engine = _engine(tmp_path, jobs=2)
-        records = _by_id(engine.run(ids, keep_going=True))
+        records = _by_id(_failed_run(engine, ids))
         assert records["fig20"].status == ERROR
         assert "BrokenProcessPool" in records["fig20"].error
         assert {r.status for r in records.values()} <= {MISS, ERROR}
         failed = {eid for eid, r in records.items() if r.status == ERROR}
 
         faults.clear()
-        resumed = engine.run(ids, resume=True)
+        resumed = engine.run(ids)
         assert {eid: r.status for eid, r in _by_id(resumed).items()} == {
-            eid: MISS if eid in failed else SKIPPED for eid in ids
+            eid: MISS if eid in failed else HIT for eid in ids
         }
         for eid in ids:
             assert resumed.results[eid].to_json() == run_experiment(eid).to_json()
@@ -173,7 +178,7 @@ class TestDeterminism:
                 )
             )
             engine = _engine(tmp_path / tag, jobs=1, use_cache=False)
-            outcome = engine.run(ids, keep_going=True)
+            outcome = _failed_run(engine, ids)
             faults.clear()
             return [
                 (r.experiment_id, r.status, r.error)
@@ -188,8 +193,8 @@ class TestDeterminism:
 
 class TestKeepGoingAndResume:
     """The acceptance scenario: kill + hang + fatal across >= 6
-    experiments, salvage with ``keep_going``, corrupt one cache entry on
-    disk, then a clean ``resume`` re-executes exactly what the cache
+    experiments, salvage the partial outcome, corrupt one cache entry on
+    disk, then a plain rerun re-executes exactly what the cache
     cannot serve: the failures and the corrupted entry."""
 
     def test_keep_going_then_resume_reruns_only_failures(self, tmp_path):
@@ -203,7 +208,7 @@ class TestKeepGoingAndResume:
         )
         faults.install(plan)
         engine = _engine(tmp_path, jobs=2, timeout_s=3.0)
-        outcome = engine.run(ids, keep_going=True)
+        outcome = _failed_run(engine, ids)
         records = _by_id(outcome)
 
         failed = {eid for eid, r in records.items() if r.status in FAILURE_STATUSES}
@@ -228,30 +233,27 @@ class TestKeepGoingAndResume:
         ))
 
         faults.clear()
-        resumed = engine.run(ids, resume=True)
+        resumed = engine.run(ids)
         assert {eid: r.status for eid, r in _by_id(resumed).items()} == {
-            eid: MISS if eid in failed | {corrupted} else SKIPPED for eid in ids
+            eid: MISS if eid in failed | {corrupted} else HIT for eid in ids
         }
         for eid in ids:
             assert resumed.results[eid].to_json() == run_experiment(eid).to_json()
-        # The corrupted entry was detected while resuming and
+        # The corrupted entry was detected on the rerun and
         # quarantined rather than served.
         assert ResultCache(tmp_path / "cache").quarantined_count() == 1
 
 
 class TestCliResumeAfterCrash:
     def test_cli_resume_after_keep_going_crash(self, capsys, tmp_path):
-        """A --keep-going run that loses a worker must be resumable from
-        the CLI: once the fault plan is gone, --resume re-runs only what
+        """A CLI run that loses a worker prints what completed and exits
+        1; once the fault plan is gone, a plain rerun re-runs only what
         the crash failed and prints every table."""
         from repro.experiments.cli import main
 
         faults.install(FaultPlan(specs=(FaultSpec("driver.fig20", faults.KILL),)))
         cache_flags = ["--cache-dir", str(tmp_path / "c")]
-        rc = main(
-            ["run", "fig20", "table1", "--jobs", "2", "--keep-going"]
-            + cache_flags
-        )
+        rc = main(["run", "fig20", "table1", "--jobs", "2"] + cache_flags)
         assert rc == 1
         assert "failed: fig20 [error]: BrokenProcessPool" in capsys.readouterr().err
         crashed = load_last_manifest(tmp_path / "c")
@@ -259,12 +261,10 @@ class TestCliResumeAfterCrash:
         assert n_failed in (1, 2)  # table1 may have died with the worker
 
         faults.clear()
-        rc = main(["run", "fig20", "table1", "--jobs", "2", "--resume"]
-                  + cache_flags)
+        rc = main(["run", "fig20", "table1", "--jobs", "2"] + cache_flags)
         assert rc == 0
         out = capsys.readouterr().out
         assert "cryobus" in out and "forwarding_wire_8wide" in out
         assert main(["stats"] + cache_flags) == 0
         out = capsys.readouterr().out
-        assert f"{n_failed} misses" in out
-        assert f"skipped {2 - n_failed}" in out
+        assert f"{2 - n_failed} hits, {n_failed} misses" in out

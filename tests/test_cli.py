@@ -87,7 +87,7 @@ class TestFaultToleranceFlags:
         cleanup = self._register_boom("_cli_boom_keep")
         try:
             rc = main(
-                ["run", "_cli_boom_keep", "fig20", "--keep-going",
+                ["run", "_cli_boom_keep", "fig20",
                  "--cache-dir", str(tmp_path / "c")]
             )
             assert rc == 1
@@ -98,12 +98,13 @@ class TestFaultToleranceFlags:
             cleanup()
 
     def test_resume_skips_completed(self, capsys, tmp_path):
+        """A plain rerun serves what completed from the cache."""
         cache_flags = ["--cache-dir", str(tmp_path / "c")]
         assert main(["run", "fig20", "table1"] + cache_flags) == 0
-        assert main(["run", "fig20", "table1", "--resume"] + cache_flags) == 0
+        assert main(["run", "fig20", "table1"] + cache_flags) == 0
         capsys.readouterr()
         assert main(["stats"] + cache_flags) == 0
-        assert "skipped 2" in capsys.readouterr().out
+        assert "2 hits, 0 misses" in capsys.readouterr().out
 
     def test_stats_reports_cache_and_quarantine(self, capsys, tmp_path):
         cache_flags = ["--cache-dir", str(tmp_path / "c")]
@@ -126,7 +127,7 @@ class TestResumeAfterFailures:
     def test_resume_reruns_what_the_cache_cannot_serve(
         self, capsys, tmp_path, damage
     ):
-        """--resume skips a completed experiment only while the cache
+        """A rerun skips a completed experiment only while the cache
         still serves its result; anything else re-runs, and every table
         is printed."""
         ids = ["fig20", "table4"]
@@ -142,7 +143,7 @@ class TestResumeAfterFailures:
         elif damage == "delete":
             entries[0].unlink()
 
-        assert main(["run", *ids, "--resume"] + flags) == 0
+        assert main(["run", *ids] + flags) == 0
         assert capsys.readouterr().out == full
         statuses = sorted(
             r.status for r in load_last_manifest(tmp_path / "c").records
@@ -150,14 +151,14 @@ class TestResumeAfterFailures:
         if damage == "no-cache":
             assert statuses == ["uncached", "uncached"]
         else:
-            assert statuses == ["miss", "skipped"]
+            assert statuses == ["hit", "miss"]
 
     def test_resume_after_keep_going_timeout_reruns_only_the_loser(
         self, capsys, tmp_path
     ):
-        """A --keep-going run that ends with a timeout record must be
-        resumable: the timed-out experiment re-runs, the completed one
-        is skipped."""
+        """After a run that ends with a timeout record, a plain rerun
+        re-runs the timed-out experiment and serves the completed one
+        from the cache."""
         import time as _time
 
         from repro.experiments.registry import _SPECS, experiment
@@ -178,22 +179,20 @@ class TestResumeAfterFailures:
         cache_flags = ["--cache-dir", str(tmp_path / "c")]
         try:
             rc = main(
-                ["run", "_cli_resume_tmo", "fig20", "--timeout", "0.3",
-                 "--keep-going"] + cache_flags
+                ["run", "_cli_resume_tmo", "fig20", "--timeout", "0.3"]
+                + cache_flags
             )
             assert rc == 1
             err = capsys.readouterr().err
             assert "timeout" in err
 
-            flag.unlink()  # the flake clears; the resume must finish the job
-            rc = main(
-                ["run", "_cli_resume_tmo", "fig20", "--resume"] + cache_flags
-            )
+            flag.unlink()  # the flake clears; the rerun must finish the job
+            rc = main(["run", "_cli_resume_tmo", "fig20"] + cache_flags)
             assert rc == 0
             capsys.readouterr()
             assert main(["stats"] + cache_flags) == 0
             out = capsys.readouterr().out
-            assert "skipped 1" in out  # fig20 kept, the loser re-ran
+            assert "1 hits, 1 misses" in out  # fig20 kept, the loser re-ran
             assert "timeouts 0" in out
         finally:
             _SPECS.pop("_cli_resume_tmo", None)

@@ -299,15 +299,18 @@ class TestEngine:
             _SPECS.pop("_engine_test_salvage_boom", None)
 
     def test_keep_going_returns_partial_outcome(self, tmp_path):
+        """The run keeps going past a failure; the raised error carries
+        every completed result and nothing for the failure."""
+
         @experiment("_engine_test_keep_going_boom")
         def boom():
             raise RuntimeError("kaput")
 
         try:
             engine = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
-            outcome = engine.run(
-                ["_engine_test_keep_going_boom", "fig20"], keep_going=True
-            )
+            with pytest.raises(ExperimentExecutionError) as excinfo:
+                engine.run(["_engine_test_keep_going_boom", "fig20"])
+            outcome = excinfo.value.outcome
             assert "fig20" in outcome.results
             assert "_engine_test_keep_going_boom" not in outcome.results
             assert len(outcome.failures) == 1
@@ -322,9 +325,9 @@ class TestEngine:
 
         try:
             engine = ExecutionEngine(jobs=2, cache_dir=tmp_path / "cache")
-            outcome = engine.run(
-                ["_engine_test_pool_boom", "fig20"], keep_going=True
-            )
+            with pytest.raises(ExperimentExecutionError) as excinfo:
+                engine.run(["_engine_test_pool_boom", "fig20"])
+            outcome = excinfo.value.outcome
             record = {
                 r.experiment_id: r for r in outcome.manifest.records
             }["_engine_test_pool_boom"]
@@ -345,10 +348,11 @@ class TestEngine:
         assert ExecutionEngine(jobs=1, timeout_s=0)._timeout_for(fast) is None
 
     def test_resume_skips_completed_experiments(self, tmp_path):
+        """A plain rerun recomputes nothing that completed."""
         engine = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
         engine.run(["fig20", "table1"])
-        resumed = engine.run(["fig20", "table1"], resume=True)
-        assert {r.status for r in resumed.manifest.records} == {"skipped"}
+        resumed = engine.run(["fig20", "table1"])
+        assert {r.status for r in resumed.manifest.records} == {"hit"}
         # Results still served (from cache) so callers can render them.
         assert resumed.results["fig20"].to_text() == run_experiment(
             "fig20"
@@ -432,11 +436,10 @@ class TestLoadLastManifest:
             "unreadable run manifest" in record.getMessage()
             for record in caplog.records
         )
-        # --resume treats an unreadable manifest as "nothing done yet".
-        outcome = ExecutionEngine(jobs=1, cache_dir=cache_dir).run(
-            ["table1"], resume=True
-        )
+        # The next run is unaffected and replaces it.
+        outcome = ExecutionEngine(jobs=1, cache_dir=cache_dir).run(["table1"])
         assert [r.status for r in outcome.manifest.records] == ["miss"]
+        assert load_last_manifest(cache_dir).records == outcome.manifest.records
 
     @pytest.mark.parametrize(
         "legacy",
@@ -472,8 +475,9 @@ class TestLoadLastManifest:
         """Older manifests carry keys this engine no longer writes: the
         ``shards`` count and ``shard`` index (schema 4), per-record
         ``attempts`` and ``leaked_threads``, ``retries`` totals and the
-        ``quarantined`` status. The keys are ignored on read, and a
-        record whose status is not a completion is a plain cache hit."""
+        ``quarantined`` status. The keys are ignored on read, ``cryowire
+        stats`` renders the old records, and the next run serves every
+        cached result as a plain hit."""
         ids = ["fig20", "table1", "fig03"]
         cache_dir = tmp_path / "cache"
         ExecutionEngine(jobs=1, cache_dir=cache_dir).run(ids)
@@ -493,12 +497,11 @@ class TestLoadLastManifest:
             "error": "",
             "warnings": [],
         }
-        outcome = ExecutionEngine(jobs=1, cache_dir=cache_dir).run(
-            ids, resume=True
-        )
+        assert "quarantined" in manifest.summary()
+        outcome = ExecutionEngine(jobs=1, cache_dir=cache_dir).run(ids)
         assert {r.experiment_id: r.status for r in outcome.manifest.records} == {
-            "fig20": "skipped",
-            "table1": "skipped",
+            "fig20": "hit",
+            "table1": "hit",
             "fig03": "hit",
         }
 

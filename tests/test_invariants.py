@@ -1,25 +1,20 @@
-"""Physical-invariant suite: monotonicity laws and the audit sweep."""
+"""Physical-invariant suite: the monotonicity laws behind Fig. 5's
+argument, asserted on one operating-point grid."""
 
 import pytest
 
 from repro.tech.metal import FREEPDK45_STACK
 from repro.tech.operating_point import OperatingPoint
 from repro.tech.wire import CryoWireModel
-from repro.util.guards import ModelValidityError
-from repro.validation.invariants import (
-    DEFAULT_LENGTHS_UM,
-    DEFAULT_TEMPERATURES,
-    AuditReport,
-    InvariantViolation,
-    run_audit,
-)
 
 LAYERS = sorted(FREEPDK45_STACK.layers)
 
-#: Reduced grid: keeps each audit call fast while still spanning the
-#: calibration anchors and a non-trivial length range.
-FAST_TEMPS = (77.0, 200.0, 300.0)
-FAST_LENGTHS = (500.0, 2000.0, 6000.0)
+#: The grid every law is asserted on: the two calibration anchors, the
+#: paper's 135 K validation point and two interior temperatures (K) ...
+TEMPERATURES = (77.0, 135.0, 200.0, 250.0, 300.0)
+#: ... and intra-core forwarding, a semi-global run, a 2 mm NoC link and
+#: the 6 mm validation link (um). ``test_repeater.py`` reuses it.
+LENGTHS_UM = (200.0, 1000.0, 2000.0, 6000.0)
 
 
 @pytest.fixture(scope="module")
@@ -28,110 +23,40 @@ def model():
 
 
 class TestMonotonicityLaws:
-    """Direct parametrized checks of the laws the audit sweeps."""
+    """R/um and wire delay are monotone in temperature, delay strictly
+    increases with length, and 77 K is never slower than 300 K."""
 
     @pytest.mark.parametrize("layer", LAYERS)
     def test_resistance_monotone_in_temperature(self, model, layer):
         metal = model.stack.layers[layer]
         values = [
-            metal.resistance_per_um(OperatingPoint.at(t))
-            for t in DEFAULT_TEMPERATURES
+            metal.resistance_per_um(OperatingPoint.at(t)) for t in TEMPERATURES
         ]
         assert values == sorted(values)
 
     @pytest.mark.parametrize("layer", LAYERS)
     def test_unrepeated_delay_monotone_in_temperature(self, model, layer):
-        delays = [
-            model.unrepeated_delay(layer, 2000.0, OperatingPoint.at(t))
-            for t in DEFAULT_TEMPERATURES
-        ]
-        assert delays == sorted(delays)
+        for length in LENGTHS_UM:
+            delays = [
+                model.unrepeated_delay(layer, length, OperatingPoint.at(t))
+                for t in TEMPERATURES
+            ]
+            assert delays == sorted(delays), length
 
     @pytest.mark.parametrize("layer", LAYERS)
     def test_cryo_delay_never_exceeds_room_delay(self, model, layer):
-        for length in DEFAULT_LENGTHS_UM:
+        for length in LENGTHS_UM:
             cold = model.unrepeated_delay(layer, length, OperatingPoint.at(77.0))
             warm = model.unrepeated_delay(layer, length, OperatingPoint.at(300.0))
             assert cold <= warm
 
     @pytest.mark.parametrize("layer", LAYERS)
-    @pytest.mark.parametrize("temperature", [77.0, 300.0])
+    @pytest.mark.parametrize("temperature", TEMPERATURES)
     def test_delays_strictly_increase_with_length(self, model, layer, temperature):
         op = OperatingPoint.at(temperature)
         for fn in (model.unrepeated_delay, model.repeated_delay):
-            delays = [fn(layer, length, op) for length in DEFAULT_LENGTHS_UM]
+            delays = [fn(layer, length, op) for length in LENGTHS_UM]
             assert all(lo < hi for lo, hi in zip(delays, delays[1:]))
-
-
-class TestRunAudit:
-    def test_clean_on_the_calibrated_domain(self):
-        report = run_audit(temperatures=FAST_TEMPS, lengths_um=FAST_LENGTHS)
-        assert report.ok
-        assert report.violations == ()
-        assert report.errors == ()
-        assert report.checks > 50
-        assert "PASS" in report.to_text()
-
-    def test_out_of_domain_point_fails_with_structured_errors(self):
-        report = run_audit(
-            temperatures=FAST_TEMPS,
-            lengths_um=FAST_LENGTHS,
-            extra_points=[(1.0, 0.4, 0.6)],
-        )
-        assert not report.ok
-        messages = [w.message for w in report.errors]
-        assert any("hard model range" in m for m in messages)
-        assert any("exceed Vth" in m for m in messages)
-        assert "FAIL" in report.to_text()
-
-    def test_deep_cryogenic_point_warns_but_passes(self):
-        """4 K is a modeled cryostat stage now: the audit describes it
-        with a calibration-confidence warning instead of failing."""
-        report = run_audit(
-            temperatures=FAST_TEMPS,
-            lengths_um=FAST_LENGTHS,
-            extra_points=[(4.0, 0.8, 0.2)],
-        )
-        assert report.ok
-        assert any("deep-cryogenic" in w.message for w in report.warnings)
-
-    def test_strict_raises_instead_of_reporting(self):
-        with pytest.raises(ModelValidityError):
-            run_audit(
-                temperatures=FAST_TEMPS,
-                lengths_um=FAST_LENGTHS,
-                extra_points=[(4.0, None, None)],
-                strict=True,
-            )
-
-    def test_extrapolation_warnings_do_not_fail_the_audit(self):
-        # 350 K is inside the hard range but beyond the 300 K anchor:
-        # a warning-severity finding, which still audits as PASS.
-        report = run_audit(
-            temperatures=FAST_TEMPS,
-            lengths_um=FAST_LENGTHS,
-            extra_points=[(350.0, None, None)],
-        )
-        assert report.ok
-        assert any("extrapolates" in w.message for w in report.warnings)
-
-    def test_duplicate_grid_values_rejected(self):
-        with pytest.raises(ValueError):
-            run_audit(temperatures=(77.0, 77.0))
-        with pytest.raises(ValueError):
-            run_audit(lengths_um=(100.0, 100.0))
-
-    def test_report_rendering_includes_violations(self):
-        report = AuditReport(
-            violations=(InvariantViolation("law", "site", "broke"),),
-            warnings=(),
-            checks=1,
-            temperatures=(77.0,),
-            lengths_um=(100.0,),
-        )
-        text = report.to_text()
-        assert "[violation] law @ site: broke" in text
-        assert "FAIL" in text
 
 
 class TestDegradedPathEquivalence:

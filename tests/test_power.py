@@ -47,8 +47,9 @@ class TestCooling:
         assert CoolingModel(300.0).total_power(5.0) == pytest.approx(5.0)
 
     def test_overhead_grows_as_temperature_drops(self):
-        overheads = [carnot_cooling_overhead(t) for t in (250, 200, 150, 100, 77)]
-        assert overheads == sorted(overheads)
+        """Strictly, from 300 K down to 4 K in 2 K steps."""
+        overheads = [carnot_cooling_overhead(300.0 - 2.0 * i) for i in range(149)]
+        assert all(warm < cold for warm, cold in zip(overheads, overheads[1:]))
 
     def test_rejects_negative_power(self):
         with pytest.raises(ValueError):

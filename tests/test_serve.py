@@ -23,12 +23,15 @@ import http.client
 import json
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from repro.experiments.cli import main
 from repro.serve import (
     BatcherClosed,
+    CryoWireServer,
     DeadlineExceeded,
     MicroBatcher,
     ModelService,
@@ -107,6 +110,10 @@ def _request_full(handle, method, path, payload=None, headers=None):
         return response.status, response_headers, _strict_json(response.read())
     finally:
         conn.close()
+
+
+def _never_run(self):
+    raise AssertionError("the server booted with a setting it must refuse")
 
 
 def _wait_until(predicate, timeout_s=10.0):
@@ -461,6 +468,16 @@ class TestEndpoints:
             assert status == 422, body
             assert payload["error"]["code"] == "invalid_cryostat", body
 
+    def test_cryostat_non_integer_lanes_are_422(self, server):
+        core = {"component": "core", "stage": "77K", "device_power_w": 1.0}
+        link = {"kind": "electrical", "hot_stage": "300K", "cold_stage": "77K"}
+        for lanes in (2.7, "3", True, 0.5):
+            body = {"links": [{**link, "lanes": lanes}], "placements": [core]}
+            status, payload = _post(server, "/v1/cryostat", body)
+            assert status == 422, lanes
+            assert payload["error"]["code"] == "invalid_cryostat", lanes
+            assert "JSON integer" in payload["error"]["message"], lanes
+
     def test_cryostat_queries_counted_in_stats(self, server):
         before = _get(server, "/stats")[1]["requests"]["cryostat_queries"]
         _post(
@@ -596,8 +613,8 @@ class TestFailureIsolation:
         """A card-resolved overdrive collapse (invisible to the domain
         pre-screen: vdd rides below the low-Vth card's floor only after
         the cryogenic Vth shift) poisons the vectorized call; the
-        service must retry the group scalar-wise and fail only the bad
-        query."""
+        service must retry the group point by point and fail only the
+        bad query."""
         service = ModelService()
         good = PointQuery(op=OperatingPoint.at(77.0, 0.64, 0.25))
         # cryo_lowvth: vth 0.18 + shift -> overdrive 0.23 - 0.18... pick
@@ -611,10 +628,33 @@ class TestFailureIsolation:
         assert results[1]["error"]["code"] == "model_domain_error"
         assert "overdrive" in results[1]["error"]["message"]
         # The good queries' numbers match a clean evaluation exactly
-        # (the scalar fallback is the same formula).
+        # (the per-point retry is the same batch kernel).
         clean = service.evaluate_points([good])[0]
         assert results[0]["metrics"] == clean["metrics"]
         assert service.stats()["requests"]["scalar_fallbacks"] >= 1
+
+        # The /stats guard tally does not depend on batch composition:
+        # beside the poisoned point, a query tallies what it does alone.
+        # Memo hits skip inner guard points, so every tally is taken in
+        # the same state: after each point was answered once.
+        hot = PointQuery(
+            op=OperatingPoint.at(350.0),
+            card_name="cryo_lowvth",
+            wire=WireSpec("global", 3000.0),
+        )
+
+        def tally(queries):
+            warm = ModelService()
+            with use_context(TechContext()):
+                warm.evaluate_points([hot])
+                warm.evaluate_points([bad])
+                before = Counter(warm.stats()["guards"])
+                warm.evaluate_points(queries)
+            return Counter(warm.stats()["guards"]) - before
+
+        alone = tally([hot]) + tally([bad])
+        assert alone["warning"] > 0
+        assert tally([hot, bad]) == alone
 
     def test_low_vth_card_trips_overdrive_guard_warning(self):
         service = ModelService()
@@ -982,6 +1022,16 @@ class TestOverloadControls:
                 assert payload["error"]["code"] == "invalid_deadline"
                 assert payload["error"]["retryable"] is False
 
+    def test_non_finite_default_deadline_is_refused_at_startup(self, monkeypatch):
+        """A NaN default would answer every request that sends no
+        deadline header ``400 invalid_deadline``, blaming the client."""
+        monkeypatch.setattr(CryoWireServer, "run", _never_run)
+        for bad in ("nan", "inf"):
+            with pytest.raises(ValueError, match="default_deadline_ms"):
+                CryoWireServer(default_deadline_ms=float(bad))
+            with pytest.raises(SystemExit):
+                main(["serve", "--port", "0", "--default-deadline-ms", bad])
+
     def test_full_gate_sheds_503_with_retry_after(self):
         with serve_in_thread(max_inflight=1) as handle:
             # Fill the gate from the outside (it is thread-safe), so the
@@ -1045,6 +1095,16 @@ class TestServerTeardown:
         assert handle.stop() == "graceful"
         assert handle.last_stop_outcome == "graceful"
         assert handle.server.last_drain["path"] == "graceful"
+
+    def test_non_finite_drain_timeout_is_refused_at_startup(self, monkeypatch):
+        """A NaN drain window passes a ``< 0`` check and then forces
+        every drain."""
+        monkeypatch.setattr(CryoWireServer, "run", _never_run)
+        for bad in ("nan", "inf"):
+            with pytest.raises(ValueError, match="drain_timeout_s"):
+                CryoWireServer(drain_timeout_s=float(bad))
+            with pytest.raises(SystemExit):
+                main(["serve", "--port", "0", "--drain-timeout-s", bad])
 
     def test_stop_is_idempotent(self):
         handle = serve_in_thread()

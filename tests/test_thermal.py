@@ -99,6 +99,10 @@ class TestCryostatConstruction:
             "77K",
         ]
 
+    def test_standard_stack_overhead_grows_warm_to_cold(self):
+        overheads = [s.cooling_overhead for s in standard_stack(include_4k=True)]
+        assert all(warm < cold for warm, cold in zip(overheads, overheads[1:]))
+
     def test_rejects_unordered_stages(self):
         with pytest.raises(ValueError, match="warm to cold"):
             Cryostat([STAGE_77K, STAGE_300K])
