@@ -24,7 +24,6 @@ from typing import Sequence
 from repro.core.ipc import IPCModel
 from repro.core.superpipeline import SuperpipelineTransform
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import experiment
 from repro.pipeline.config import (
     OP_77K_NOMINAL,
     SKYLAKE_CONFIG,
@@ -52,7 +51,6 @@ from repro.workloads.profiles import PARSEC_2_1
 BACKEND_SPLIT_CPI_PENALTY = 0.33
 
 
-@experiment("ablation_superpipeline", section="extension", tags=("ablation", "core"))
 def run_superpipeline_ablation() -> ExperimentResult:
     """Frequency/IPC/net-performance for each frontend split subset."""
     result = ExperimentResult(
@@ -123,7 +121,6 @@ def run_superpipeline_ablation() -> ExperimentResult:
     return result
 
 
-@experiment("ablation_cryobus", section="extension", tags=("ablation", "noc"))
 def run_cryobus_ablation() -> ExperimentResult:
     """Decompose the CryoBus system gain (PARSEC mean vs 77 K Mesh)."""
     result = ExperimentResult(
@@ -169,9 +166,6 @@ def run_cryobus_ablation() -> ExperimentResult:
     return result
 
 
-@experiment(
-    "ablation_exposure", cost="slow", section="extension", tags=("ablation", "system")
-)
 def run_exposure_sensitivity(
     exposures: Sequence[float] = (0.4, 0.5, 0.6, 0.7, 0.8),
 ) -> ExperimentResult:
@@ -215,7 +209,6 @@ def run_exposure_sensitivity(
     return result
 
 
-@experiment("ablation_interleaving", section="extension", tags=("ablation", "noc"))
 def run_interleaving_sweep(
     ways_list: Sequence[int] = (1, 2, 4, 8),
 ) -> ExperimentResult:
@@ -290,7 +283,6 @@ def _scaled_stack(width_scale: float, name: str) -> WireTechnology:
     return WireTechnology(name=name, layers=layers)
 
 
-@experiment("ext_nodes", section="extension", tags=("ablation", "tech"))
 def run_technology_outlook() -> ExperimentResult:
     """Section 7.5: cryogenic wire benefits as technology shrinks."""
     result = ExperimentResult(

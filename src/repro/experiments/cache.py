@@ -5,11 +5,14 @@ A cached entry is keyed by everything that could change the result:
 * the experiment id,
 * the canonicalized kwargs of the run,
 * the ``repro`` package version,
-* a SHA-256 digest of the experiment module's source file.
+* a SHA-256 digest of the experiment's driver module source file,
+* a SHA-256 digest of every ``*.py`` file in the ``repro`` package.
 
-The last component makes invalidation automatic: editing ``fig23.py``
-changes its source digest, so every cached ``fig23`` result silently
-misses and is recomputed. Entries are JSON files named by key under the
+The last two make invalidation automatic: editing ``fig23.py`` changes
+its source digest, and editing any module a driver reaches (say
+``noc/bus.py``) changes the package digest, so the stale results
+silently miss and are recomputed. The package digest is computed once
+per :class:`ResultCache`. Entries are JSON files named by key under the
 cache directory (``$CRYOWIRE_CACHE_DIR``, else ``$XDG_CACHE_HOME/
 cryowire``, else ``~/.cache/cryowire``); writes go through a temp file +
 ``os.replace`` so concurrent workers never observe torn entries.
@@ -36,10 +39,17 @@ import tempfile
 from pathlib import Path
 from typing import Dict, Optional, Union
 
+import repro
 from repro import __version__
 from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import ExperimentSpec
-from repro.util.digest import canonical_json, file_digest, is_plain_data, sha256_hex
+from repro.util.digest import (
+    canonical_json,
+    file_digest,
+    is_plain_data,
+    sha256_hex,
+    tree_digest,
+)
 
 _LOG = logging.getLogger(__name__)
 
@@ -80,6 +90,7 @@ class ResultCache:
     def __init__(self, cache_dir: Optional[Union[str, Path]] = None) -> None:
         self.cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
         self._source_digests: Dict[str, str] = {}  # path -> digest, per-instance
+        self._package_digest: Optional[str] = None
 
     # -- keys ---------------------------------------------------------------
 
@@ -97,13 +108,16 @@ class ResultCache:
         return digest
 
     def key_for(self, spec: ExperimentSpec, kwargs: Dict) -> str:
-        """Content key: id + canonical kwargs + version + source digest."""
+        """Content key: id + canonical kwargs + version + source digests."""
+        if self._package_digest is None:
+            self._package_digest = tree_digest(Path(repro.__file__).parent)
         material = canonical_json(
             {
                 "experiment_id": spec.experiment_id,
                 "kwargs": kwargs,
                 "version": __version__,
                 "source_digest": self._module_digest(spec),
+                "package_digest": self._package_digest,
             }
         )
         return sha256_hex(material)

@@ -15,9 +15,10 @@ Usage::
 
 ``run`` and ``all`` execute through the caching execution engine
 (:mod:`repro.experiments.engine`): results are memoized on disk keyed by
-experiment id, kwargs, package version and the experiment module's
-source digest, and cache misses fan out over ``--jobs N`` worker
-processes. ``--cache-dir DIR`` relocates the cache (default
+experiment id, kwargs, package version and the source digests of the
+driver module and of the whole package, and cache misses fan out over
+``--jobs N`` worker processes. A run the cache serves imports no model
+code: a driver's module loads only when its experiment computes. ``--cache-dir DIR`` relocates the cache (default
 ``$CRYOWIRE_CACHE_DIR`` or ``~/.cache/cryowire``); ``--no-cache``
 bypasses it. Every run writes a JSON manifest (wall time, status and
 worker attribution per experiment) that ``cryowire stats`` prints.

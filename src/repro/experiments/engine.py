@@ -6,13 +6,14 @@ wraps them in four layers:
 
 * **fan-out** — experiments are independent, so cache misses are
   dispatched to a ``ProcessPoolExecutor`` (``--jobs N``). Scheduling is
-  longest-first: specs registered with ``cost="slow"`` enter the pool
+  longest-first: catalog rows with ``cost="slow"`` enter the pool
   before the fast ones, which minimises the makespan tail.
 * **memoization** — results are looked up in the content-addressed
   :class:`~repro.experiments.cache.ResultCache` before any work is
   submitted; misses are computed and written back. Keys include the
-  experiment module's source digest, so editing a driver invalidates
-  exactly its own entries. A corrupt entry is quarantined and
+  source digests of the driver module and of the whole package, so a
+  source edit anywhere invalidates the entries computed before it. A
+  hit never imports its driver. A corrupt entry is quarantined and
   recomputed like any other miss.
 * **one failure path** — every execution runs under a per-experiment
   wall-clock timeout (the engine's ``timeout_s``, else a cost-scaled
@@ -52,7 +53,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.cache import ResultCache
-from repro.experiments.registry import ExperimentSpec, get_spec
+from repro.experiments.registry import ExperimentSpec, Runner, get_spec
 from repro.util.faults import fault_point
 from repro.util.guards import GuardContext, use_guards
 
@@ -273,6 +274,7 @@ class RunOutcome:
 
 def _invoke(
     experiment_id: str,
+    runner: Runner,
     kwargs: Dict,
     strict: bool = False,
     warning_sink: Optional[List[Dict]] = None,
@@ -290,7 +292,7 @@ def _invoke(
     fault_point(f"driver.{experiment_id}")
     with use_guards(GuardContext(strict=strict)) as guards:
         try:
-            result = get_spec(experiment_id).runner(**kwargs)
+            result = runner(**kwargs)
         finally:
             if warning_sink is not None:
                 warning_sink.extend(guards.to_dicts())
@@ -300,6 +302,7 @@ def _invoke(
 
 def _call_with_timeout(
     experiment_id: str,
+    runner: Runner,
     kwargs: Dict,
     timeout_s: Optional[float],
     strict: bool = False,
@@ -313,12 +316,14 @@ def _call_with_timeout(
     is a short-lived one.
     """
     if timeout_s is None:
-        return _invoke(experiment_id, kwargs, strict, warning_sink)
+        return _invoke(experiment_id, runner, kwargs, strict, warning_sink)
     box: Dict[str, object] = {}
 
     def _target() -> None:
         try:
-            box["result"] = _invoke(experiment_id, kwargs, strict, warning_sink)
+            box["result"] = _invoke(
+                experiment_id, runner, kwargs, strict, warning_sink
+            )
         except BaseException as exc:  # noqa: BLE001 - re-raised on the caller
             box["error"] = exc
 
@@ -368,11 +373,19 @@ def _execute(
     way: under ``strict`` a tripped guard is the error *and* its
     structured record is still delivered.
     """
-    start = time.perf_counter()
     pid = os.getpid()
     sink: List[Dict] = []
+    start = time.perf_counter()
     try:
-        result = _call_with_timeout(experiment_id, kwargs, timeout_s, strict, sink)
+        # The driver's module is imported here, on this thread, before
+        # the clock and the budget start: the wall time covers the
+        # driver's own run, and an abandoned timed-out thread never
+        # holds an import lock.
+        runner = get_spec(experiment_id).runner
+        start = time.perf_counter()
+        result = _call_with_timeout(
+            experiment_id, runner, kwargs, timeout_s, strict, sink
+        )
     except Exception as exc:  # noqa: BLE001 - serialized back to the parent
         return _error_payload(
             experiment_id, exc, time.perf_counter() - start, pid, sink

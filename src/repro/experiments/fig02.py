@@ -8,13 +8,11 @@ their critical-path delay at 300 K.
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import experiment
 from repro.pipeline.config import OP_300K_NOMINAL, SKYLAKE_CONFIG
 from repro.pipeline.model import PipelineModel
 from repro.pipeline.stages import FIG2_STAGES
 
 
-@experiment("fig02", section="Fig. 2", tags=("pipeline", "wires"))
 def run() -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig02",

@@ -8,13 +8,11 @@ average and 76.6 % in the worst workload.
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import experiment
 from repro.system.config import BASELINE_300K_MESH
 from repro.system.multicore import MulticoreSystem
 from repro.workloads.profiles import PARSEC_2_1
 
 
-@experiment("fig03", section="Fig. 3", tags=("system", "noc"))
 def run() -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig03",

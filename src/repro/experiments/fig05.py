@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import experiment
 from repro.tech.operating_point import OP_CRYO
 from repro.tech.wire import CryoWireModel
 
@@ -19,7 +18,6 @@ UNREPEATED_LENGTHS_UM = (100.0, 250.0, 500.0, 1000.0, 2000.0, 3000.0, 5000.0)
 REPEATED_LENGTHS_UM = (500.0, 900.0, 2000.0, 4000.0, 6220.0, 10000.0)
 
 
-@experiment("fig05", section="Fig. 5", tags=("wires",))
 def run(
     unrepeated_lengths: Sequence[float] = UNREPEATED_LENGTHS_UM,
     repeated_lengths: Sequence[float] = REPEATED_LENGTHS_UM,

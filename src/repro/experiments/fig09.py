@@ -9,12 +9,10 @@ maximum router error of 2.8 %.
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import experiment
 from repro.validation.measurements import MeasurementCampaign, VALIDATION_RIGS
 from repro.validation.validate import validate_pipeline_model, validate_router_model
 
 
-@experiment("fig09", section="Fig. 9", tags=("validation",))
 def run() -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig09",

@@ -10,11 +10,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import experiment
 from repro.validation.validate import validate_wire_link_model
 
 
-@experiment("fig10", section="Fig. 10", tags=("validation", "noc"))
 def run(length_mm: Optional[float] = None) -> ExperimentResult:
     if length_mm is None:
         # The validated length is CryoBus's longest switch-to-switch

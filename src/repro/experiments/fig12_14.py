@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from repro.core.superpipeline import SuperpipelineTransform
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import experiment
 from repro.pipeline.config import OP_300K_NOMINAL, OP_77K_NOMINAL, SKYLAKE_CONFIG
 from repro.pipeline.model import PipelineModel
 
@@ -30,7 +29,6 @@ def _stage_rows(result, report, norm, label):
         )
 
 
-@experiment("fig12_14", section="Figs. 12-14", tags=("pipeline", "core"))
 def run() -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig12_14",

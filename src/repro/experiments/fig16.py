@@ -9,7 +9,6 @@ reaches the zero-NoC-latency line.
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import experiment
 from repro.memory.cache import MEMORY_300K, MEMORY_77K
 from repro.memory.dram import DRAM_300K, DRAM_77K
 from repro.memory.hierarchy import MemoryHierarchy
@@ -32,7 +31,6 @@ def _fabrics(temperature_k: float):
     )
 
 
-@experiment("fig16", section="Fig. 16", tags=("memory", "noc"))
 def run() -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig16",

@@ -10,13 +10,11 @@ from __future__ import annotations
 import statistics
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import experiment
 from repro.system.config import CHP_77K_IDEAL, CHP_77K_MESH, CHP_77K_SHARED_BUS
 from repro.system.multicore import MulticoreSystem
 from repro.workloads.profiles import PARSEC_2_1
 
 
-@experiment("fig17", section="Fig. 17", tags=("system", "noc"))
 def run() -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig17",

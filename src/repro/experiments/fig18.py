@@ -14,7 +14,6 @@ from functools import partial
 from typing import Sequence
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import experiment
 from repro.noc.bus import SharedBusDesign
 from repro.noc.link import WireLinkModel
 from repro.noc.measure import load_latency_curve
@@ -30,7 +29,6 @@ from repro.workloads.profiles import ALL_SUITES
 DEFAULT_RATES = (0.0005, 0.001, 0.0015, 0.002, 0.0025, 0.003, 0.004, 0.005)
 
 
-@experiment("fig18", cost="slow", section="Fig. 18", tags=("noc", "simulation"))
 def run(
     rates: Sequence[float] = DEFAULT_RATES, n_cycles: int = 8000
 ) -> ExperimentResult:

@@ -10,7 +10,6 @@ with the previous broadcast, so it does not hurt bandwidth.
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import experiment
 from repro.noc.bus import CryoBusDesign, HTreeBus300K, SharedBusDesign
 from repro.noc.link import WireLinkModel
 from repro.pipeline.config import OP_NOC_300K, OP_NOC_77K
@@ -21,7 +20,6 @@ from repro.tech.operating_point import OperatingPoint
 TARGET_BROADCAST_CYCLES = 1
 
 
-@experiment("fig20", section="Fig. 20", tags=("noc",))
 def run() -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig20",

@@ -18,7 +18,6 @@ from functools import partial
 from typing import Optional, Sequence
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import experiment
 from repro.noc.bus import CryoBusDesign, SharedBusDesign
 from repro.noc.link import WireLinkModel
 from repro.noc.measure import load_latency_curve
@@ -30,7 +29,6 @@ from repro.tech.operating_point import OP_CRYO
 DEFAULT_RATES = (0.001, 0.002, 0.004, 0.006, 0.008, 0.012)
 
 
-@experiment("fig21", cost="slow", section="Fig. 21", tags=("noc", "simulation"))
 def run(
     rates: Sequence[float] = DEFAULT_RATES,
     n_cycles: int = 5000,

@@ -9,7 +9,6 @@ driving wire that the packet does not need.
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import experiment
 from repro.pipeline.config import OP_NOC_300K, OP_NOC_77K
 from repro.power.orion import (
     CRYOBUS_64_PROFILE,
@@ -19,7 +18,6 @@ from repro.power.orion import (
 )
 
 
-@experiment("fig22", section="Fig. 22", tags=("power", "noc"))
 def run() -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig22",

@@ -11,7 +11,6 @@ import statistics
 from typing import Dict
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import experiment
 from repro.system.config import EVALUATION_SYSTEMS
 from repro.system.multicore import MulticoreSystem
 from repro.workloads.profiles import PARSEC_2_1
@@ -19,7 +18,6 @@ from repro.workloads.profiles import PARSEC_2_1
 REFERENCE_SYSTEM = "CHP-core (77K, Mesh)"
 
 
-@experiment("fig23", section="Fig. 23", tags=("system",))
 def run() -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig23",

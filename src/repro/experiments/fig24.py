@@ -13,7 +13,6 @@ from __future__ import annotations
 import statistics
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import experiment
 from repro.system.config import (
     BASELINE_300K_MESH,
     CHP_77K_MESH,
@@ -35,7 +34,6 @@ SYSTEMS = (
 CONTENTION_WORKLOADS = ("cactusADM", "gcc", "xalancbmk", "libquantum")
 
 
-@experiment("fig24", section="Fig. 24", tags=("system", "prefetch"))
 def run(prefetcher: StridePrefetcher = StridePrefetcher()) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig24",

@@ -11,13 +11,11 @@ from typing import Sequence
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.fig21 import run as run_fig21
-from repro.experiments.registry import experiment
 
 PATTERNS = ("transpose", "hotspot", "bit_reverse", "burst")
 DEFAULT_RATES = (0.001, 0.002, 0.004, 0.006, 0.009)
 
 
-@experiment("fig25", cost="slow", section="Fig. 25", tags=("noc", "simulation"))
 def run(
     patterns: Sequence[str] = PATTERNS,
     rates: Sequence[float] = DEFAULT_RATES,

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import experiment
 from repro.noc.hybrid import HybridCryoBus
 from repro.noc.latency import AnalyticNocModel
 from repro.noc.measure import LATENCY_CAP
@@ -24,7 +23,6 @@ from repro.tech.operating_point import OP_CRYO
 DEFAULT_RATES = (0.0005, 0.001, 0.002, 0.003, 0.005, 0.008)
 
 
-@experiment("fig26", cost="slow", section="Fig. 26", tags=("noc", "scaling"))
 def run(rates: Sequence[float] = DEFAULT_RATES) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig26",

@@ -15,7 +15,6 @@ import statistics
 from typing import Sequence
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import experiment
 from repro.memory.cache import CacheDesign, CacheLevelSpec, MEMORY_300K, MEMORY_77K
 from repro.memory.dram import DramDesign, DRAM_300K, DRAM_77K
 from repro.pipeline.config import (
@@ -89,7 +88,6 @@ def _system_at(temperature_k: float) -> SystemConfig:
     )
 
 
-@experiment("fig27", section="Fig. 27", tags=("power", "system"))
 def run(temperatures: Sequence[float] = DEFAULT_TEMPS) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig27",

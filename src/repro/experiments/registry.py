@@ -1,27 +1,29 @@
-"""Experiment registry: id -> runner, populated by ``@experiment``.
+"""Experiment registry: one catalog table, id -> driver.
 
-Experiment modules self-register by decorating their driver::
+Each row of :data:`CATALOG` names an experiment, the module in this
+package that drives it, the driver function and its cost::
 
-    from repro.experiments.registry import experiment
+    ("fig23", "fig23", "run", "fast"),
 
-    @experiment("fig23", cost="slow", section="Fig. 23", tags=("system",))
-    def run() -> ExperimentResult: ...
+The row becomes an :class:`ExperimentSpec`. Its ``runner`` imports the
+driver module on first use, so listing experiments, scheduling them and
+serving them from the result cache import no model code (nor numpy or
+scipy); only an experiment that computes loads its driver. The execution
+engine runs ``cost="slow"`` experiments first and keys its cache on the
+driver module's source digest, which ``source_file`` finds without
+importing the module.
 
-The decorator records an :class:`ExperimentSpec` (runner plus scheduling
-metadata — the execution engine runs ``cost="slow"`` experiments first
-and keys its cache on the module's source digest) and returns the
-function unchanged, so direct calls like ``fig23.run()`` keep working.
-
-``EXPERIMENTS``, ``get_experiment`` and ``run_experiment`` are
-backward-compatible views over the spec table: ``EXPERIMENTS`` behaves
-exactly like the old hand-maintained ``{id: runner}`` dict.
+``EXPERIMENTS``, ``get_experiment`` and ``run_experiment`` are views over
+the spec table: ``EXPERIMENTS`` behaves like a read-only ``{id: runner}``
+dict.
 """
 
 from __future__ import annotations
 
-import inspect
+import importlib
+import importlib.util
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, Mapping, Optional
 
 from repro.experiments.base import ExperimentResult
 from repro.util.guards import GuardContext, get_guards, use_guards
@@ -31,13 +33,12 @@ Runner = Callable[..., ExperimentResult]
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One registered experiment: its runner plus scheduling metadata."""
+    """One experiment: where its driver lives, plus its scheduling cost."""
 
     experiment_id: str
-    runner: Runner
+    module: str  # dotted path of the driver module
+    function: str  # the driver, ``run(**kwargs) -> ExperimentResult``
     cost: str = "fast"  # "fast" | "slow"; slow experiments are scheduled first
-    section: str = ""  # paper artefact it regenerates, e.g. "Fig. 23"
-    tags: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.cost not in ("fast", "slow"):
@@ -47,47 +48,61 @@ class ExperimentSpec:
             )
 
     @property
+    def runner(self) -> Runner:
+        """The driver function (imports its module on first use)."""
+        return getattr(importlib.import_module(self.module), self.function)
+
+    @property
     def source_file(self) -> Optional[str]:
-        """Path of the module defining the runner (None for builtins)."""
-        return inspect.getsourcefile(self.runner)
+        """Path of the driver module's source, found without importing it."""
+        found = importlib.util.find_spec(self.module)
+        return found.origin if found is not None else None
 
 
-_SPECS: Dict[str, ExperimentSpec] = {}
+#: ``(experiment id, driver module in this package, function, cost)``.
+CATALOG = (
+    ("ablation_cryobus", "ablations", "run_cryobus_ablation", "fast"),
+    ("ablation_exposure", "ablations", "run_exposure_sensitivity", "slow"),
+    ("ablation_interleaving", "ablations", "run_interleaving_sweep", "fast"),
+    ("ablation_superpipeline", "ablations", "run_superpipeline_ablation", "fast"),
+    ("ext_nodes", "ablations", "run_technology_outlook", "fast"),
+    ("fig02", "fig02", "run", "fast"),
+    ("fig03", "fig03", "run", "fast"),
+    ("fig05", "fig05", "run", "fast"),
+    ("fig09", "fig09", "run", "fast"),
+    ("fig10", "fig10", "run", "fast"),
+    ("fig12_14", "fig12_14", "run", "fast"),
+    ("fig16", "fig16", "run", "fast"),
+    ("fig17", "fig17", "run", "fast"),
+    ("fig18", "fig18", "run", "slow"),
+    ("fig20", "fig20", "run", "fast"),
+    ("fig21", "fig21", "run", "slow"),
+    ("fig22", "fig22", "run", "fast"),
+    ("fig23", "fig23", "run", "fast"),
+    ("fig24", "fig24", "run", "fast"),
+    ("fig25", "fig25", "run", "slow"),
+    ("fig26", "fig26", "run", "slow"),
+    ("fig27", "fig27", "run", "fast"),
+    ("robustness", "robustness", "run", "slow"),
+    ("stage_assignment", "stage_assignment", "run", "fast"),
+    ("table1", "table1", "run", "fast"),
+    ("table3", "table3", "run", "fast"),
+    ("table4", "table4", "run", "fast"),
+)
 
-
-def experiment(
-    experiment_id: str,
-    *,
-    cost: str = "fast",
-    section: str = "",
-    tags: Tuple[str, ...] = (),
-) -> Callable[[Runner], Runner]:
-    """Register the decorated function as the runner for ``experiment_id``."""
-
-    def decorate(runner: Runner) -> Runner:
-        if experiment_id in _SPECS:
-            raise ValueError(
-                f"experiment {experiment_id!r} registered twice "
-                f"({_SPECS[experiment_id].runner} and {runner})"
-            )
-        _SPECS[experiment_id] = ExperimentSpec(
-            experiment_id=experiment_id,
-            runner=runner,
-            cost=cost,
-            section=section,
-            tags=tuple(tags),
-        )
-        return runner
-
-    return decorate
+_SPECS: Dict[str, ExperimentSpec] = {
+    experiment_id: ExperimentSpec(
+        experiment_id, f"{__package__}.{module}", function, cost
+    )
+    for experiment_id, module, function, cost in CATALOG
+}
 
 
 class _RegistryView(Mapping):
     """Live read-only ``{id: runner}`` view of the spec table.
 
-    Drop-in replacement for the old module-level dict: iteration,
-    membership, ``[]`` and ``len`` all work, and registrations made
-    after import show up immediately.
+    Iteration, membership and ``len`` read the table alone; ``[]``
+    imports the driver module.
     """
 
     def __getitem__(self, experiment_id: str) -> Runner:
@@ -116,12 +131,6 @@ def get_spec(experiment_id: str) -> ExperimentSpec:
         ) from None
 
 
-def iter_specs() -> Iterator[ExperimentSpec]:
-    """All registered specs, in id order."""
-    for experiment_id in sorted(_SPECS):
-        yield _SPECS[experiment_id]
-
-
 def get_experiment(experiment_id: str) -> Runner:
     return get_spec(experiment_id).runner
 
@@ -130,43 +139,14 @@ def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
     """Serial, uncached execution — the thin wrapper existing callers use.
 
     The parallel/cached path lives in :mod:`repro.experiments.engine`.
-    Like the engine, the driver runs in a *fresh* guard context
-    (inheriting strictness from the ambient one) and the collected
-    model-validity warnings are attached to the result — so this path
-    and the engine return byte-identical results, warnings included.
+    Like the engine, the driver is imported first and then runs in a
+    *fresh* guard context (inheriting strictness from the ambient one),
+    and the collected model-validity warnings are attached to the result
+    — so this path and the engine return byte-identical results,
+    warnings included.
     """
+    runner = get_experiment(experiment_id)
     with use_guards(GuardContext(strict=get_guards().strict)) as guards:
-        result = get_experiment(experiment_id)(**kwargs)
+        result = runner(**kwargs)
     result.warnings = [w.to_dict() for w in guards.warnings]
     return result
-
-
-# Importing the experiment modules fires their ``@experiment`` decorators
-# and populates the registry. This must come *after* the decorator is
-# defined: the modules import it back from here (the cycle is benign
-# because they only need the names defined above).
-from repro.experiments import (  # noqa: E402,F401  (imported for registration)
-    ablations,
-    robustness,
-    fig02,
-    fig03,
-    fig05,
-    fig09,
-    fig10,
-    fig12_14,
-    fig16,
-    fig17,
-    fig18,
-    fig20,
-    fig21,
-    fig22,
-    fig23,
-    fig24,
-    fig25,
-    fig26,
-    fig27,
-    stage_assignment,
-    table1,
-    table3,
-    table4,
-)

@@ -18,7 +18,6 @@ from typing import Sequence
 from repro.core.superpipeline import SuperpipelineTransform
 from repro.core.voltage import VoltageOptimizer
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import experiment
 from repro.pipeline.config import (
     CRYO_CORE_CONFIG,
     OP_300K_NOMINAL,
@@ -69,7 +68,6 @@ def _evaluate_variant(model: PipelineModel) -> dict:
     }
 
 
-@experiment("robustness", cost="slow", section="extension", tags=("robustness",))
 def run(
     wire_ratio_scales: Sequence[float] = (0.9, 1.0, 1.1),
     transistor_speedups: Sequence[float] = (1.05, 1.08, 1.12),

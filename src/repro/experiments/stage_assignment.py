@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import experiment
 from repro.power.tco import cryostat_tco_w
 from repro.thermal import (
     ComponentPlacement,
@@ -101,12 +100,6 @@ def _build(
     return Cryostat(stages, links=links, placements=placements)
 
 
-@experiment(
-    "stage_assignment",
-    cost="fast",
-    section="Cryostat",
-    tags=("thermal", "power", "system"),
-)
 def run(envelope_w: float = DEFAULT_ENVELOPE_W) -> ExperimentResult:
     """Sweep every placement x link-kind pair through the heat ledger."""
     if envelope_w <= 0.0:

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import experiment
 from repro.pipeline.config import CRYO_CORE_CONFIG, SKYLAKE_CONFIG
 from repro.pipeline.floorplan import ALU_GEOMETRY, REGFILE_GEOMETRY, SKYLAKE_FLOORPLAN
 
 
-@experiment("table1", section="Table 1", tags=("pipeline", "floorplan"))
 def run() -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="table1",

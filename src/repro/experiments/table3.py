@@ -9,10 +9,8 @@ from __future__ import annotations
 
 from repro.core.cryosp import CryoSPDesigner
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import experiment
 
 
-@experiment("table3", section="Table 3", tags=("core",))
 def run() -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="table3",

@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import experiment
 from repro.system.config import SYSTEMS_BY_NAME
 
 
-@experiment("table4", section="Table 4", tags=("system",))
 def run() -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="table4",

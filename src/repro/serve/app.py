@@ -667,9 +667,14 @@ def serve_in_thread(
         try:
             loop.run_forever()
         finally:
-            # A forced stop leaves tasks pending (the hung drain, idle
-            # connection handlers): cancel them and give them a bounded
-            # window to unwind, so the loop closes without leaking.
+            # A forced stop leaves the listener open and tasks pending
+            # (the hung drain, idle connection handlers): close the
+            # listener so the port is free when stop() returns, cancel
+            # the tasks and give them a bounded window to unwind, so the
+            # loop closes without leaking.
+            if server._server is not None:
+                server._server.close()
+                server._server = None
             try:
                 pending = [t for t in asyncio.all_tasks(loop) if not t.done()]
                 for pending_task in pending:

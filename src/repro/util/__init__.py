@@ -1,81 +1,8 @@
 """Shared utilities: physical units, deterministic RNG, table formatting,
-content hashing, deterministic fault injection, and physics guardrails."""
+content hashing, deterministic fault injection, and physics guardrails.
 
-from repro.util.guards import (
-    ERROR,
-    INFO,
-    WARNING,
-    GuardContext,
-    ModelValidityError,
-    ModelWarning,
-    SimulationStalled,
-    check_operating_point,
-    get_guards,
-    use_guards,
-    validate_operating_point,
-    validate_wire_geometry,
-    validate_workload_profile,
-    warn,
-)
-from repro.util.units import (
-    GHZ,
-    KELVIN_ROOM,
-    MHZ,
-    MICRON,
-    MM,
-    NM,
-    NS,
-    PS,
-    US,
-    Frequency,
-    cycles_at,
-    delay_to_frequency,
-    frequency_to_period_ns,
-    ns_to_cycles,
-)
-from repro.util.digest import canonical_json, file_digest, is_plain_data, sha256_hex
-from repro.util.faults import FatalFault, FaultPlan, FaultSpec, fault_point
-from repro.util.rng import make_rng
-from repro.util.tables import format_table, normalize
-
-__all__ = [
-    "GHZ",
-    "MHZ",
-    "NS",
-    "PS",
-    "US",
-    "MM",
-    "MICRON",
-    "NM",
-    "KELVIN_ROOM",
-    "Frequency",
-    "cycles_at",
-    "delay_to_frequency",
-    "frequency_to_period_ns",
-    "ns_to_cycles",
-    "make_rng",
-    "format_table",
-    "normalize",
-    "canonical_json",
-    "file_digest",
-    "is_plain_data",
-    "sha256_hex",
-    "FatalFault",
-    "FaultPlan",
-    "FaultSpec",
-    "fault_point",
-    "INFO",
-    "WARNING",
-    "ERROR",
-    "GuardContext",
-    "ModelWarning",
-    "ModelValidityError",
-    "SimulationStalled",
-    "get_guards",
-    "use_guards",
-    "warn",
-    "check_operating_point",
-    "validate_operating_point",
-    "validate_wire_geometry",
-    "validate_workload_profile",
-]
+Import each from its own module (``repro.util.guards``,
+``repro.util.rng``, ...). The package re-exports nothing, so a caller
+that needs only hashing or guards does not load numpy through
+``repro.util.rng``.
+"""

@@ -1,9 +1,10 @@
 """Content hashing and canonical JSON for the experiment result cache.
 
 The cache keys experiment runs by *content*: the experiment id, its
-canonicalized kwargs, the package version and a digest of the experiment
-module's source. Everything here is deterministic across processes and
-interpreter runs (no ``hash()``, which is salted per process).
+canonicalized kwargs, the package version, a digest of the experiment
+module's source and a digest of the whole package's source. Everything
+here is deterministic across processes and interpreter runs (no
+``hash()``, which is salted per process).
 """
 
 from __future__ import annotations
@@ -57,3 +58,14 @@ def sha256_hex(data: Union[bytes, str]) -> str:
 def file_digest(path: Union[str, Path]) -> str:
     """SHA-256 of a file's bytes (the 'source digest' of a module)."""
     return sha256_hex(Path(path).read_bytes())
+
+
+def tree_digest(root: Union[str, Path]) -> str:
+    """SHA-256 over every ``*.py`` file under ``root``: each file's path
+    relative to ``root`` and its bytes, in sorted path order."""
+    root = Path(root)
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+        digest.update(file_digest(path).encode("ascii"))
+    return digest.hexdigest()

@@ -24,7 +24,7 @@ def _isolated_result_cache(tmp_path_factory):
         os.environ["CRYOWIRE_CACHE_DIR"] = previous
 
 from repro.core.superpipeline import SuperpipelineTransform
-from repro.experiments.registry import run_experiment
+from repro.experiments.registry import _SPECS, ExperimentSpec, run_experiment
 from repro.pipeline.model import PipelineModel
 from repro.tech.mosfet import CryoMOSFET, FREEPDK45_CARD, INDUSTRY_2Z_CARD
 from repro.tech.wire import CryoWireModel
@@ -47,6 +47,19 @@ def experiment_result():
         return results[experiment_id]
 
     return run
+
+
+@pytest.fixture
+def register_driver(monkeypatch):
+    """``register_driver(experiment_id, function)`` makes a module-level
+    ``function`` the driver of ``experiment_id`` for one test, through
+    the same catalog spec the real experiments use."""
+
+    def register(experiment_id, function):
+        spec = ExperimentSpec(experiment_id, function.__module__, function.__name__)
+        monkeypatch.setitem(_SPECS, experiment_id, spec)
+
+    return register
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,29 @@
 """The ``cryowire`` CLI."""
 
+import threading
+import time
+
 import pytest
 
+from repro.experiments.base import ExperimentResult
 from repro.experiments.cli import main
 from repro.experiments.engine import load_last_manifest
 from repro.experiments.registry import EXPERIMENTS
+
+#: While set, :func:`_slow_probe` outlives any short budget.
+_BE_SLOW = threading.Event()
+
+
+def _boom() -> ExperimentResult:
+    raise RuntimeError("injected CLI failure")
+
+
+def _slow_probe() -> ExperimentResult:
+    if _BE_SLOW.is_set():
+        time.sleep(5.0)
+    result = ExperimentResult("_cli_resume_tmo", "slow probe", ("x",))
+    result.add_row(1.0)
+    return result
 
 
 class TestList:
@@ -58,44 +77,29 @@ class TestReport:
 
 
 class TestFaultToleranceFlags:
-    def _register_boom(self, experiment_id):
-        from repro.experiments.registry import _SPECS, experiment
-
-        @experiment(experiment_id)
-        def boom():
-            raise RuntimeError("injected CLI failure")
-
-        return lambda: _SPECS.pop(experiment_id, None)
-
     def test_failure_without_keep_going_salvages_and_fails(
-        self, capsys, tmp_path
+        self, capsys, tmp_path, register_driver
     ):
-        cleanup = self._register_boom("_cli_boom_strict")
-        try:
-            rc = main(
-                ["run", "_cli_boom_strict", "fig20",
-                 "--cache-dir", str(tmp_path / "c")]
-            )
-            assert rc == 1
-            captured = capsys.readouterr()
-            assert "cryobus" in captured.out  # fig20 still emitted
-            assert "experiment(s) failed" in captured.err
-        finally:
-            cleanup()
+        register_driver("_cli_boom_strict", _boom)
+        rc = main(
+            ["run", "_cli_boom_strict", "fig20", "--cache-dir", str(tmp_path / "c")]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "cryobus" in captured.out  # fig20 still emitted
+        assert "experiment(s) failed" in captured.err
 
-    def test_keep_going_reports_failures_on_stderr(self, capsys, tmp_path):
-        cleanup = self._register_boom("_cli_boom_keep")
-        try:
-            rc = main(
-                ["run", "_cli_boom_keep", "fig20",
-                 "--cache-dir", str(tmp_path / "c")]
-            )
-            assert rc == 1
-            captured = capsys.readouterr()
-            assert "cryobus" in captured.out
-            assert "failed: _cli_boom_keep" in captured.err
-        finally:
-            cleanup()
+    def test_keep_going_reports_failures_on_stderr(
+        self, capsys, tmp_path, register_driver
+    ):
+        register_driver("_cli_boom_keep", _boom)
+        rc = main(
+            ["run", "_cli_boom_keep", "fig20", "--cache-dir", str(tmp_path / "c")]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "cryobus" in captured.out
+        assert "failed: _cli_boom_keep" in captured.err
 
     def test_resume_skips_completed(self, capsys, tmp_path):
         """A plain rerun serves what completed from the cache."""
@@ -154,45 +158,28 @@ class TestResumeAfterFailures:
             assert statuses == ["hit", "miss"]
 
     def test_resume_after_keep_going_timeout_reruns_only_the_loser(
-        self, capsys, tmp_path
+        self, capsys, tmp_path, register_driver
     ):
         """After a run that ends with a timeout record, a plain rerun
         re-runs the timed-out experiment and serves the completed one
         from the cache."""
-        import time as _time
-
-        from repro.experiments.registry import _SPECS, experiment
-
-        flag = tmp_path / "be-slow"
-        flag.write_text("1")
-
-        @experiment("_cli_resume_tmo")
-        def _sleeper():
-            if flag.exists():
-                _time.sleep(5.0)
-            from repro.experiments.base import ExperimentResult
-
-            result = ExperimentResult("_cli_resume_tmo", "slow probe", ("x",))
-            result.add_row(1.0)
-            return result
-
+        register_driver("_cli_resume_tmo", _slow_probe)
         cache_flags = ["--cache-dir", str(tmp_path / "c")]
+        _BE_SLOW.set()
         try:
             rc = main(
                 ["run", "_cli_resume_tmo", "fig20", "--timeout", "0.3"]
                 + cache_flags
             )
-            assert rc == 1
-            err = capsys.readouterr().err
-            assert "timeout" in err
-
-            flag.unlink()  # the flake clears; the rerun must finish the job
-            rc = main(["run", "_cli_resume_tmo", "fig20"] + cache_flags)
-            assert rc == 0
-            capsys.readouterr()
-            assert main(["stats"] + cache_flags) == 0
-            out = capsys.readouterr().out
-            assert "1 hits, 1 misses" in out  # fig20 kept, the loser re-ran
-            assert "timeouts 0" in out
         finally:
-            _SPECS.pop("_cli_resume_tmo", None)
+            _BE_SLOW.clear()  # the flake clears; the rerun must finish the job
+        assert rc == 1
+        assert "timeout" in capsys.readouterr().err
+
+        rc = main(["run", "_cli_resume_tmo", "fig20"] + cache_flags)
+        assert rc == 0
+        capsys.readouterr()
+        assert main(["stats"] + cache_flags) == 0
+        out = capsys.readouterr().out
+        assert "1 hits, 1 misses" in out  # fig20 kept, the loser re-ran
+        assert "timeouts 0" in out

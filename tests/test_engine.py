@@ -1,15 +1,18 @@
 """The execution engine: result round-trips, the content-addressed
 cache, parallel-vs-serial equivalence and the new CLI surface."""
 
-import importlib.util
 import json
 import logging
 import os
+import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments.base import ExperimentResult
 from repro.experiments.cache import ResultCache, payload_digest
 from repro.experiments.cli import main
@@ -23,12 +26,19 @@ from repro.experiments.engine import (
 from repro.experiments.registry import (
     EXPERIMENTS,
     ExperimentSpec,
-    _SPECS,
-    experiment,
     get_spec,
     run_experiment,
 )
 from repro.experiments.report import breaches, collect
+
+
+def _kaput() -> ExperimentResult:
+    raise RuntimeError("kaput")
+
+
+def _pool_kaput() -> ExperimentResult:
+    time.sleep(0.05)
+    raise RuntimeError("pool kaput")
 
 
 def _sample_result() -> ExperimentResult:
@@ -85,11 +95,10 @@ class TestDescriptiveKeyErrors:
             result.lookup("k", "one", "nope")
 
 
-def _spec_from_file(path: Path) -> ExperimentSpec:
-    spec = importlib.util.spec_from_file_location("fake_experiment_mod", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return ExperimentSpec("fake", module.run)
+def _spec_from_file(path: Path, monkeypatch) -> ExperimentSpec:
+    """A spec for ``run`` in the module at ``path``, put on ``sys.path``."""
+    monkeypatch.syspath_prepend(str(path.parent))
+    return ExperimentSpec("fake", path.stem, "run")
 
 
 FAKE_MODULE = """\
@@ -146,10 +155,10 @@ class TestResultCache:
         assert cache.get("abc123") is None
         assert cache.quarantined_count() == 1
 
-    def test_key_changes_with_kwargs(self, tmp_path):
+    def test_key_changes_with_kwargs(self, tmp_path, monkeypatch):
         source = tmp_path / "fake_experiment.py"
         source.write_text(FAKE_MODULE)
-        spec = _spec_from_file(source)
+        spec = _spec_from_file(source, monkeypatch)
         cache = ResultCache(tmp_path / "cache")
         base = cache.key_for(spec, {})
         assert cache.key_for(spec, {}) == base  # stable
@@ -158,14 +167,51 @@ class TestResultCache:
             spec, {"scale": 2.0}
         )
 
-    def test_key_changes_when_source_changes(self, tmp_path):
+    def test_key_changes_when_source_changes(self, tmp_path, monkeypatch):
         source = tmp_path / "fake_experiment.py"
         source.write_text(FAKE_MODULE)
-        spec = _spec_from_file(source)
+        spec = _spec_from_file(source, monkeypatch)
         before = ResultCache(tmp_path / "cache").key_for(spec, {})
         source.write_text(FAKE_MODULE + "\n# edited\n")
         after = ResultCache(tmp_path / "cache").key_for(spec, {})
         assert before != after
+
+    def test_key_changes_when_a_non_driver_module_changes(self, tmp_path):
+        """The key covers every module of the installed package, not only
+        the driver's: in a copy of the package, an edit to the bus model
+        that fig20 reaches changes fig20's key."""
+        copy = tmp_path / "src" / "repro"
+        shutil.copytree(
+            Path(repro.__file__).parent,
+            copy,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        cache_dir = str(tmp_path / "cache")
+        probe = (
+            "import repro\n"
+            "from repro.experiments.cache import ResultCache\n"
+            "from repro.experiments.registry import get_spec\n"
+            "print(repro.__file__)\n"
+            f"print(ResultCache({cache_dir!r}).key_for(get_spec('fig20'), {{}}))\n"
+        )
+
+        def key_in_copy() -> str:
+            out = subprocess.run(
+                [sys.executable, "-c", probe],
+                env={**os.environ, "PYTHONPATH": str(copy.parent)},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout.split()
+            assert Path(out[0]).parent == copy  # the copy, not this tree
+            return out[1]
+
+        before = key_in_copy()
+        # Location is not content: the copy keys like the original.
+        assert before == ResultCache(cache_dir).key_for(get_spec("fig20"), {})
+        bus = copy / "noc" / "bus.py"
+        bus.write_text(bus.read_text() + "\n# edited\n")
+        assert key_in_copy() != before
 
     def test_unpicklable_kwargs_are_uncacheable(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -261,82 +307,56 @@ class TestEngine:
         assert get_spec("fig18").cost == "slow"
         assert get_spec("fig02").cost == "fast"
 
-    def test_failures_recorded_then_raised(self, tmp_path):
-        @experiment("_engine_test_boom")
-        def boom():
-            raise RuntimeError("kaput")
+    def test_failures_recorded_then_raised(self, tmp_path, register_driver):
+        register_driver("_engine_test_boom", _kaput)
+        engine = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
+        with pytest.raises(ExperimentExecutionError, match="kaput"):
+            engine.run(["_engine_test_boom", "fig20"])
+        manifest = RunManifest.load(engine.cache.manifest_path)
+        by_id = {r.experiment_id: r.status for r in manifest.records}
+        assert by_id["_engine_test_boom"] == "error"
+        assert by_id["fig20"] == "miss"  # failure does not stop the rest
 
-        try:
-            engine = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
-            with pytest.raises(ExperimentExecutionError, match="kaput"):
-                engine.run(["_engine_test_boom", "fig20"])
-            manifest = RunManifest.load(engine.cache.manifest_path)
-            by_id = {r.experiment_id: r.status for r in manifest.records}
-            assert by_id["_engine_test_boom"] == "error"
-            assert by_id["fig20"] == "miss"  # failure does not stop the rest
-        finally:
-            _SPECS.pop("_engine_test_boom", None)
+    def test_error_attaches_partial_outcome(self, tmp_path, register_driver):
+        register_driver("_engine_test_salvage_boom", _kaput)
+        engine = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
+        with pytest.raises(ExperimentExecutionError) as excinfo:
+            engine.run(["_engine_test_salvage_boom", "fig20"])
+        outcome = excinfo.value.outcome
+        assert outcome is not None
+        # Completed work is salvageable from the exception.
+        assert outcome.results["fig20"].to_text() == run_experiment(
+            "fig20"
+        ).to_text()
+        assert [r.experiment_id for r in outcome.failures] == [
+            "_engine_test_salvage_boom"
+        ]
 
-    def test_error_attaches_partial_outcome(self, tmp_path):
-        @experiment("_engine_test_salvage_boom")
-        def boom():
-            raise RuntimeError("kaput")
-
-        try:
-            engine = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
-            with pytest.raises(ExperimentExecutionError) as excinfo:
-                engine.run(["_engine_test_salvage_boom", "fig20"])
-            outcome = excinfo.value.outcome
-            assert outcome is not None
-            # Completed work is salvageable from the exception.
-            assert outcome.results["fig20"].to_text() == run_experiment(
-                "fig20"
-            ).to_text()
-            assert [r.experiment_id for r in outcome.failures] == [
-                "_engine_test_salvage_boom"
-            ]
-        finally:
-            _SPECS.pop("_engine_test_salvage_boom", None)
-
-    def test_keep_going_returns_partial_outcome(self, tmp_path):
+    def test_keep_going_returns_partial_outcome(self, tmp_path, register_driver):
         """The run keeps going past a failure; the raised error carries
         every completed result and nothing for the failure."""
+        register_driver("_engine_test_keep_going_boom", _kaput)
+        engine = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
+        with pytest.raises(ExperimentExecutionError) as excinfo:
+            engine.run(["_engine_test_keep_going_boom", "fig20"])
+        outcome = excinfo.value.outcome
+        assert "fig20" in outcome.results
+        assert "_engine_test_keep_going_boom" not in outcome.results
+        assert len(outcome.failures) == 1
 
-        @experiment("_engine_test_keep_going_boom")
-        def boom():
-            raise RuntimeError("kaput")
-
-        try:
-            engine = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
-            with pytest.raises(ExperimentExecutionError) as excinfo:
-                engine.run(["_engine_test_keep_going_boom", "fig20"])
-            outcome = excinfo.value.outcome
-            assert "fig20" in outcome.results
-            assert "_engine_test_keep_going_boom" not in outcome.results
-            assert len(outcome.failures) == 1
-        finally:
-            _SPECS.pop("_engine_test_keep_going_boom", None)
-
-    def test_pool_failure_records_real_wall_and_pid(self, tmp_path):
-        @experiment("_engine_test_pool_boom")
-        def boom():
-            time.sleep(0.05)
-            raise RuntimeError("pool kaput")
-
-        try:
-            engine = ExecutionEngine(jobs=2, cache_dir=tmp_path / "cache")
-            with pytest.raises(ExperimentExecutionError) as excinfo:
-                engine.run(["_engine_test_pool_boom", "fig20"])
-            outcome = excinfo.value.outcome
-            record = {
-                r.experiment_id: r for r in outcome.manifest.records
-            }["_engine_test_pool_boom"]
-            assert record.status == "error"
-            assert "pool kaput" in record.error
-            assert record.wall_time_s >= 0.05  # not the old 0.0 placeholder
-            assert record.worker_pid not in (0, os.getpid())  # the worker's pid
-        finally:
-            _SPECS.pop("_engine_test_pool_boom", None)
+    def test_pool_failure_records_real_wall_and_pid(self, tmp_path, register_driver):
+        register_driver("_engine_test_pool_boom", _pool_kaput)
+        engine = ExecutionEngine(jobs=2, cache_dir=tmp_path / "cache")
+        with pytest.raises(ExperimentExecutionError) as excinfo:
+            engine.run(["_engine_test_pool_boom", "fig20"])
+        outcome = excinfo.value.outcome
+        record = {
+            r.experiment_id: r for r in outcome.manifest.records
+        }["_engine_test_pool_boom"]
+        assert record.status == "error"
+        assert "pool kaput" in record.error
+        assert record.wall_time_s >= 0.05  # not the old 0.0 placeholder
+        assert record.worker_pid not in (0, os.getpid())  # the worker's pid
 
     def test_timeout_resolution_order(self):
         fast = get_spec("fig20")

@@ -12,7 +12,7 @@ from repro.circuits.rc_line import RCLadder
 from repro.circuits.simulator import CircuitSimulator
 from repro.experiments.base import ExperimentResult
 from repro.experiments.engine import ExecutionEngine, ExperimentExecutionError
-from repro.experiments.registry import _SPECS, experiment, run_experiment
+from repro.experiments.registry import run_experiment
 from repro.noc.bus import CryoBusDesign
 from repro.noc.flitsim import FlitLevelSimulator
 from repro.noc.simulator import NocSimulator
@@ -572,54 +572,43 @@ class TestWatchdogs:
 # ---------------------------------------------------------------------------
 
 
+def _warny() -> ExperimentResult:
+    warn("test.extrapolation", "synthetic finding", op=(350.0, None, None))
+    result = ExperimentResult("_guards_test_warny", "warny", ("k", "v"))
+    result.add_row("a", 1)
+    return result
+
+
 class TestEngineWarningFlow:
-    def _register(self):
-        @experiment("_guards_test_warny")
-        def _warny() -> ExperimentResult:
-            warn("test.extrapolation", "synthetic finding", op=(350.0, None, None))
-            result = ExperimentResult("_guards_test_warny", "warny", ("k", "v"))
-            result.add_row("a", 1)
-            return result
+    @pytest.fixture
+    def warny(self, register_driver):
+        register_driver("_guards_test_warny", _warny)
 
-        return _warny
+    def test_engine_attaches_warnings_to_results_and_manifest(self, tmp_path, warny):
+        engine = ExecutionEngine(jobs=1, use_cache=False, cache_dir=tmp_path)
+        outcome = engine.run(["_guards_test_warny"])
+        result = outcome.results["_guards_test_warny"]
+        assert [w["site"] for w in result.warnings] == ["test.extrapolation"]
+        (record,) = outcome.manifest.records
+        assert [w["site"] for w in record.warnings] == ["test.extrapolation"]
+        assert outcome.manifest.n_model_warnings == 1
+        assert "model warnings 1" in outcome.manifest.summary()
 
-    def test_engine_attaches_warnings_to_results_and_manifest(self, tmp_path):
-        self._register()
-        try:
-            engine = ExecutionEngine(jobs=1, use_cache=False, cache_dir=tmp_path)
-            outcome = engine.run(["_guards_test_warny"])
-            result = outcome.results["_guards_test_warny"]
-            assert [w["site"] for w in result.warnings] == ["test.extrapolation"]
-            (record,) = outcome.manifest.records
-            assert [w["site"] for w in record.warnings] == ["test.extrapolation"]
-            assert outcome.manifest.n_model_warnings == 1
-            assert "model warnings 1" in outcome.manifest.summary()
-        finally:
-            _SPECS.pop("_guards_test_warny", None)
+    def test_strict_engine_turns_warnings_into_failures(self, tmp_path, warny):
+        engine = ExecutionEngine(
+            jobs=1, use_cache=False, cache_dir=tmp_path, strict=True
+        )
+        with pytest.raises(ExperimentExecutionError) as excinfo:
+            engine.run(["_guards_test_warny"])
+        outcome = excinfo.value.outcome
+        assert not outcome.results
+        (record,) = outcome.failures
+        assert "synthetic finding" in record.error
+        assert [w["site"] for w in record.warnings] == ["test.extrapolation"]
 
-    def test_strict_engine_turns_warnings_into_failures(self, tmp_path):
-        self._register()
-        try:
-            engine = ExecutionEngine(
-                jobs=1, use_cache=False, cache_dir=tmp_path, strict=True
-            )
-            with pytest.raises(ExperimentExecutionError) as excinfo:
-                engine.run(["_guards_test_warny"])
-            outcome = excinfo.value.outcome
-            assert not outcome.results
-            (record,) = outcome.failures
-            assert "synthetic finding" in record.error
-            assert [w["site"] for w in record.warnings] == ["test.extrapolation"]
-        finally:
-            _SPECS.pop("_guards_test_warny", None)
-
-    def test_run_experiment_attaches_warnings(self):
-        self._register()
-        try:
-            result = run_experiment("_guards_test_warny")
-            assert [w["site"] for w in result.warnings] == ["test.extrapolation"]
-        finally:
-            _SPECS.pop("_guards_test_warny", None)
+    def test_run_experiment_attaches_warnings(self, warny):
+        result = run_experiment("_guards_test_warny")
+        assert [w["site"] for w in result.warnings] == ["test.extrapolation"]
 
     def test_clean_experiment_has_no_warnings(self, tmp_path):
         engine = ExecutionEngine(jobs=1, use_cache=False, cache_dir=tmp_path)

@@ -1,0 +1,78 @@
+"""The experiment catalog: every row names a real driver, every driver
+module has a row, and a cached run imports no model code."""
+
+import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
+from repro.experiments.engine import ExecutionEngine
+from repro.experiments.registry import CATALOG, EXPERIMENTS, get_spec
+
+EXPERIMENTS_DIR = Path(repro.__file__).parent / "experiments"
+
+#: Modules of ``repro/experiments/`` that run experiments but drive none.
+INFRASTRUCTURE = {"__init__", "base", "cache", "cli", "engine", "registry", "report"}
+
+#: What only computing an experiment may import.
+MODEL_MODULES = ("numpy", "scipy") + tuple(
+    f"repro.{layer}"
+    for layer in (
+        "tech", "circuits", "pipeline", "core", "noc", "memory", "power",
+        "system", "thermal", "workloads", "validation",
+    )
+)
+
+
+class TestCatalog:
+    def test_every_row_resolves_to_a_driver_in_its_module(self):
+        assert len(EXPERIMENTS) == len(CATALOG) == 27
+        for experiment_id, module, function, _cost in CATALOG:
+            spec = get_spec(experiment_id)
+            runner = spec.runner
+            assert callable(runner), experiment_id
+            assert runner.__module__ == f"repro.experiments.{module}"
+            assert runner.__name__ == function
+            # The file the cache key digests is the runner's own source.
+            assert spec.source_file == inspect.getsourcefile(runner)
+
+    def test_every_driver_module_has_a_row(self):
+        modules = {path.stem for path in EXPERIMENTS_DIR.glob("*.py")}
+        assert modules - INFRASTRUCTURE == {row[1] for row in CATALOG}
+
+
+def _modules_loaded_after(argv, cache_dir):
+    """Model modules in ``sys.modules`` of a fresh interpreter after
+    ``cryowire <argv>`` returns 0."""
+    probe = (
+        "import json, sys\n"
+        "from repro.experiments.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        f"heavy = {MODEL_MODULES!r}\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "    if any(m == h or m.startswith(h + '.') for h in heavy))))\n"
+    )
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(repro.__file__).parents[1]),
+        "CRYOWIRE_CACHE_DIR": str(cache_dir),
+    }
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, check=True,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+class TestColdImports:
+    def test_list_imports_no_model(self, tmp_path):
+        assert _modules_loaded_after(["list"], tmp_path / "cache") == []
+
+    def test_warm_run_imports_no_model(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        ids = ["fig20", "table4"]
+        ExecutionEngine(jobs=1, cache_dir=cache_dir).run(ids)  # fill it here
+        assert _modules_loaded_after(["run", *ids], cache_dir) == []

@@ -21,6 +21,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import socket
 import threading
 import time
 from collections import Counter
@@ -1115,8 +1116,9 @@ class TestServerTeardown:
     def test_hung_drain_escalates_to_forced_loop_stop(self):
         """A stop() coroutine that never finishes must not leave the
         daemon thread holding the port: the handle escalates to a forced
-        loop-stop and reports which path it took."""
+        loop-stop, reports which path it took, and the port is free."""
         handle = serve_in_thread()
+        port = handle.port
 
         async def hung_stop(drain_timeout_s=None):
             await asyncio.sleep(60)
@@ -1129,6 +1131,8 @@ class TestServerTeardown:
         assert handle.last_stop_outcome == "forced"
         assert elapsed < 5.0
         assert not handle._thread.is_alive()
+        with socket.socket() as probe:
+            probe.bind((handle.server.host, port))  # EADDRINUSE if still held
 
 
 # ----------------------------------------------------------------------
