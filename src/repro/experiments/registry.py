@@ -7,8 +7,8 @@ package that drives it, the driver function and its cost::
 
 The row becomes an :class:`ExperimentSpec`. Its ``runner`` imports the
 driver module on first use, so listing experiments, scheduling them and
-serving them from the result cache import no model code (nor numpy or
-scipy); only an experiment that computes loads its driver. The execution
+serving them from the result cache import no model code (nor numpy);
+only an experiment that computes loads its driver. The execution
 engine runs ``cost="slow"`` experiments first and keys its cache on the
 driver module's source digest, which ``source_file`` finds without
 importing the module.

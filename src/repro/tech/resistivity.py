@@ -17,52 +17,53 @@ The calibration targets are the wire speed-ups the paper measured for
 Intel's 45 nm stack (Section 2.3): long unrepeated local and semi-global
 wires speed up by at most 2.95x and 3.69x at 77 K, which for an
 RC-dominated wire pins rho(77)/rho(300) at 1/2.95 and 1/3.69.
+
+The Bloch-Grueneisen integral is priced with a fixed 32-node
+Gauss-Legendre rule on ``[0, Theta/T]``. The model's temperature range,
+60-400 K (:func:`check_temperature_batch`), puts the upper limit at
+0.86-5.72 for copper. The integrand is smooth there, so the rule is
+exact to double precision over the whole range and needs no tail cut:
+at 341 temperatures from 60 to 400 K its ratio matches adaptive
+quadrature within 9e-16 relative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from repro.tech.constants import (
     DEBYE_TEMPERATURE_CU,
     T_ROOM,
-    check_temperature,
     check_temperature_batch,
 )
 
+#: The Gauss-Legendre rule's nodes and weights, mapped from [-1, 1] onto
+#: [0, 1] once at import.
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
+_NODES, _WEIGHTS = (_NODES + 1.0) / 2.0, _WEIGHTS / 2.0
 
-def _bloch_gruneisen_integral(reduced_temperature: float) -> float:
-    """The Bloch-Grueneisen integral (T/Theta)^5 * J5(Theta/T)."""
+
+def _bloch_gruneisen_integral(reduced_temperature: np.ndarray) -> np.ndarray:
+    """The Bloch-Grueneisen integral (T/Theta)^5 * J5(Theta/T), per element."""
     upper = 1.0 / reduced_temperature
-
-    def integrand(x: float) -> float:
-        # x^5 / ((e^x - 1)(1 - e^-x)); rewrite for numerical stability.
-        ex = np.expm1(x)
-        return x**5 / (ex * (1.0 - np.exp(-x)))
-
-    value, _ = quad(integrand, 0.0, upper, limit=200)
-    return reduced_temperature**5 * value
+    x = upper[:, None] * _NODES
+    # x^5 / ((e^x - 1)(1 - e^-x)); expm1 twice for numerical stability.
+    integrand = x**5 / (np.expm1(x) * -np.expm1(-x))
+    # A row sum, not ``integrand @ _WEIGHTS``: the BLAS product's result
+    # depends on the row's position in the batch.
+    return reduced_temperature**5 * upper * (integrand * _WEIGHTS).sum(axis=-1)
 
 
-@lru_cache(maxsize=64)
-def _room_integral(debye_k: float) -> float:
-    """The 300 K reference integral, computed once per Debye temperature."""
-    return _bloch_gruneisen_integral(T_ROOM / debye_k)
-
-
-@lru_cache(maxsize=512)
 def bloch_gruneisen_ratio(temperature_k: float, debye_k: float = DEBYE_TEMPERATURE_CU) -> float:
     """Phonon resistivity at ``temperature_k`` normalised to its 300 K value.
 
     For copper (Debye temperature 343 K) this evaluates to roughly 0.12 at
-    77 K, matching the measured bulk-copper resistivity drop.
+    77 K, matching the measured bulk-copper resistivity drop. It is the
+    length-1 case of :func:`bloch_gruneisen_ratio_batch`.
     """
-    check_temperature(temperature_k)
-    return _bloch_gruneisen_integral(temperature_k / debye_k) / _room_integral(debye_k)
+    return float(bloch_gruneisen_ratio_batch([temperature_k], debye_k)[0])
 
 
 def bloch_gruneisen_ratio_batch(
@@ -70,19 +71,13 @@ def bloch_gruneisen_ratio_batch(
 ) -> np.ndarray:
     """Vectorized :func:`bloch_gruneisen_ratio` over a temperature column.
 
-    The underlying Bloch-Grueneisen integral is adaptive quadrature, so
-    "vectorizing" it honestly means evaluating each *distinct*
-    temperature exactly once through the lru-cached scalar and
-    broadcasting — a dense (T, Vdd, Vth) product grid typically has a
-    handful of unique temperatures for thousands of points. Results are
-    bit-identical to the scalar path by construction.
+    The column and the 300 K reference are integrated in one call. Each
+    row is reduced on its own, so a temperature's ratio is the same bits
+    in any batch, and 300 K gives exactly 1.0.
     """
     t = check_temperature_batch(temperature_k)
-    unique, inverse = np.unique(t, return_inverse=True)
-    ratios = np.array(
-        [bloch_gruneisen_ratio(float(u), debye_k) for u in unique], dtype=float
-    )
-    return ratios[inverse]
+    integrals = _bloch_gruneisen_integral(np.append(t, T_ROOM) / debye_k)
+    return integrals[:-1] / integrals[-1]
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from repro.tech.operating_point import (
     OperatingPoint,
 )
 from repro.tech.repeater import RepeaterDesign, RepeaterOptimizer
-from repro.tech.resistivity import bloch_gruneisen_ratio
 from repro.tech.wire import CryoWireModel
 from repro.util.guards import (
     GuardContext,
@@ -288,9 +287,7 @@ class TestAuditGridSpeedup:
     Both paths run under a fresh context, so the scalar loop pays one
     memo miss per point per kernel (the pre-batch cost of a dense sweep)
     and the batch pays its vectorized evaluation, not a memo hit. The
-    per-temperature Bloch-Grueneisen integral is primed first, so the
-    ratio prices the evaluation machinery. The floor is 50x; a 2-vCPU
-    host reads 560-690x."""
+    floor is 50x; a 2-vCPU host reads 170-200x."""
 
     MIN_SPEEDUP = 50.0
     LENGTH_UM = 2000.0
@@ -304,8 +301,6 @@ class TestAuditGridSpeedup:
         mosfet = CryoMOSFET(FREEPDK45_CARD)
         layer = FREEPDK45_STACK.layer("semi_global")
         optimizer = RepeaterOptimizer(layer)
-        for t in np.unique(batch.temperature_k):
-            bloch_gruneisen_ratio(float(t))
 
         def scalar_loop():
             with use_context(TechContext()):

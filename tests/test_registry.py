@@ -44,13 +44,12 @@ class TestCatalog:
         assert modules - INFRASTRUCTURE == {row[1] for row in CATALOG}
 
 
-def _modules_loaded_after(argv, cache_dir):
-    """Model modules in ``sys.modules`` of a fresh interpreter after
-    ``cryowire <argv>`` returns 0."""
+def _modules_loaded_by(code, cache_dir):
+    """Model modules in ``sys.modules`` of a fresh interpreter after it
+    runs ``code``."""
     probe = (
         "import json, sys\n"
-        "from repro.experiments.cli import main\n"
-        f"assert main({argv!r}) == 0\n"
+        f"{code}\n"
         f"heavy = {MODEL_MODULES!r}\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "    if any(m == h or m.startswith(h + '.') for h in heavy))))\n"
@@ -67,6 +66,14 @@ def _modules_loaded_after(argv, cache_dir):
     return json.loads(out.splitlines()[-1])
 
 
+def _modules_loaded_after(argv, cache_dir):
+    """Model modules loaded by ``cryowire <argv>``, which must return 0."""
+    return _modules_loaded_by(
+        f"from repro.experiments.cli import main\nassert main({argv!r}) == 0",
+        cache_dir,
+    )
+
+
 class TestColdImports:
     def test_list_imports_no_model(self, tmp_path):
         assert _modules_loaded_after(["list"], tmp_path / "cache") == []
@@ -76,3 +83,12 @@ class TestColdImports:
         ids = ["fig20", "table4"]
         ExecutionEngine(jobs=1, cache_dir=cache_dir).run(ids)  # fill it here
         assert _modules_loaded_after(["run", *ids], cache_dir) == []
+
+    def test_serving_and_computing_import_no_scipy(self, tmp_path):
+        modules = ["repro.serve.app"] + [f"repro.experiments.{row[1]}" for row in CATALOG]
+        loaded = _modules_loaded_by(
+            f"import importlib\nfor name in {modules!r}: importlib.import_module(name)",
+            tmp_path / "cache",
+        )
+        assert "repro.tech.resistivity" in loaded  # the model really loaded
+        assert [m for m in loaded if m.split(".")[0] == "scipy"] == []

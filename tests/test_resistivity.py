@@ -1,16 +1,41 @@
 """Temperature-dependent resistivity model."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.tech import resistivity
 from repro.tech.constants import T_LN2, T_ROOM
-from repro.tech.resistivity import CryoResistivityModel, bloch_gruneisen_ratio
+from repro.tech.resistivity import (
+    CryoResistivityModel,
+    bloch_gruneisen_ratio,
+    bloch_gruneisen_ratio_batch,
+)
+
+#: ``bloch_gruneisen_ratio`` for copper as adaptive quadrature
+#: (``scipy.integrate.quad``, limit=200) computed it before the fixed
+#: Gauss-Legendre rule replaced it.
+QUADRATURE_REFERENCE = (
+    (60.0, 0.052518206968206006),
+    (77.0, 0.10838606058658774),
+    (90.0, 0.15822335874553686),
+    (100.0, 0.1986991520608232),
+    (120.0, 0.28195131075964464),
+    (135.0, 0.34481710753668277),
+    (150.0, 0.40732487538633233),
+    (175.0, 0.5101081609171566),
+    (200.0, 0.6109987428534561),
+    (225.0, 0.7101727469478349),
+    (250.0, 0.8079000042289922),
+    (275.0, 0.9044369538276454),
+    (300.0, 1.0),
+    (350.0, 1.1888697973268356),
+    (400.0, 1.3755273163794866),
+)
 
 
 class TestBlochGruneisen:
     def test_unity_at_room(self):
-        assert bloch_gruneisen_ratio(T_ROOM) == pytest.approx(1.0)
+        assert bloch_gruneisen_ratio(T_ROOM) == 1.0
 
     def test_bulk_copper_drop_at_77k(self):
         # Pure bulk copper drops to ~12 % of its 300 K phonon resistivity.
@@ -26,23 +51,24 @@ class TestBlochGruneisen:
         with pytest.raises(ValueError):
             bloch_gruneisen_ratio(10.0)
 
-    def test_fresh_temperature_costs_one_integral(self, monkeypatch):
-        """The 300 K reference integral is computed once per Debye
-        temperature, so each temperature the cache has not seen costs one
-        quadrature, not two."""
-        bloch_gruneisen_ratio(T_LN2)  # copper's reference is now known
-        bloch_gruneisen_ratio.cache_clear()
-        reduced = []
-        integral = resistivity._bloch_gruneisen_integral
+    @pytest.mark.parametrize("temperature_k, reference", QUADRATURE_REFERENCE)
+    def test_matches_adaptive_quadrature(self, temperature_k, reference):
+        assert bloch_gruneisen_ratio(temperature_k) == pytest.approx(
+            reference, rel=1e-14
+        )
 
-        def counting(reduced_temperature):
-            reduced.append(reduced_temperature)
-            return integral(reduced_temperature)
-
-        monkeypatch.setattr(resistivity, "_bloch_gruneisen_integral", counting)
-        bloch_gruneisen_ratio(123.25)
-        bloch_gruneisen_ratio(234.75)
-        assert len(reduced) == 2
+    def test_ratio_does_not_depend_on_its_batch(self):
+        """A temperature prices to the same bits alone, inside a
+        1000-point batch and inside that batch permuted."""
+        rng = np.random.default_rng(7)
+        temps = rng.uniform(60.0, 400.0, 1000)
+        temps[[0, 417, 999]] = (T_LN2, T_ROOM, 135.0)
+        alone = np.array([bloch_gruneisen_ratio(t) for t in temps])
+        order = rng.permutation(temps.size)
+        batch = bloch_gruneisen_ratio_batch(temps)
+        assert np.array_equal(batch, alone)
+        assert np.array_equal(bloch_gruneisen_ratio_batch(temps[order]), alone[order])
+        assert batch[417] == 1.0
 
 
 class TestCryoResistivityModel:
