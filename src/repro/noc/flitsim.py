@@ -157,7 +157,7 @@ class FlitLevelSimulator:
         pending: Dict[int, Deque[Tuple[int, int, bool]]] = {}
         rank: Dict[int, int] = {}  # router -> first-appearance order
         router_of = self.topology.router_of
-        for cycle, src, dst in pattern.packets(injection_rate, n_cycles, seed):
+        for cycle, src, dst in pattern.trace(injection_rate, n_cycles, seed):
             measured = meter.offer(cycle)
             src_router = router_of(src)
             dst_router = router_of(dst)

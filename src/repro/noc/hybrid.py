@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.noc.bus import BusDesign, CryoBusDesign
-from repro.noc.measure import LoadLatencyPoint, summarise
+from repro.noc.measure import LatencyMeter, LoadLatencyPoint
 from repro.noc.traffic import TrafficPattern
 
 
@@ -137,17 +137,16 @@ class HybridCryoBus:
         events: List[Tuple[int, int, int, int, int, int]] = []
         # (ready, seq, inject, way, cluster, remote_cluster_or_-1)
         seq = 0
-        offered = 0
-        for cycle, src, dst in pattern.packets(injection_rate, n_cycles, "hybrid"):
-            if cycle >= warmup:
-                offered += 1
+        trace = pattern.trace(injection_rate, n_cycles, "hybrid")
+        meter = LatencyMeter(warmup)
+        meter.offer_all(trace.cycle)
+        for cycle, src, dst in trace:
             src_cl, dst_cl = self.cluster_of(src), self.cluster_of(dst)
             way = dst % bus.interleave_ways
             remote = dst_cl if dst_cl != src_cl else -1
             heapq.heappush(events, (cycle + overhead, seq, cycle, way, src_cl, remote))
             seq += 1
 
-        latencies: List[int] = []
         while events:
             ready, _, inject, way, cluster, remote = heapq.heappop(events)
             if ready > horizon:
@@ -164,7 +163,7 @@ class HybridCryoBus:
                 )
                 seq += 1
             elif inject >= warmup and finish <= horizon:
-                latencies.append(finish - inject)
+                meter.deliver(inject, finish)
 
         zero_load = self.zero_load_latency_cycles(hops_per_cycle)
-        return summarise(injection_rate, latencies, offered, zero_load)
+        return meter.summarise(injection_rate, zero_load)

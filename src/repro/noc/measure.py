@@ -114,6 +114,11 @@ class LatencyMeter:
             self.offered += 1
         return measured
 
+    def offer_all(self, inject_cycles) -> None:
+        """Register every packet of a trace from its array of inject
+        cycles, for an engine that needs no per-packet measured flag."""
+        self.offered += int((inject_cycles >= self.warmup).sum())
+
     def deliver(self, inject_cycle: int, done_cycle: int) -> None:
         """Record a measured packet completing at ``done_cycle``."""
         latency = done_cycle - inject_cycle

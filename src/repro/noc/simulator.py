@@ -31,7 +31,7 @@ from repro.noc.arbiter import MatrixArbiter
 from repro.noc.bus import BusDesign
 from repro.noc.measure import SATURATION_FACTOR, LatencyMeter, LoadLatencyPoint
 from repro.noc.topology import LinkRoute, RouterTopology
-from repro.noc.traffic import Packet, TrafficPattern
+from repro.noc.traffic import Trace, TrafficPattern
 from repro.util.guards import SimulationStalled
 
 __all__ = [
@@ -66,16 +66,16 @@ class NocSimulator:
         self.n_cycles = n_cycles
         self.warmup = int(n_cycles * warmup_fraction)
         self.packet_flits = packet_flits
-        self._traces: Dict[Tuple[TrafficPattern, float, str], List[Packet]] = {}
+        self._traces: Dict[Tuple[TrafficPattern, float, str], Trace] = {}
 
     def _trace(
         self, pattern: TrafficPattern, injection_rate: float, seed: str
-    ) -> List[Packet]:
-        """The (cycle, src, dst) packets, in injection order, generated once."""
+    ) -> Trace:
+        """The packets of one traffic trace, drawn once."""
         key = (pattern, injection_rate, seed)
         trace = self._traces.get(key)
         if trace is None:
-            trace = list(pattern.packets(injection_rate, self.n_cycles, seed))
+            trace = pattern.trace(injection_rate, self.n_cycles, seed)
             self._traces[key] = trace
         return trace
 
@@ -159,15 +159,17 @@ class NocSimulator:
         overhead = bus.arbitration_cycles + bus.control_cycles
         horizon = self.n_cycles * 4
 
+        trace = self._trace(pattern, injection_rate, seed)
+        meter = LatencyMeter(self.warmup)
+        meter.offer_all(trace.cycle)
         # Split traffic across interleaved ways (by destination id --
         # a stand-in for address bits).
-        ways: List[List[Tuple[int, int]]] = [[] for _ in range(bus.interleave_ways)]
-        meter = LatencyMeter(self.warmup)
-        for cycle, src, dst in self._trace(pattern, injection_rate, seed):
-            meter.offer(cycle)
-            ways[dst % bus.interleave_ways].append((cycle, src))
-
-        for way_packets in ways:
+        way_of = trace.dst % bus.interleave_ways
+        for way in range(bus.interleave_ways):
+            mine = way_of == way
+            way_packets = list(
+                zip(trace.cycle[mine].tolist(), trace.src[mine].tolist())
+            )
             arbiter = MatrixArbiter(bus.n_nodes)
             # Per core, the inject cycles of its admitted requests in
             # arrival order; ``requesters`` is the set of cores with one.

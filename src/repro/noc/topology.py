@@ -215,6 +215,21 @@ class Mesh(RouterTopology):
     def _coords(self, router: int) -> Tuple[int, int]:
         return router % self.side, router // self.side
 
+    @cached_property
+    def _route_stats(self) -> Tuple[float, int, int]:
+        """The generic pass's values in closed form: an XY route takes
+        |dx| + |dy| hops, and every node of another router weighs in
+        ``concentration`` times at each end."""
+        side, conc = self.side, self.concentration
+        # sum of |a - b| over ordered pairs of coordinates on one axis
+        axis = (side - 1) * side * (side + 1) // 3
+        total = 2 * side * side * axis * conc * conc
+        return (
+            total / (self.n_nodes * (self.n_nodes - 1)),
+            2 * (side - 1),
+            4 * side * (side - 1),
+        )
+
     def route(self, src_router: int, dst_router: int) -> List[Tuple[int, int, float]]:
         sx, sy = self._coords(src_router)
         dx, dy = self._coords(dst_router)

@@ -1,10 +1,13 @@
 """Exact outputs of the NoC engines and the V_dd/V_th search.
 
-The values below were recorded from the straightforward engines (routes
-recomputed per packet, traces regenerated per series, one scalar
-pipeline evaluation per grid point). The memoized and batched engines
-must reproduce them with ``==``, not approximately: every figure built
-on them is pinned byte-for-byte.
+The NoC values below were recorded on the block-drawn array traces of
+:mod:`repro.noc.traffic`. On the stream before those traces, the
+memoized engines reproduced the straightforward ones (routes recomputed
+per packet, traces regenerated per series) exactly, so a difference here
+is a change to an engine or to the trace stream. The search values were
+recorded from one scalar pipeline evaluation per grid point, which the
+batched search reproduces. All are compared with ``==``, not
+approximately: every figure built on them is pinned byte-for-byte.
 """
 
 from dataclasses import replace as dc_replace
@@ -37,46 +40,46 @@ N_CYCLES = 1500
 # (topology, pattern, rate, router_cycles, hops_per_cycle):
 #     (mean, p95, delivered, offered, saturated)
 ROUTER = {
-    ('mesh_64', 'uniform', 0.006, 1, 4): (12.66304347826087, 22.0, 460, 460, False),
-    ('mesh_64', 'uniform', 0.02, 3, 12): (23.33845126835781, 42.0, 1498, 1498, False),
-    ('mesh_64', 'hotspot', 0.006, 1, 4): (13.227557411273487, 22.0, 479, 479, False),
-    ('mesh_64', 'hotspot', 0.02, 3, 12): (24.560893098782138, 43.0, 1478, 1478, False),
-    ('mesh_64', 'burst', 0.006, 1, 4): (12.349680170575693, 22.0, 469, 469, False),
-    ('mesh_64', 'burst', 0.02, 3, 12): (23.533164876816173, 42.0, 1583, 1583, False),
-    ('cmesh_64', 'uniform', 0.006, 1, 4): (7.082608695652174, 12.0, 460, 460, False),
-    ('cmesh_64', 'uniform', 0.02, 3, 12): (12.12483311081442, 22.0, 1498, 1498, False),
-    ('cmesh_64', 'hotspot', 0.006, 1, 4): (7.361169102296451, 12.0, 479, 479, False),
-    ('cmesh_64', 'hotspot', 0.02, 3, 12): (12.502029769959405, 22.0, 1478, 1478, False),
-    ('cmesh_64', 'burst', 0.006, 1, 4): (7.063965884861407, 12.0, 469, 469, False),
-    ('cmesh_64', 'burst', 0.02, 3, 12): (12.189513581806697, 22.0, 1583, 1583, False),
-    ('flattened_butterfly_64', 'uniform', 0.006, 1, 4): (5.306521739130435, 7.0, 460, 460, False),
-    ('flattened_butterfly_64', 'uniform', 0.02, 3, 12): (8.08210947930574, 10.0, 1498, 1498, False),
-    ('flattened_butterfly_64', 'hotspot', 0.006, 1, 4): (5.4258872651356995, 7.0, 479, 479, False),
-    ('flattened_butterfly_64', 'hotspot', 0.02, 3, 12): (8.020297699594046, 10.0, 1478, 1478, False),
-    ('flattened_butterfly_64', 'burst', 0.006, 1, 4): (5.315565031982943, 7.0, 469, 469, False),
-    ('flattened_butterfly_64', 'burst', 0.02, 3, 12): (8.182564750473784, 10.0, 1583, 1583, False),
+    ('mesh_64', 'uniform', 0.006, 1, 4): (12.88888888888889, 24.0, 459, 459, False),
+    ('mesh_64', 'uniform', 0.02, 3, 12): (23.593457943925234, 42.0, 1498, 1498, False),
+    ('mesh_64', 'hotspot', 0.006, 1, 4): (12.841666666666667, 22.0, 480, 480, False),
+    ('mesh_64', 'hotspot', 0.02, 3, 12): (24.13124583610926, 43.0, 1501, 1501, False),
+    ('mesh_64', 'burst', 0.006, 1, 4): (12.717241379310344, 22.0, 435, 435, False),
+    ('mesh_64', 'burst', 0.02, 3, 12): (22.993780234968902, 42.0, 1447, 1447, False),
+    ('cmesh_64', 'uniform', 0.006, 1, 4): (7.169934640522876, 12.0, 459, 459, False),
+    ('cmesh_64', 'uniform', 0.02, 3, 12): (12.427903871829105, 22.0, 1498, 1498, False),
+    ('cmesh_64', 'hotspot', 0.006, 1, 4): (7.052083333333333, 12.0, 480, 480, False),
+    ('cmesh_64', 'hotspot', 0.02, 3, 12): (12.387741505662891, 22.0, 1501, 1501, False),
+    ('cmesh_64', 'burst', 0.006, 1, 4): (6.954022988505747, 12.0, 435, 435, False),
+    ('cmesh_64', 'burst', 0.02, 3, 12): (12.097442985487215, 22.0, 1447, 1447, False),
+    ('flattened_butterfly_64', 'uniform', 0.006, 1, 4): (5.350762527233115, 7.0, 459, 459, False),
+    ('flattened_butterfly_64', 'uniform', 0.02, 3, 12): (8.152870493991989, 10.0, 1498, 1498, False),
+    ('flattened_butterfly_64', 'hotspot', 0.006, 1, 4): (5.225, 7.0, 480, 480, False),
+    ('flattened_butterfly_64', 'hotspot', 0.02, 3, 12): (8.084610259826782, 10.0, 1501, 1501, False),
+    ('flattened_butterfly_64', 'burst', 0.006, 1, 4): (5.273563218390804, 7.0, 435, 435, False),
+    ('flattened_butterfly_64', 'burst', 0.02, 3, 12): (8.110573600552868, 10.0, 1447, 1447, False),
 }
 
 # (bus, pattern, rate, hops_per_cycle): (mean, p95, delivered, offered, saturated)
 BUS = {
-    ('shared_bus', 'uniform', 0.006, 12): (126.19406392694064, 412.0, 438, 438, True),
-    ('shared_bus', 'uniform', 0.02, 4): (3859.0983146067415, 5226.0, 356, 1464, True),
-    ('shared_bus', 'hotspot', 0.006, 12): (143.49103139013454, 497.0, 446, 446, True),
-    ('shared_bus', 'hotspot', 0.02, 4): (3720.5688311688314, 5243.0, 385, 1559, True),
-    ('shared_bus', 'burst', 0.006, 12): (93.97072072072072, 311.0, 444, 444, False),
-    ('shared_bus', 'burst', 0.02, 4): (3432.5364583333335, 5183.0, 384, 1572, True),
-    ('cryobus', 'uniform', 0.006, 12): (4.223744292237443, 5.0, 438, 438, False),
-    ('cryobus', 'uniform', 0.02, 4): (2456.001366120219, 4031.0, 1464, 1464, True),
-    ('cryobus', 'hotspot', 0.006, 12): (4.271300448430493, 5.0, 446, 446, False),
-    ('cryobus', 'hotspot', 0.02, 4): (2508.482360487492, 4208.0, 1559, 1559, True),
-    ('cryobus', 'burst', 0.006, 12): (4.34009009009009, 6.0, 444, 444, False),
-    ('cryobus', 'burst', 0.02, 4): (2514.9872773536895, 4281.0, 1572, 1572, True),
-    ('cryobus_2way', 'uniform', 0.006, 12): (4.093607305936073, 5.0, 438, 438, False),
-    ('cryobus_2way', 'uniform', 0.02, 4): (778.5956284153006, 1459.0, 1464, 1464, True),
-    ('cryobus_2way', 'hotspot', 0.006, 12): (4.145739910313901, 5.0, 446, 446, False),
-    ('cryobus_2way', 'hotspot', 0.02, 4): (972.1161000641437, 2293.0, 1559, 1559, True),
-    ('cryobus_2way', 'burst', 0.006, 12): (4.168918918918919, 5.0, 444, 444, False),
-    ('cryobus_2way', 'burst', 0.02, 4): (805.6202290076336, 1585.0, 1572, 1572, True),
+    ('shared_bus', 'uniform', 0.006, 12): (128.53986332574033, 395.0, 439, 439, True),
+    ('shared_bus', 'uniform', 0.02, 4): (3824.8429752066118, 5264.0, 363, 1469, True),
+    ('shared_bus', 'hotspot', 0.006, 12): (153.21123595505617, 460.0, 445, 445, True),
+    ('shared_bus', 'hotspot', 0.02, 4): (3699.0280612244896, 5182.0, 392, 1560, True),
+    ('shared_bus', 'burst', 0.006, 12): (146.14855875831486, 441.0, 451, 451, True),
+    ('shared_bus', 'burst', 0.02, 4): (3425.9659367396594, 5185.0, 411, 1499, True),
+    ('cryobus', 'uniform', 0.006, 12): (4.20501138952164, 5.0, 439, 439, False),
+    ('cryobus', 'uniform', 0.02, 4): (2450.584751531654, 4042.0, 1469, 1469, True),
+    ('cryobus', 'hotspot', 0.006, 12): (4.265168539325843, 5.0, 445, 445, False),
+    ('cryobus', 'hotspot', 0.02, 4): (2490.24358974359, 4206.0, 1560, 1560, True),
+    ('cryobus', 'burst', 0.006, 12): (4.365853658536586, 6.0, 451, 451, False),
+    ('cryobus', 'burst', 0.02, 4): (2372.2908605737157, 4044.0, 1499, 1499, True),
+    ('cryobus_2way', 'uniform', 0.006, 12): (4.0842824601366745, 5.0, 439, 439, False),
+    ('cryobus_2way', 'uniform', 0.02, 4): (771.9584751531654, 1454.0, 1469, 1469, True),
+    ('cryobus_2way', 'hotspot', 0.006, 12): (4.116853932584269, 5.0, 445, 445, False),
+    ('cryobus_2way', 'hotspot', 0.02, 4): (940.9974358974359, 2247.0, 1560, 1560, True),
+    ('cryobus_2way', 'burst', 0.006, 12): (4.11529933481153, 5.0, 451, 451, False),
+    ('cryobus_2way', 'burst', 0.02, 4): (752.2034689793195, 1511.0, 1499, 1499, True),
 }
 
 TOPOLOGIES = {t.name: t for t in (Mesh(64), CMesh(64), FlattenedButterfly(64))}

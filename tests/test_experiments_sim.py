@@ -15,13 +15,17 @@ class TestFig21Small:
         return run_fig21(rates=RATES, n_cycles=2500, include_routers=(1,))
 
     def test_cryobus_lowest_zero_load(self, result):
+        """Both CryoBus variants sit below the router NoCs and the shared
+        bus. Between themselves they tie at zero load, so sampling noise
+        may order them either way."""
         lowest_rate = min(RATES)
         at_low = {
             row[0]: row[2] for row in result.rows if row[1] == lowest_rate
         }
-        assert at_low["cryobus"] <= min(
-            v for k, v in at_low.items() if k != "cryobus"
-        )
+        cryobus = [v for k, v in at_low.items() if k.startswith("cryobus")]
+        others = [v for k, v in at_low.items() if not k.startswith("cryobus")]
+        assert len(cryobus) == 2
+        assert max(cryobus) <= min(others)
 
     def test_shared_bus_saturates_before_cryobus(self, result):
         bus_sat = [r[1] for r in result.rows if r[0] == "shared_bus_77K" and r[3]]

@@ -7,7 +7,7 @@ from repro.noc.arbiter import MatrixArbiter
 from repro.noc.bus import CryoBusDesign, HTree, HTreeBus300K, SharedBusDesign
 from repro.noc.link import WireLinkModel
 from repro.noc.router import RouterModel
-from repro.noc.topology import CMesh, FlattenedButterfly, Mesh
+from repro.noc.topology import CMesh, FlattenedButterfly, Mesh, RouterTopology
 from repro.tech.constants import T_LN2
 from repro.tech.operating_point import OP_CRYO, OP_ROOM, OperatingPoint
 
@@ -88,6 +88,20 @@ class TestMesh:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             Mesh(60)
+
+    @pytest.mark.parametrize("concentration", (1, 2, 4, 16))
+    def test_closed_form_route_stats_match_the_generic_pass(self, concentration):
+        for side in range(1, 9):
+            n_nodes = concentration * side * side
+            if n_nodes < 2:
+                continue
+            for mesh in (
+                Mesh(n_nodes, concentration),
+                CMesh(n_nodes, concentration),
+            ):
+                stats = mesh._route_stats
+                assert stats == RouterTopology._route_stats.func(mesh)
+                assert [type(v) for v in stats] == [float, int, int]
 
     @settings(max_examples=40, deadline=None)
     @given(src=st.integers(0, 63), dst=st.integers(0, 63))

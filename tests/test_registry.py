@@ -92,3 +92,10 @@ class TestColdImports:
         )
         assert "repro.tech.resistivity" in loaded  # the model really loaded
         assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+    def test_serving_imports_no_numpy_random(self, tmp_path):
+        """numpy's random package costs the server ~2.3 MB of peak RSS;
+        only drawing traffic needs it, so importing the model must not."""
+        loaded = _modules_loaded_by("import repro.serve.app", tmp_path / "cache")
+        assert "repro.noc.traffic" in loaded  # the NoC layer really loaded
+        assert [m for m in loaded if m.startswith("numpy.random")] == []

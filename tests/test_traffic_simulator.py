@@ -1,12 +1,27 @@
 """Traffic patterns and the cycle-accurate NoC simulator."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.noc.bus import CryoBusDesign, SharedBusDesign
 from repro.noc.simulator import NocSimulator
 from repro.noc.topology import FlattenedButterfly, Mesh
-from repro.noc.traffic import TrafficPattern, make_pattern
+from repro.noc.traffic import BLOCK_CYCLES, make_pattern
+
+
+def _close_share(trace, window=16):
+    """Share of injections within ``window`` cycles of the same node's
+    previous injection."""
+    last = {}
+    close = total = 0
+    for cycle, src, _ in trace:
+        if src in last:
+            total += 1
+            close += cycle - last[src] <= window
+        last[src] = cycle
+    return close / total
 
 
 class TestTrafficPatterns:
@@ -20,37 +35,47 @@ class TestTrafficPatterns:
 
     def test_uniform_never_self_addressed(self):
         pattern = make_pattern("uniform", 16)
-        for _, src, dst in pattern.packets(0.5, 200):
+        for _, src, dst in pattern.trace(0.5, 200):
             assert src != dst
 
     def test_transpose_is_deterministic_permutation(self):
         pattern = make_pattern("transpose", 64)
-        for _, src, dst in pattern.packets(0.3, 50):
+        for _, src, dst in pattern.trace(0.3, 50):
             x, y = src % 8, src // 8
             assert dst == x * 8 + y
 
     def test_bit_reverse_mapping(self):
         pattern = make_pattern("bit_reverse", 64)
-        for _, src, dst in pattern.packets(0.3, 50):
+        for _, src, dst in pattern.trace(0.3, 50):
             assert dst == int(format(src, "06b")[::-1], 2)
 
     def test_injection_rate_statistics(self):
         pattern = make_pattern("uniform", 64)
-        count = sum(1 for _ in pattern.packets(0.01, 4000))
+        count = len(pattern.trace(0.01, 4000))
         expected = 0.01 * 64 * 4000
         assert count == pytest.approx(expected, rel=0.15)
 
     def test_burst_matches_average_rate(self):
         pattern = make_pattern("burst", 64)
-        count = sum(1 for _ in pattern.packets(0.01, 6000))
+        count = len(pattern.trace(0.01, 6000))
         expected = 0.01 * 64 * 6000
         assert count == pytest.approx(expected, rel=0.25)
+
+    def test_burst_injections_cluster(self):
+        """Burst injections come in runs, not just at the average rate:
+        a Bernoulli process at 1 % puts ~15 % of a node's injections
+        within 16 cycles of its previous one, the 16-on/48-off chain
+        ~34 %."""
+        burst = make_pattern("burst", 64).trace(0.01, 6000)
+        uniform = make_pattern("uniform", 64).trace(0.01, 6000)
+        assert _close_share(burst) > 0.25
+        assert _close_share(uniform) < 0.2
 
     def test_hotspot_concentrates_traffic(self):
         pattern = make_pattern("hotspot", 64)
         hot_targets = {0, 16, 32, 48}
         hits = total = 0
-        for _, _, dst in pattern.packets(0.05, 2000):
+        for _, _, dst in pattern.trace(0.05, 2000):
             total += 1
             hits += dst in hot_targets
         assert hits / total > 0.25  # ~30 % by construction
@@ -62,7 +87,7 @@ class TestTrafficPatterns:
         pattern = make_pattern("hotspot", 64)
         hot_targets = {0, 16, 32, 48}
         hits = total = 0
-        for _, src, dst in pattern.packets(0.05, 4000):
+        for _, src, dst in pattern.trace(0.05, 4000):
             if src not in hot_targets:
                 continue
             total += 1
@@ -72,18 +97,49 @@ class TestTrafficPatterns:
 
     def test_hotspot_never_self_addressed(self):
         pattern = make_pattern("hotspot", 16)
-        for _, src, dst in pattern.packets(0.3, 500):
+        for _, src, dst in pattern.trace(0.3, 500):
             assert src != dst
+
+    @pytest.mark.parametrize(
+        "name", ("uniform", "transpose", "hotspot", "bit_reverse", "burst")
+    )
+    def test_trace_is_in_injection_order_and_never_self_addressed(self, name):
+        trace = make_pattern(name, 64).trace(0.2, 600)
+        assert len(trace) > 0
+        assert (trace.src != trace.dst).all()
+        packets = list(trace)
+        assert packets == sorted(packets)  # by cycle, then by source
+        assert len({(cycle, src) for cycle, src, _ in packets}) == len(packets)
+
+    def test_rate_zero_is_an_empty_trace(self):
+        for name in ("uniform", "burst"):
+            assert len(make_pattern(name, 16).trace(0.0, 1000)) == 0
+
+    def test_rate_one_fires_every_node_every_cycle(self):
+        n_cycles = BLOCK_CYCLES + 3
+        trace = make_pattern("uniform", 16).trace(1.0, n_cycles)
+        assert list(trace.cycle) == [c for c in range(n_cycles) for _ in range(16)]
+        assert list(trace.src) == list(range(16)) * n_cycles
+
+    def test_partial_last_block_keeps_the_nominal_rate(self):
+        """The cycle past the last full block is drawn at the same rate."""
+        trace = make_pattern("uniform", 1024).trace(0.25, BLOCK_CYCLES + 1)
+        in_partial_block = int((trace.cycle == BLOCK_CYCLES).sum())
+        assert in_partial_block == pytest.approx(0.25 * 1024, rel=0.2)
 
     def test_deterministic_given_seed(self):
         pattern = make_pattern("uniform", 16)
-        first = list(pattern.packets(0.05, 100, seed="s"))
-        second = list(pattern.packets(0.05, 100, seed="s"))
+        first = list(pattern.trace(0.05, 100, seed="s"))
+        second = list(pattern.trace(0.05, 100, seed="s"))
         assert first == second
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
-            list(make_pattern("uniform", 16).packets(1.5, 10))
+            make_pattern("uniform", 16).trace(1.5, 10)
+
+    def test_rejects_nan_rate(self):
+        with pytest.raises(ValueError):
+            make_pattern("uniform", 16).trace(math.nan, 10)
 
 
 class TestRouterNetworkSim:
