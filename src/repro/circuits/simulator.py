@@ -21,7 +21,6 @@ from repro.tech.batch import (
     OperatingPointBatchLike,
     as_operating_point_batch,
     broadcast_lengths,
-    frozen,
 )
 from repro.tech.metal import FREEPDK45_STACK, WireTechnology
 from repro.tech.mosfet import CryoMOSFET, INDUSTRY_2Z_CARD, MOSFETCard
@@ -203,29 +202,6 @@ class CircuitSimulator:
             degraded=degraded,
         )
 
-    def estimate_repeated_wire(
-        self,
-        layer_name: str,
-        length_um: float,
-        n_repeaters: int,
-        repeater_size: float,
-        op: OperatingPoint = OP_ROOM,
-    ) -> WireSimResult:
-        """Analytical sibling of :meth:`simulate_repeated_wire`.
-
-        Uses the closed-form uniform-ladder Elmore t50 instead of the
-        exact eigensolve — the fast estimate the batch path vectorizes.
-        Thin wrapper over the length-1 :meth:`simulate_batch`, so it is
-        bit-identical to ``simulate_batch(...)[i]``.
-        """
-        return self.simulate_batch(
-            layer_name,
-            [length_um],
-            n_repeaters,
-            repeater_size,
-            OperatingPointBatch.from_points([op]),
-        )[0]
-
     def simulate_batch(
         self,
         layer_name: str,
@@ -276,11 +252,11 @@ class CircuitSimulator:
         intrinsic_ns = 0.69 * r_unit * self.driver_cp_ff * 1e-6  # ohm*fF -> ns
         return WireSimResultBatch(
             layer_name=layer_name,
-            length_um=frozen(np.array(lengths, dtype=float)),
+            length_um=lengths,
             temperature_k=batch.temperature_k,
-            n_repeaters=frozen(n.astype(int)),
-            delay_ns=frozen(n * (seg_t50_ns + intrinsic_ns)),
-            degraded=frozen(np.zeros(lengths.shape[0], dtype=bool)),
+            n_repeaters=n.astype(int),
+            delay_ns=n * (seg_t50_ns + intrinsic_ns),
+            degraded=np.zeros(lengths.shape[0], dtype=bool),
         )
 
     def simulate_design(

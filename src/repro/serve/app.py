@@ -36,10 +36,10 @@ Overload semantics, hop by hop:
 On ``start()`` the server installs its service's
 :class:`~repro.tech.context.TechContext` as the process-global active
 context (and restores the previous one on ``stop()``). The context is
-process-global rather than thread-local by design — the whole point of
-the serve layer is that every request warms the *same* memo store — so
-the server installs it once at startup; nothing swaps contexts
-per-request.
+process-global rather than thread-local by design — every request
+shares the *same* store of scalar memos (the batch kernels behind point
+and grid queries compute on every call) — so the server installs it
+once at startup; nothing swaps contexts per-request.
 """
 
 from __future__ import annotations

@@ -23,17 +23,15 @@ Conventions (see the "scalar vs batch surface" section of
 * scalar entry points are thin wrappers over the length-1 batch path,
   so there is exactly one implementation of each formula and
   ``batch_kernel(batch)[i] == scalar_kernel(batch[i])`` bit-for-bit;
-* the columns of a batch are frozen (``writeable=False``) so cached
-  results can be shared safely, and :attr:`OperatingPointBatch.key` is
-  the hashable whole-batch identity the memoized
-  :class:`~repro.tech.context.TechContext` keys batch results on;
-* ``batch[i]`` yields an ordinary :class:`OperatingPoint` whose
-  per-element ``.key`` is the scalar memoization identity.
+* the columns of a batch are frozen (``writeable=False``): a batch is
+  an immutable value, like :class:`OperatingPoint`;
+* batch kernels compute on every call; only the scalar entry points
+  memoize, and ``batch[i]`` yields an ordinary :class:`OperatingPoint`
+  whose ``.key`` is that memoization identity.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -44,24 +42,6 @@ from repro.tech.operating_point import OP_ROOM, OperatingPoint
 def _nan_to_none(value: float) -> Optional[float]:
     value = float(value)
     return None if value != value else value
-
-
-def array_digest(*arrays: np.ndarray) -> str:
-    """Content digest of one or more float arrays (a hashable identity).
-
-    Used to build memoization keys for batch-shaped inputs (operating
-    point columns, length grids) that are too large to hash as tuples.
-    """
-    digest = hashlib.sha256()
-    for array in arrays:
-        digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
-    return digest.hexdigest()
-
-
-def frozen(array: np.ndarray) -> np.ndarray:
-    """Mark ``array`` read-only and return it (cache-sharing hygiene)."""
-    array.flags.writeable = False
-    return array
 
 
 class OperatingPointBatch:
@@ -76,7 +56,7 @@ class OperatingPointBatch:
         :class:`OperatingPoint`.
     """
 
-    __slots__ = ("temperature_k", "vdd_v", "vth_v", "_key")
+    __slots__ = ("temperature_k", "vdd_v", "vth_v")
 
     def __init__(
         self,
@@ -100,10 +80,9 @@ class OperatingPointBatch:
                 f"point {i}: Vdd must exceed Vth "
                 f"(Vdd={vdd[i]:g} V, Vth={vth[i]:g} V)"
             )
-        self.temperature_k = frozen(t)
-        self.vdd_v = frozen(vdd)
-        self.vth_v = frozen(vth)
-        self._key: Optional[Tuple] = None
+        for column in (t, vdd, vth):
+            column.flags.writeable = False
+        self.temperature_k, self.vdd_v, self.vth_v = t, vdd, vth
 
     @staticmethod
     def _column(value, n: int, name: str) -> np.ndarray:
@@ -206,7 +185,7 @@ class OperatingPointBatch:
         return (self[i] for i in range(len(self)))
 
     def __repr__(self) -> str:
-        return f"OperatingPointBatch(n={len(self)}, key={self.key[2][:12]}...)"
+        return f"OperatingPointBatch(n={len(self)})"
 
     def to_points(self) -> List[OperatingPoint]:
         """The scalar points of this batch (auto-named, names not kept)."""
@@ -223,25 +202,6 @@ class OperatingPointBatch:
             "vdd_v": [_nan_to_none(v) for v in self.vdd_v],
             "vth_v": [_nan_to_none(v) for v in self.vth_v],
         }
-
-    # ------------------------------------------------------------------
-    # identity
-    # ------------------------------------------------------------------
-    @property
-    def key(self) -> Tuple:
-        """Hashable whole-batch electrical identity (memoization key).
-
-        Two batches with element-wise identical columns share the key —
-        the batch analogue of :attr:`OperatingPoint.key` — so repeated
-        grids hit the :class:`~repro.tech.context.TechContext` cache.
-        """
-        if self._key is None:
-            self._key = (
-                "opb",
-                len(self),
-                array_digest(self.temperature_k, self.vdd_v, self.vth_v),
-            )
-        return self._key
 
     @property
     def is_cryogenic(self) -> np.ndarray:

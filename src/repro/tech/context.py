@@ -10,6 +10,11 @@ caches those pure derivations behind hashable keys (every device card,
 metal layer and :class:`~repro.tech.operating_point.OperatingPoint` is a
 frozen dataclass) so the hot loops stop redoing identical physics.
 
+Only the scalar entry points memoize. The ``_batch`` kernels compute on
+every call and never touch the context: a dense grid or a coalesced
+batch of served points is mostly fresh points, so keying it on a
+digest of its columns bought evictions, not reuse.
+
 Usage: the model layers call :func:`get_context` internally -- nothing
 changes for callers, warm evaluations just get faster. For control:
 
@@ -146,23 +151,6 @@ class TechContext:
                     evicted, _ = self._store.popitem(last=False)
                     self._evictions[evicted[0]] += 1
         return value
-
-    def memo_array(self, key: Tuple, compute: Callable[[], Any]) -> Any:
-        """:meth:`memo` for NumPy-array results (batch-keyed memoization).
-
-        The computed array is frozen (``writeable=False``) before it is
-        stored, so every warm lookup hands back the *same* read-only
-        array — batch kernels key these on
-        :attr:`~repro.tech.batch.OperatingPointBatch.key`, making a
-        repeated grid a single dictionary hit instead of N scalar hits.
-        """
-
-        def compute_frozen() -> Any:
-            value = compute()
-            value.flags.writeable = False
-            return value
-
-        return self.memo(key, compute_frozen)
 
     # ------------------------------------------------------------------
     @property

@@ -20,11 +20,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.tech.batch import (
-    OperatingPointBatchLike,
-    array_digest,
-    as_operating_point_batch,
-)
+from repro.tech.batch import OperatingPointBatchLike, as_operating_point_batch
 from repro.tech.context import get_context
 from repro.tech.operating_point import OP_ROOM, OperatingPoint
 from repro.tech.resistivity import CryoResistivityModel
@@ -77,17 +73,12 @@ class MetalLayer:
     ) -> np.ndarray:
         """Vectorized :meth:`resistance_per_um` over an operating-point batch.
 
-        Memoized per distinct temperature column (wires ignore the
-        voltage columns, so voltage-only sweeps share one cache entry).
+        Wires read only the temperature column.
         """
         batch = check_operating_point_batch(
             as_operating_point_batch(op), "metal.wire_resistance"
         )
-        t = batch.temperature_k
-        return get_context().memo_array(
-            ("wire_r_batch", self, t.shape[0], array_digest(t)),
-            lambda: self._resistance_per_um_raw(t),
-        )
+        return self._resistance_per_um_raw(batch.temperature_k)
 
     def _resistance_per_um_raw(self, temperature_k) -> np.ndarray:
         return (

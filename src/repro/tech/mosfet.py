@@ -13,8 +13,9 @@ need:
 
 Every evaluation point is an :class:`~repro.tech.operating_point.OperatingPoint`
 (``vdd_v``/``vth_v`` of ``None`` mean the card's nominal voltages).
-Gate-delay and leakage factors are memoized per ``(card, operating
-point)`` in the active :class:`~repro.tech.context.TechContext`.
+The scalar gate-delay and leakage factors are memoized per ``(card,
+operating point)`` in the active :class:`~repro.tech.context.TechContext`;
+their ``_batch`` siblings compute on every call.
 
 The drive model is deliberately phenomenological:
 
@@ -211,14 +212,11 @@ class CryoMOSFET:
     def gate_delay_factor_batch(
         self, op: OperatingPointBatchLike = None
     ) -> np.ndarray:
-        """Vectorized :meth:`gate_delay_factor`; memoized per batch key."""
+        """Vectorized :meth:`gate_delay_factor` over an operating-point batch."""
         batch = check_operating_point_batch(
             as_operating_point_batch(op), "mosfet.gate_delay"
         )
-        return get_context().memo_array(
-            ("gate_delay_batch", self.card, batch.key),
-            lambda: self._gate_delay_factor_batch(batch),
-        )
+        return self._gate_delay_factor_batch(batch)
 
     def _gate_delay_factor_batch(self, batch: OperatingPointBatch) -> np.ndarray:
         relative_vdd = self._vdd_batch(batch) / self.card.vdd_nominal_v
@@ -269,14 +267,11 @@ class CryoMOSFET:
         )
 
     def leakage_factor_batch(self, op: OperatingPointBatchLike = None) -> np.ndarray:
-        """Vectorized :meth:`leakage_factor`; memoized per batch key."""
+        """Vectorized :meth:`leakage_factor` over an operating-point batch."""
         batch = check_operating_point_batch(
             as_operating_point_batch(op), "mosfet.leakage"
         )
-        return get_context().memo_array(
-            ("leakage_batch", self.card, batch.key),
-            lambda: self._leakage_raw_batch(batch) / self._leak_nominal_300,
-        )
+        return self._leakage_raw_batch(batch) / self._leak_nominal_300
 
 
 def cryo_mosfet(card: MOSFETCard) -> CryoMOSFET:

@@ -17,9 +17,10 @@ optimizer evaluates the integer neighbours of ``n*`` (plus the unrepeated
 case) and returns the best.
 
 Evaluation points are :class:`~repro.tech.operating_point.OperatingPoint`
-values, and optimisation results are memoized per ``(layer, driver, length, op)``
-in the active :class:`~repro.tech.context.TechContext` -- the multicore
-fixed point re-prices the same links thousands of times.
+values, and scalar optimisation results are memoized per ``(layer, driver,
+length, op)`` in the active :class:`~repro.tech.context.TechContext` -- the
+multicore fixed point re-prices the same links thousands of times.
+:meth:`RepeaterOptimizer.optimize_batch` computes on every call.
 
 Calibration: the driver constants below make a latency-optimal 2 mm
 global-wire link cost ~0.064 ns at 300 K -- the CACTI-NUCA anchor the
@@ -36,10 +37,8 @@ import numpy as np
 from repro.tech.batch import (
     OperatingPointBatch,
     OperatingPointBatchLike,
-    array_digest,
     as_operating_point_batch,
     broadcast_lengths,
-    frozen,
 )
 from repro.tech.context import get_context
 from repro.util.guards import (
@@ -172,13 +171,6 @@ class RepeaterOptimizer:
             lambda: self.driver_r0_ohm * self.driver.gate_delay_factor(op),
         )
 
-    def _driver_resistance_batch(self, batch: OperatingPointBatch) -> np.ndarray:
-        """Vectorized :meth:`_driver_resistance` (ohm per point)."""
-        return get_context().memo_array(
-            ("driver_r_batch", self.driver.card, self.driver_r0_ohm, batch.key),
-            lambda: self.driver_r0_ohm * self.driver.gate_delay_factor_batch(batch),
-        )
-
     def _segment_delay_ns(
         self, r0: float, h: float, r: float, c: float, seg_len_um: float
     ) -> float:
@@ -209,37 +201,6 @@ class RepeaterOptimizer:
         c = self.layer.capacitance_f_per_um
         seg = length_um / n_repeaters
         return n_repeaters * self._segment_delay_ns(r0, repeater_size, r, c, seg)
-
-    def delay_with_batch(
-        self,
-        lengths_um,
-        n_repeaters,
-        repeater_size,
-        op: OperatingPointBatchLike = None,
-    ) -> np.ndarray:
-        """Vectorized :meth:`delay_with` (explicit per-point assignments).
-
-        ``n_repeaters``/``repeater_size`` broadcast against the length
-        grid; the operating-point batch broadcasts per the usual rules.
-        """
-        batch = as_operating_point_batch(op)
-        lengths, batch = broadcast_lengths(lengths_um, batch)
-        n = np.broadcast_to(
-            np.asarray(n_repeaters, dtype=float), lengths.shape
-        )
-        h = np.broadcast_to(
-            np.asarray(repeater_size, dtype=float), lengths.shape
-        )
-        if bool((lengths <= 0).any()):
-            raise ValueError("length must be positive")
-        if bool((n < 1).any()):
-            raise ValueError("need at least the source driver (n_repeaters >= 1)")
-        if bool((h < 1.0).any()):
-            raise ValueError("repeater size below minimum (1.0)")
-        r0 = self._driver_resistance_batch(batch)
-        r = self.layer.resistance_per_um_batch(batch)
-        c = self.layer.capacitance_f_per_um
-        return n * self._segment_delay_ns(r0, h, r, c, lengths / n)
 
     def optimize(
         self, length_um: float, op: OperatingPoint = OP_ROOM
@@ -273,8 +234,7 @@ class RepeaterOptimizer:
     ) -> RepeaterDesignBatch:
         """Vectorized :meth:`optimize` over a length grid and a batch.
 
-        Either side broadcasts from length 1; results are memoized per
-        ``(spec, lengths digest, batch key)`` and element ``i`` is
+        Either side broadcasts from length 1; element ``i`` is
         bit-identical to ``optimize(lengths[i], batch[i])``.
         """
         batch = check_operating_point_batch(
@@ -286,21 +246,12 @@ class RepeaterOptimizer:
         validate_wire_geometry_batch(
             lengths, layer_name=self.layer.name, site="repeater.geometry"
         )
-        return get_context().memo(
-            (
-                "repeater_opt_batch",
-                *self._spec_key(),
-                lengths.shape[0],
-                array_digest(lengths),
-                batch.key,
-            ),
-            lambda: self._optimize_batch(lengths, batch),
-        )
+        return self._optimize_batch(lengths, batch)
 
     def _optimize_batch(
         self, lengths_um: np.ndarray, batch: OperatingPointBatch
     ) -> RepeaterDesignBatch:
-        r0 = self._driver_resistance_batch(batch)
+        r0 = self.driver_r0_ohm * self.driver.gate_delay_factor_batch(batch)
         r = self.layer.resistance_per_um_batch(batch)
         c = self.layer.capacitance_f_per_um
         cg, cp = self.driver_cg_ff, self.driver_cp_ff
@@ -324,11 +275,11 @@ class RepeaterOptimizer:
         cols = np.arange(lengths_um.shape[0])
         return RepeaterDesignBatch(
             layer_name=self.layer.name,
-            length_um=frozen(np.array(lengths_um, dtype=float)),
+            length_um=lengths_um,
             temperature_k=batch.temperature_k,
-            n_repeaters=frozen(candidates[pick, cols].astype(int)),
-            repeater_size=frozen(h_opt),
-            delay_ns=frozen(delays[pick, cols].copy()),
+            n_repeaters=candidates[pick, cols].astype(int),
+            repeater_size=h_opt,
+            delay_ns=delays[pick, cols],
         )
 
     def speedup(self, length_um: float, op: OperatingPoint) -> float:

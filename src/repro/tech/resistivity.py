@@ -71,13 +71,15 @@ def bloch_gruneisen_ratio_batch(
 ) -> np.ndarray:
     """Vectorized :func:`bloch_gruneisen_ratio` over a temperature column.
 
-    The column and the 300 K reference are integrated in one call. Each
+    Each distinct temperature is integrated once, in one call with the
+    300 K reference, and the ratios are mapped back onto the column. Each
     row is reduced on its own, so a temperature's ratio is the same bits
     in any batch, and 300 K gives exactly 1.0.
     """
     t = check_temperature_batch(temperature_k)
-    integrals = _bloch_gruneisen_integral(np.append(t, T_ROOM) / debye_k)
-    return integrals[:-1] / integrals[-1]
+    distinct, inverse = np.unique(t, return_inverse=True)
+    integrals = _bloch_gruneisen_integral(np.append(distinct, T_ROOM) / debye_k)
+    return integrals[:-1][inverse] / integrals[-1]
 
 
 @dataclass(frozen=True)

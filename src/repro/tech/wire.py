@@ -4,10 +4,11 @@ This is the ``cryo-wire`` box of CC-Model (Fig. 6): given a metal-layer
 specification it produces geometry-aware wire delays at any
 :class:`~repro.tech.operating_point.OperatingPoint`, for both unrepeated
 (logic-driven) and repeated wires, together with the transistor/wire
-delay decomposition the critical-path analysis needs. Unrepeated
+delay decomposition the critical-path analysis needs. Scalar unrepeated
 breakdowns are memoized per ``(layer, driver card, length, op, load)``
-in the active :class:`~repro.tech.context.TechContext`; repeated wires
-share the repeater optimiser's memoization.
+in the active :class:`~repro.tech.context.TechContext`, and scalar
+repeated wires share the repeater optimiser's memoization; the
+``_batch`` methods compute on every call.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ import numpy as np
 from repro.tech.batch import (
     OperatingPointBatch,
     OperatingPointBatchLike,
-    array_digest,
     as_operating_point_batch,
     broadcast_lengths,
-    frozen,
 )
 from repro.tech.context import get_context
 from repro.tech.metal import FREEPDK45_STACK, OHM_FF_TO_NS, MetalLayer, WireTechnology
@@ -186,18 +185,8 @@ class CryoWireModel:
         lengths, batch = broadcast_lengths(lengths_um, batch)
         if bool((lengths < 0).any()):
             raise ValueError("length must be non-negative")
-        layer = self.stack.layer(layer_name)
-        return get_context().memo(
-            (
-                "unrepeated_batch",
-                layer,
-                self.logic.card,
-                lengths.shape[0],
-                array_digest(lengths),
-                load_ff,
-                batch.key,
-            ),
-            lambda: self._unrepeated_breakdown_batch(layer, lengths, batch, load_ff),
+        return self._unrepeated_breakdown_batch(
+            self.stack.layer(layer_name), lengths, batch, load_ff
         )
 
     def _unrepeated_breakdown_batch(
@@ -212,10 +201,7 @@ class CryoWireModel:
         c = layer.capacitance_f_per_um
         flight = _DW * r * c * lengths_um**2 * OHM_FF_TO_NS
         load = _SW * r * lengths_um * load_ff * OHM_FF_TO_NS
-        return WireDelayBreakdownBatch(
-            transistor_ns=frozen(np.array(drive, dtype=float)),
-            wire_ns=frozen(flight + load),
-        )
+        return WireDelayBreakdownBatch(transistor_ns=drive, wire_ns=flight + load)
 
     def unrepeated_delay(
         self, layer_name: str, length_um: float, op: OperatingPoint = OP_ROOM

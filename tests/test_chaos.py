@@ -191,13 +191,13 @@ class TestDeterminism:
         assert {status for _, status, _ in first} == {UNCACHED, ERROR}  # faults fired
 
 
-class TestKeepGoingAndResume:
+class TestFailedRunThenRerun:
     """The acceptance scenario: kill + hang + fatal across >= 6
     experiments, salvage the partial outcome, corrupt one cache entry on
     disk, then a plain rerun re-executes exactly what the cache
     cannot serve: the failures and the corrupted entry."""
 
-    def test_keep_going_then_resume_reruns_only_failures(self, tmp_path):
+    def test_rerun_recomputes_only_failures(self, tmp_path):
         ids = ["fig02", "fig03", "fig20", "fig22", "table1", "table4"]
         plan = FaultPlan(
             specs=(
@@ -244,8 +244,8 @@ class TestKeepGoingAndResume:
         assert ResultCache(tmp_path / "cache").quarantined_count() == 1
 
 
-class TestCliResumeAfterCrash:
-    def test_cli_resume_after_keep_going_crash(self, capsys, tmp_path):
+class TestCliRerunAfterCrash:
+    def test_cli_rerun_after_a_worker_crash(self, capsys, tmp_path):
         """A CLI run that loses a worker prints what completed and exits
         1; once the fault plan is gone, a plain rerun re-runs only what
         the crash failed and prints every table."""

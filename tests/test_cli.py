@@ -21,7 +21,7 @@ def _boom() -> ExperimentResult:
 def _slow_probe() -> ExperimentResult:
     if _BE_SLOW.is_set():
         time.sleep(5.0)
-    result = ExperimentResult("_cli_resume_tmo", "slow probe", ("x",))
+    result = ExperimentResult("_cli_rerun_tmo", "slow probe", ("x",))
     result.add_row(1.0)
     return result
 
@@ -77,7 +77,7 @@ class TestReport:
 
 
 class TestFaultToleranceFlags:
-    def test_failure_without_keep_going_salvages_and_fails(
+    def test_failure_salvages_the_rest_and_fails(
         self, capsys, tmp_path, register_driver
     ):
         register_driver("_cli_boom_strict", _boom)
@@ -126,9 +126,9 @@ class TestFaultToleranceFlags:
             main(["run", "fig20", "--timeout", "-2"])
 
 
-class TestResumeAfterFailures:
+class TestRerunAfterFailures:
     @pytest.mark.parametrize("damage", ["truncate", "delete", "no-cache"])
-    def test_resume_reruns_what_the_cache_cannot_serve(
+    def test_rerun_recomputes_what_the_cache_cannot_serve(
         self, capsys, tmp_path, damage
     ):
         """A rerun skips a completed experiment only while the cache
@@ -157,18 +157,18 @@ class TestResumeAfterFailures:
         else:
             assert statuses == ["hit", "miss"]
 
-    def test_resume_after_keep_going_timeout_reruns_only_the_loser(
+    def test_rerun_after_a_timeout_recomputes_only_the_loser(
         self, capsys, tmp_path, register_driver
     ):
         """After a run that ends with a timeout record, a plain rerun
         re-runs the timed-out experiment and serves the completed one
         from the cache."""
-        register_driver("_cli_resume_tmo", _slow_probe)
+        register_driver("_cli_rerun_tmo", _slow_probe)
         cache_flags = ["--cache-dir", str(tmp_path / "c")]
         _BE_SLOW.set()
         try:
             rc = main(
-                ["run", "_cli_resume_tmo", "fig20", "--timeout", "0.3"]
+                ["run", "_cli_rerun_tmo", "fig20", "--timeout", "0.3"]
                 + cache_flags
             )
         finally:
@@ -176,7 +176,7 @@ class TestResumeAfterFailures:
         assert rc == 1
         assert "timeout" in capsys.readouterr().err
 
-        rc = main(["run", "_cli_resume_tmo", "fig20"] + cache_flags)
+        rc = main(["run", "_cli_rerun_tmo", "fig20"] + cache_flags)
         assert rc == 0
         capsys.readouterr()
         assert main(["stats"] + cache_flags) == 0

@@ -59,7 +59,9 @@ class TestBlochGruneisen:
 
     def test_ratio_does_not_depend_on_its_batch(self):
         """A temperature prices to the same bits alone, inside a
-        1000-point batch and inside that batch permuted."""
+        1000-point batch, inside that batch permuted, and inside a column
+        that repeats temperatures (a voltage grid's 720 copies of 77 K,
+        then the batch twice over, shuffled)."""
         rng = np.random.default_rng(7)
         temps = rng.uniform(60.0, 400.0, 1000)
         temps[[0, 417, 999]] = (T_LN2, T_ROOM, 135.0)
@@ -69,6 +71,10 @@ class TestBlochGruneisen:
         assert np.array_equal(batch, alone)
         assert np.array_equal(bloch_gruneisen_ratio_batch(temps[order]), alone[order])
         assert batch[417] == 1.0
+        twice = rng.permutation(np.tile(np.arange(temps.size), 2))
+        repeats = np.concatenate([np.full(720, T_LN2), temps[twice]])
+        expected = np.concatenate([np.full(720, alone[0]), alone[twice]])
+        assert np.array_equal(bloch_gruneisen_ratio_batch(repeats), expected)
 
 
 class TestCryoResistivityModel:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import random
 import socket
 import threading
 import time
@@ -1228,3 +1229,40 @@ class TestGoldenAnswers:
         assert not changed, "\n".join(
             ["answers differ from tests/golden/serve.json:", *changed]
         )
+
+
+class TestWarmContext:
+    def test_fresh_points_leave_one_entry_per_card_and_evict_nothing(self):
+        """200 fresh points with wires, in 2-point batches, shaped like
+        ``tools/loadtest.py``'s ``make_point_query``. Only the scalar
+        entry points memoize, so the context keeps the shared
+        ``CryoMOSFET`` of each card and no entry per batch."""
+        rng = random.Random(23)
+        cards = ("freepdk45", "industry_2z")
+        queries = [
+            parse_point_query({
+                "operating_point": {
+                    "temperature_k": rng.uniform(77.0, 300.0),
+                    "vdd_v": rng.uniform(0.6, 1.25),
+                    "vth_v": 0.25,
+                },
+                "card": rng.choice(cards),
+                "wire": {
+                    "layer": "global",
+                    "length_um": rng.choice((500.0, 2000.0, 6220.0)),
+                },
+            })
+            for _ in range(200)
+        ]
+        service = ModelService()
+        with use_context(service.context):
+            results = [
+                result
+                for i in range(0, len(queries), 2)
+                for result in service.evaluate_points(queries[i : i + 2])
+            ]
+        assert len(results) == 200
+        assert all(r["ok"] and r["wire"] is not None for r in results)
+        stats = service.context.stats()
+        assert stats.entries <= len(cards)
+        assert stats.evictions == 0

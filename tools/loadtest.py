@@ -67,7 +67,7 @@ CARDS = ("freepdk45", "industry_2z")
 MIN_AB_SPEEDUP = 1.3
 
 #: Repeated grids in the diurnal mix (dashboards re-requesting the same
-#: sweep — the warm-context story).
+#: sweep; the batch kernels recompute each one).
 GRID_TEMPERATURES = ([77.0, 135.0, 200.0, 250.0, 300.0], [77.0, 300.0])
 
 
@@ -125,7 +125,8 @@ def make_point_query(rng: random.Random, fresh: bool = True) -> Dict:
     t = rng.uniform(*TEMPERATURE_RANGE_K)
     vdd = rng.uniform(*VDD_RANGE_V)
     if not fresh:
-        # A finite pool of revisited points (scalar-memo hits possible).
+        # A finite pool of revisited points (recomputed by the batch
+        # kernels on every visit, like fresh ones).
         t = round(t, 0)
         vdd = round(vdd, 1)
     return {
@@ -143,7 +144,7 @@ def make_point_query(rng: random.Random, fresh: bool = True) -> Dict:
 
 
 def make_grid_query(rng: random.Random) -> Dict:
-    """A repeated dashboard-style grid (warms the whole-batch memo)."""
+    """A repeated dashboard-style grid (recomputed on every request)."""
     return {
         "temperature_k": rng.choice(GRID_TEMPERATURES),
         "vdd_v": 0.64,
