@@ -777,7 +777,6 @@ class ModelService:
     def _ipc_payload(
         system_slug: str, result: WorkloadResult, warnings: List[Dict]
     ) -> Dict:
-        convergence = result.convergence
         return {
             "system": system_slug,
             "system_name": result.system_name,
@@ -797,11 +796,9 @@ class ModelService:
                 )
             },
             "convergence": {
-                "converged": convergence.converged,
-                "residual": convergence.residual,
-            }
-            if convergence is not None
-            else None,
+                "converged": result.convergence.converged,
+                "residual": result.convergence.residual,
+            },
             "warnings": warnings,
         }
 

@@ -4,11 +4,13 @@ For one (system, workload) pair the simulator solves a closed loop:
 
     IPC -> NoC injection rate -> contended latencies -> CPI -> IPC
 
-damped fixed-point iteration, exactly the equilibrium a full-system
-simulation settles into (slow fabrics throttle their own traffic). The
-result is a CPI stack (Fig. 3's buckets: core, branch, private cache,
-NoC, shared cache, DRAM, synchronisation) and the execution-time-based
-performance used in Figs. 17/23/24.
+as one bracketed root in NoC load: the load at which the traffic the
+cores inject at that load's latencies equals the load itself, exactly
+the equilibrium a full-system simulation settles into (slow fabrics
+throttle their own traffic). The result is a CPI stack (Fig. 3's
+buckets: core, branch, private cache, NoC, shared cache, DRAM,
+synchronisation) and the execution-time-based performance used in
+Figs. 17/23/24.
 """
 
 from __future__ import annotations
@@ -36,17 +38,9 @@ from repro.workloads.profiles import WorkloadProfile
 #: shows up as pipeline stall (the rest overlaps with execution).
 MLP_EXPOSURE = 0.6
 
-#: Residual at or below this certifies convergence even when the loop
-#: exhausted its iteration budget without an exact-repeat/tolerance exit.
+#: A final relative excess ``|demand(L) - L| / L`` at or below this
+#: certifies the equilibrium.
 CONVERGENCE_RTOL = 1e-6
-
-#: Initial damping of the fixed-point update (fraction of the previous
-#: iterate retained). Raised adaptively when the iterate oscillates.
-INITIAL_DAMPING = 0.5
-
-#: Ceiling for adaptive damping (retaining more would stall progress).
-MAX_DAMPING = 0.9
-
 
 
 @lru_cache(maxsize=None)
@@ -101,23 +95,20 @@ class CpiStack:
 
 @dataclass(frozen=True)
 class ConvergenceInfo:
-    """Certificate for one fixed-point solve of :meth:`MulticoreSystem.evaluate`.
+    """Certificate for one equilibrium solve of :meth:`MulticoreSystem.evaluate`.
 
-    ``converged`` is True when the loop exited on an exact repeat, met
-    the caller's tolerance, or finished with a relative residual at or
-    below :data:`CONVERGENCE_RTOL`. ``damping`` is the final damping
-    factor in effect (> :data:`INITIAL_DAMPING` means the iterate
-    oscillated and the loop stabilised itself); ``saturation_clamped``
-    records whether the final iterate's NoC load had to be clamped below
-    saturation, i.e. whether the answer sits on the 98 % clamp. An early
-    iterate that overshoots capacity on a solve that then settles below
-    it does not count.
+    ``residual`` is the final relative excess ``|demand(L) - L| / L`` at
+    the returned NoC load ``L``, 0 on the clamp; ``converged`` is True
+    when it is at or below :data:`CONVERGENCE_RTOL` (a NaN residual is
+    not). ``saturation_clamped`` records whether the answer sits on the
+    98 % clamp, which it does exactly when the demand at the clamp still
+    reaches the clamp. A contention-free demand above capacity on a
+    solve that settles below the clamp does not count.
     """
 
     converged: bool
     residual: float
-    damping: float
-    saturation_clamped: bool = False
+    saturation_clamped: bool
 
 
 @dataclass(frozen=True)
@@ -131,11 +122,10 @@ class WorkloadResult:
     frequency_ghz: float
     injection_rate_per_core: float
     noc_aggregate_rate: float
-    #: Fixed-point iterations actually run (0 for results built by code
-    #: paths that do not iterate, e.g. trace replay).
-    iterations_used: int = 0
-    #: Convergence certificate (None for non-iterative code paths).
-    convergence: Optional[ConvergenceInfo] = None
+    #: Loads at which the equilibrium solve priced the CPI stack.
+    iterations_used: int
+    #: Equilibrium certificate of the solve.
+    convergence: ConvergenceInfo
 
     @property
     def time_per_kilo_instruction_ns(self) -> float:
@@ -226,165 +216,162 @@ class MulticoreSystem:
         return inj_per_core * self.config.n_cores * f_core / f_noc
 
     # ------------------------------------------------------------------
+    def _stack_at(
+        self,
+        load: float,
+        profile: WorkloadProfile,
+        split: Dict[str, float],
+        core_cpi: float,
+        branch_cpi: float,
+    ) -> CpiStack:
+        """The CPI stack when the NoC carries ``load`` packets/NoC-cycle."""
+        cfg = self.config
+        f_core = cfg.core.frequency_ghz
+        hit = self.hierarchy.l3_hit(load)
+        miss = self.hierarchy.l3_miss(load)
+        c2c = self.hierarchy.cache_to_cache(load)
+        barrier_ns = self.hierarchy.barrier_ns(cfg.n_cores, load)
+        lock_ns = self.hierarchy.lock_ns(load)
+
+        def stall(rate_pki: float, latency_ns: float) -> float:
+            return rate_pki / 1000.0 * latency_ns * f_core * self.exposure
+
+        noc_cpi = (
+            stall(split["l3_hit_pki"], hit.noc_ns)
+            + stall(split["dram_pki"], miss.noc_ns)
+            + stall(split["c2c_pki"], c2c.noc_ns)
+        )
+        shared_cpi = (
+            stall(split["l3_hit_pki"], hit.cache_ns)
+            + stall(split["dram_pki"], miss.cache_ns)
+            + stall(split["c2c_pki"], c2c.cache_ns)
+        )
+        dram_cpi = stall(split["dram_pki"], miss.dram_ns)
+        private_cpi = stall(profile.l1d_mpki, cfg.caches.l2_latency_ns)
+        # Synchronisation stalls are fully exposed (nothing overlaps
+        # a barrier wait or a contended lock handoff).
+        sync_cpi = (
+            profile.barrier_pki / 1000.0 * barrier_ns
+            + profile.lock_pki / 1000.0 * lock_ns
+        ) * f_core
+
+        return CpiStack(
+            core=core_cpi,
+            branch=branch_cpi,
+            private_cache=private_cpi,
+            noc=noc_cpi,
+            shared_cache=shared_cpi,
+            dram=dram_cpi,
+            sync=sync_cpi,
+        )
+
     def evaluate(
         self,
         profile: WorkloadProfile,
         prefetcher: Optional[StridePrefetcher] = None,
-        iterations: int = 40,
-        tolerance: float = 0.0,
     ) -> WorkloadResult:
         """Closed-loop evaluation of one workload.
 
-        The damped fixed-point loop stops early once successive IPC
-        iterates converge: with the default ``tolerance=0.0`` only an
-        *exact* repeat stops it (every further iteration would reproduce
-        the same state bit for bit, so the result is identical to running
-        all ``iterations``); a positive ``tolerance`` accepts a relative
-        IPC change at or below it. ``iterations_used`` on the result
-        reports how many iterations actually ran, and ``convergence``
-        carries the certificate: final relative residual, the damping in
-        effect (raised adaptively if the iterate oscillated), and whether
-        the final iterate sits on the saturation clamp. A solve that ends
-        uncertified (residual above :data:`CONVERGENCE_RTOL`) or clamped
-        records a guard warning (an error under a strict
-        :class:`GuardContext`).
+        ``demand(L)`` is the NoC load the cores inject when every access
+        is priced at load ``L``'s contended latencies; it never rises
+        with ``L``. The equilibrium is the root of ``demand(L) - L``. An
+        Illinois regula falsi finds it on ``[0, min(0.98 * capacity,
+        demand(0))]``, one CPI-stack evaluation per step, and stops on
+        an exact root or when the next secant point does not fall
+        strictly inside the bracket; the bracket end with the smaller
+        excess is the answer. When the demand at the 98 % clamp still
+        reaches the clamp, the answer sits on the clamp: the equilibrium
+        latency at 98 % utilisation matches the throughput-limited
+        operating point.
+
+        ``iterations_used`` on the result counts the CPI-stack
+        evaluations, and ``convergence`` carries the certificate: the
+        final relative excess and whether the answer sits on the clamp.
+        A solve that ends uncertified (excess above
+        :data:`CONVERGENCE_RTOL`, or NaN) or clamped records a guard
+        warning (an error under a strict :class:`GuardContext`).
         """
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if tolerance < 0.0:
-            raise ValueError("tolerance must be non-negative")
         cfg = self.config
         guards = get_guards()
         validate_workload_profile(profile, site="multicore.workload", guards=guards)
         validate_operating_point(
             cfg.noc.operating_point, site="multicore.operating_point", guards=guards
         )
-        f_core = cfg.core.frequency_ghz
         core_cpi = self.ipc_model.issue_cpi(cfg.core.config, profile)
         branch_cpi = self.ipc_model.restart_cpi(cfg.core.config, profile)
         split = self._miss_split(profile, prefetcher)
+        # Contention is driven by request packets: snooping buses carry
+        # data on a separate wide data path (only the address bus
+        # arbitrates), and mesh data responses ride links with ample
+        # headroom at these rates.
+        requests = split["noc_requests_pki"] / 1000.0
+        clamp = 0.98 * self.noc.saturation_rate()
+        stacks: Dict[float, CpiStack] = {}
 
-        ipc = 1.0 / (core_cpi + branch_cpi)  # optimistic start
-        stack = None
-        load = 0.0
-        iterations_used = 0
-        damping = INITIAL_DAMPING
-        residual = float("inf")
-        prev_delta = 0.0
-        osc_streak = 0
-        saturation_clamped = False
-        converged = False
-        for _ in range(iterations):
-            # Contention is driven by request packets: snooping buses
-            # carry data on a separate wide data path (only the address
-            # bus arbitrates), and mesh data responses ride links with
-            # ample headroom at these rates.
-            inj = split["noc_requests_pki"] / 1000.0 * ipc
-            load = self._aggregate_rate(inj)
-            # Clamp into the stable region; the fixed point settles just
-            # below saturation when demand exceeds capacity (the
-            # equilibrium latency at 98 % utilisation matches the
-            # throughput-limited operating point). The flag describes
-            # this iterate, so after the loop it describes the final one:
-            # an early overshoot the solve later leaves behind is not a
-            # saturated answer.
-            sat = self.noc.saturation_rate()
-            saturation_clamped = load >= sat
-            if saturation_clamped:
-                load = 0.98 * sat
-
-            hit = self.hierarchy.l3_hit(load)
-            miss = self.hierarchy.l3_miss(load)
-            c2c = self.hierarchy.cache_to_cache(load)
-            barrier_ns = self.hierarchy.barrier_ns(cfg.n_cores, load)
-            lock_ns = self.hierarchy.lock_ns(load)
-
-            def stall(rate_pki: float, latency_ns: float) -> float:
-                return rate_pki / 1000.0 * latency_ns * f_core * self.exposure
-
-            noc_cpi = (
-                stall(split["l3_hit_pki"], hit.noc_ns)
-                + stall(split["dram_pki"], miss.noc_ns)
-                + stall(split["c2c_pki"], c2c.noc_ns)
+        def excess(load: float) -> float:
+            """``demand(load) - load``; keeps the stack priced at ``load``."""
+            stacks[load] = stack = self._stack_at(
+                load, profile, split, core_cpi, branch_cpi
             )
-            shared_cpi = (
-                stall(split["l3_hit_pki"], hit.cache_ns)
-                + stall(split["dram_pki"], miss.cache_ns)
-                + stall(split["c2c_pki"], c2c.cache_ns)
-            )
-            dram_cpi = stall(split["dram_pki"], miss.dram_ns)
-            private_cpi = stall(profile.l1d_mpki, cfg.caches.l2_latency_ns)
-            # Synchronisation stalls are fully exposed (nothing overlaps
-            # a barrier wait or a contended lock handoff).
-            sync_cpi = (
-                profile.barrier_pki / 1000.0 * barrier_ns
-                + profile.lock_pki / 1000.0 * lock_ns
-            ) * f_core
+            return self._aggregate_rate(requests * (1.0 / stack.total)) - load
 
-            stack = CpiStack(
-                core=core_cpi,
-                branch=branch_cpi,
-                private_cache=private_cpi,
-                noc=noc_cpi,
-                shared_cache=shared_cpi,
-                dram=dram_cpi,
-                sync=sync_cpi,
-            )
-            # Damped update keeps the loop stable around saturation.
-            iterations_used += 1
-            new_ipc = damping * ipc + (1.0 - damping) * (1.0 / stack.total)
-            delta = new_ipc - ipc
-            residual = abs(delta) / abs(ipc)
-            converged = new_ipc == ipc or (
-                tolerance > 0.0 and abs(delta) <= tolerance * abs(ipc)
-            )
-            # Adaptive damping: two consecutive sign-flipping,
-            # non-shrinking steps mean the iterate is bouncing across
-            # the fixed point — retain more of the previous iterate.
-            # (Two events, not one, so a single overshoot on an
-            # otherwise contracting path leaves the solve untouched.)
-            if delta * prev_delta < 0.0 and abs(delta) >= abs(prev_delta):
-                osc_streak += 1
-                if osc_streak >= 2:
-                    damping = min(MAX_DAMPING, 0.5 * (1.0 + damping))
-                    osc_streak = 0
-            else:
-                osc_streak = 0
-            prev_delta = delta
-            ipc = new_ipc
-            if converged:
+        lo, f_lo = 0.0, excess(0.0)
+        hi = min(clamp, f_lo)
+        f_hi = excess(hi)
+        saturation_clamped = hi == clamp and f_hi >= 0.0
+        # Illinois: when the same end moves twice running, halve the
+        # excess the secant uses for the other end, so the next point
+        # lands nearer to it.
+        g_lo, g_hi, side = f_lo, f_hi, 0
+        while g_lo > 0.0 > g_hi:
+            x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+            if not lo < x < hi:
                 break
-
-        assert stack is not None
-        certified = converged or residual <= CONVERGENCE_RTOL
+            f_x = excess(x)
+            if f_x > 0.0:
+                lo, f_lo, g_lo = x, f_x, f_x
+                if side > 0:
+                    g_hi /= 2.0
+                side = 1
+            else:
+                hi, f_hi, g_hi = x, f_x, f_x
+                if side < 0:
+                    g_lo /= 2.0
+                side = -1
         if saturation_clamped:
+            load, residual = hi, 0.0
             guards.warn(
                 "multicore.saturation",
                 f"{cfg.name}/{profile.name}: NoC demand exceeded saturation; "
                 "load clamped to 98% of capacity (throughput-limited regime)",
                 op=cfg.noc.operating_point,
             )
+        else:
+            load, f = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
+            residual = abs(f) / load if f else 0.0
+        certified = residual <= CONVERGENCE_RTOL
         if not certified:
             guards.warn(
                 "multicore.convergence",
                 f"{cfg.name}/{profile.name}: fixed point uncertified after "
-                f"{iterations_used} iterations (residual {residual:.3g} > "
-                f"{CONVERGENCE_RTOL:g}, damping {damping:g})",
+                f"{len(stacks)} stack evaluations (residual {residual:.3g} > "
+                f"{CONVERGENCE_RTOL:g})",
                 op=cfg.noc.operating_point,
             )
+        stack = stacks[load]
+        ipc = 1.0 / stack.total
         return WorkloadResult(
             system_name=cfg.name,
             workload_name=profile.name,
             cpi_stack=stack,
-            ipc=1.0 / stack.total,
-            frequency_ghz=f_core,
-            injection_rate_per_core=split["noc_requests_pki"] / 1000.0 * ipc,
+            ipc=ipc,
+            frequency_ghz=cfg.core.frequency_ghz,
+            injection_rate_per_core=requests * ipc,
             noc_aggregate_rate=load,
-            iterations_used=iterations_used,
+            iterations_used=len(stacks),
             convergence=ConvergenceInfo(
                 converged=certified,
                 residual=residual,
-                damping=damping,
                 saturation_clamped=saturation_clamped,
             ),
         )

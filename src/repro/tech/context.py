@@ -1,14 +1,16 @@
 """Memoized evaluation context for the physical-modeling stack.
 
 The architecture models re-price the *same* physical structures at the
-same handful of operating points thousands of times: every
-:class:`~repro.system.multicore.MulticoreSystem` fixed-point iteration
-and every figure sweep re-derives repeater placements, driver
-resistances, gate-delay and leakage factors, and per-layer wire RC that
-depend only on ``(device/layer, OperatingPoint)``. A :class:`TechContext`
-caches those pure derivations behind hashable keys (every device card,
-metal layer and :class:`~repro.tech.operating_point.OperatingPoint` is a
-frozen dataclass) so the hot loops stop redoing identical physics.
+same handful of operating points many times: the voltage search checks
+power point by point, and the figure sweeps re-derive repeater
+placements, driver resistances, gate-delay and leakage factors, and
+per-layer wire RC that depend only on ``(device/layer,
+OperatingPoint)``. (A multicore solve looks nothing up here: the NoC
+and memory models it prices are built with the system.) A
+:class:`TechContext` caches those pure derivations behind hashable keys
+(every device card, metal layer and
+:class:`~repro.tech.operating_point.OperatingPoint` is a frozen
+dataclass) so the hot loops stop redoing identical physics.
 
 Only the scalar entry points memoize. The ``_batch`` kernels compute on
 every call and never touch the context: a dense grid or a coalesced

@@ -19,7 +19,7 @@ case) and returns the best.
 Evaluation points are :class:`~repro.tech.operating_point.OperatingPoint`
 values, and scalar optimisation results are memoized per ``(layer, driver,
 length, op)`` in the active :class:`~repro.tech.context.TechContext` -- the
-multicore fixed point re-prices the same links thousands of times.
+figure sweeps re-price the same links.
 :meth:`RepeaterOptimizer.optimize_batch` computes on every call.
 
 Calibration: the driver constants below make a latency-optimal 2 mm

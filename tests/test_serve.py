@@ -507,10 +507,7 @@ class TestEndpoints:
             )
         assert payload["ipc"] == direct.ipc
         assert payload["frequency_ghz"] == direct.frequency_ghz
-        if direct.convergence is None:
-            assert payload["convergence"] is None
-        else:
-            assert payload["convergence"]["converged"] == direct.convergence.converged
+        assert payload["convergence"]["converged"] == direct.convergence.converged
         assert payload["cpi_stack"]["core"] == direct.cpi_stack.core
 
     def test_ipc_unknown_system_is_422(self, server):
