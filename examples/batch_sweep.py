@@ -20,12 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuits.simulator import CircuitSimulator
-from repro.tech import (
-    CryoMOSFET,
-    CryoWireModel,
-    FREEPDK45_CARD,
-    OperatingPointBatch,
-)
+from repro.tech.batch import OperatingPointBatch
+from repro.tech.mosfet import CryoMOSFET, FREEPDK45_CARD
+from repro.tech.wire import CryoWireModel
 
 
 def sweep1_vth_exploration() -> None:

@@ -9,9 +9,10 @@ gains on sharing-heavy workloads.
 Run:  python examples/coherence_traffic.py
 """
 
-from repro.memory import DirectoryProtocol, SnoopingProtocol
+from repro.memory.coherence import DirectoryProtocol, SnoopingProtocol
 from repro.util.tables import format_table
-from repro.workloads import SyntheticTraceGenerator, by_name
+from repro.workloads.profiles import by_name
+from repro.workloads.synthetic import SyntheticTraceGenerator
 
 WORKLOADS = ("blackscholes", "ferret", "streamcluster")
 N_CORES = 16

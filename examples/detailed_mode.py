@@ -16,13 +16,18 @@ each pair and prints the agreement:
 Run:  python examples/detailed_mode.py
 """
 
-from repro.core import IPCModel, OooCoreSimulator
-from repro.noc import FlitLevelSimulator, Mesh, NocSimulator, make_pattern
+from repro.core.ipc import IPCModel
+from repro.core.ooosim import OooCoreSimulator
+from repro.noc.flitsim import FlitLevelSimulator
+from repro.noc.simulator import NocSimulator
+from repro.noc.topology import Mesh
+from repro.noc.traffic import make_pattern
 from repro.pipeline.config import CRYO_CORE_CONFIG, SKYLAKE_CONFIG
-from repro.system import CHP_77K_MESH, MulticoreSystem
+from repro.system.config import CHP_77K_MESH
+from repro.system.multicore import MulticoreSystem
 from repro.system.tracesim import TraceDrivenSimulator
 from repro.util.tables import format_table
-from repro.workloads import PARSEC_2_1, by_name
+from repro.workloads.profiles import PARSEC_2_1, by_name
 
 
 def core_level() -> None:

@@ -9,23 +9,18 @@ the full Section 5 design flow in one script.
 Run:  python examples/noc_design_study.py
 """
 
-from repro.noc import (
-    CryoBusDesign,
-    HTree,
-    Mesh,
-    NocSimulator,
-    SharedBusDesign,
-    WireLinkModel,
-    make_pattern,
-)
-from repro.noc.topology import FlattenedButterfly
+from repro.noc.bus import CryoBusDesign, HTree, SharedBusDesign
+from repro.noc.link import WireLinkModel
+from repro.noc.simulator import NocSimulator
+from repro.noc.topology import FlattenedButterfly, Mesh
+from repro.noc.traffic import make_pattern
 from repro.power.orion import (
     CRYOBUS_64_PROFILE,
     MESH_64_PROFILE,
     NocPowerModel,
     SHARED_BUS_64_PROFILE,
 )
-from repro.tech import OP_CRYO, OP_NOC_300K, OP_NOC_77K, OP_ROOM
+from repro.tech.operating_point import OP_CRYO, OP_NOC_300K, OP_NOC_77K, OP_ROOM
 from repro.util.tables import format_table
 
 RATES = (0.001, 0.003, 0.006, 0.010)

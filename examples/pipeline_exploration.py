@@ -9,13 +9,12 @@ kind of what-if a designer would ask of this toolbox.
 Run:  python examples/pipeline_exploration.py
 """
 
-from repro.core import IPCModel, SuperpipelineTransform, VoltageOptimizer
-from repro.pipeline import (
-    CRYO_CORE_CONFIG,
-    OperatingPoint,
-    PipelineModel,
-    SKYLAKE_CONFIG,
-)
+from repro.core.ipc import IPCModel
+from repro.core.superpipeline import SuperpipelineTransform
+from repro.core.voltage import VoltageOptimizer
+from repro.pipeline.config import CRYO_CORE_CONFIG, SKYLAKE_CONFIG
+from repro.pipeline.model import PipelineModel
+from repro.tech.operating_point import OperatingPoint
 from repro.util.tables import format_table
 
 

@@ -13,18 +13,24 @@ Walks the paper's argument end to end with the public API:
 Run:  python examples/quickstart.py
 """
 
-from repro.core import CryoSPDesigner
-from repro.noc import CryoBusDesign, Mesh, SharedBusDesign, WireLinkModel
+from repro.core.cryosp import CryoSPDesigner
+from repro.noc.bus import CryoBusDesign, SharedBusDesign
 from repro.noc.latency import AnalyticNocModel
-from repro.pipeline import (
+from repro.noc.link import WireLinkModel
+from repro.noc.topology import Mesh
+from repro.pipeline.config import SKYLAKE_CONFIG
+from repro.pipeline.model import PipelineModel
+from repro.system.config import BASELINE_300K_MESH, CRYOSP_77K_CRYOBUS
+from repro.system.multicore import MulticoreSystem
+from repro.tech.mosfet import CryoMOSFET, FREEPDK45_CARD
+from repro.tech.operating_point import (
     OP_300K_NOMINAL,
     OP_77K_NOMINAL,
-    PipelineModel,
-    SKYLAKE_CONFIG,
+    OP_CRYO,
+    OP_NOC_77K,
 )
-from repro.system import CRYOSP_77K_CRYOBUS, BASELINE_300K_MESH, MulticoreSystem
-from repro.tech import CryoMOSFET, CryoWireModel, FREEPDK45_CARD, OP_CRYO, OP_NOC_77K
-from repro.workloads import PARSEC_2_1
+from repro.tech.wire import CryoWireModel
+from repro.workloads.profiles import PARSEC_2_1
 
 
 def step1_devices() -> None:

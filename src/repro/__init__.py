@@ -37,49 +37,10 @@ Subpackages
     Synthetic measurement rigs and model-vs-measurement validation.
 ``repro.experiments``
     One module per paper figure/table; each returns structured results.
+
+Import each name from the module that defines it
+(``from repro.noc.topology import Mesh``). No package ``__init__``
+imports anything, so importing a module loads only what it needs.
 """
 
-from __future__ import annotations
-
-import importlib
-from typing import TYPE_CHECKING
-
 __version__ = "1.0.0"
-
-#: Re-exported names -> defining module. Resolved lazily so that light
-#: users (and partial builds) do not pay for the whole dependency tree.
-_EXPORTS = {
-    "CryoMOSFET": "repro.tech",
-    "CryoWireModel": "repro.tech",
-    "MetalLayer": "repro.tech",
-    "WireTechnology": "repro.tech",
-    "PipelineModel": "repro.pipeline",
-    "StageDelay": "repro.pipeline",
-    "CryoSPDesigner": "repro.core",
-    "SuperpipelineTransform": "repro.core",
-    "NocSimulator": "repro.noc",
-    "Topology": "repro.noc",
-    "MulticoreSystem": "repro.system",
-    "SystemConfig": "repro.system",
-}
-
-__all__ = ["__version__", *sorted(_EXPORTS)]
-
-
-def __getattr__(name: str):
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
-    module = importlib.import_module(module_name)
-    value = getattr(module, name)
-    globals()[name] = value  # cache for subsequent lookups
-    return value
-
-
-if TYPE_CHECKING:  # pragma: no cover - static-analysis convenience
-    from repro.core import CryoSPDesigner, SuperpipelineTransform
-    from repro.noc import NocSimulator, Topology
-    from repro.pipeline import PipelineModel, StageDelay
-    from repro.system import MulticoreSystem, SystemConfig
-    from repro.tech import CryoMOSFET, CryoWireModel, MetalLayer, WireTechnology

@@ -8,16 +8,3 @@ crossing time is the measured delay. Because the solver shares *no*
 coefficients with the Elmore-based analytical models in
 :mod:`repro.tech`, agreement between the two is a genuine validation.
 """
-
-from repro.circuits.elmore import elmore_delay_ladder, ladder_sections
-from repro.circuits.rc_line import RCLadder, TransientResult
-from repro.circuits.simulator import CircuitSimulator, WireSimResult
-
-__all__ = [
-    "elmore_delay_ladder",
-    "ladder_sections",
-    "RCLadder",
-    "TransientResult",
-    "CircuitSimulator",
-    "WireSimResult",
-]

@@ -10,23 +10,3 @@
 * :mod:`repro.core.cryosp` -- the full Table 3 derivation chain:
   300 K baseline -> 77 K superpipeline -> + CryoCore sizing -> CryoSP.
 """
-
-from repro.core.ipc import IPCModel
-from repro.core.ooosim import OooCoreSimulator, OooResult, SyntheticInstructionStream
-from repro.core.superpipeline import SuperpipelinePlan, SuperpipelineTransform
-from repro.core.voltage import VoltageOptimizer, VoltageSearchResult
-from repro.core.cryosp import CoreDesign, CryoSPDesigner, Table3
-
-__all__ = [
-    "IPCModel",
-    "OooCoreSimulator",
-    "OooResult",
-    "SyntheticInstructionStream",
-    "SuperpipelinePlan",
-    "SuperpipelineTransform",
-    "VoltageOptimizer",
-    "VoltageSearchResult",
-    "CoreDesign",
-    "CryoSPDesigner",
-    "Table3",
-]

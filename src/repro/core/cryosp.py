@@ -22,17 +22,11 @@ from typing import Optional, Tuple
 from repro.core.ipc import IPCModel
 from repro.core.superpipeline import SuperpipelinePlan, SuperpipelineTransform
 from repro.core.voltage import VoltageOptimizer
-from repro.pipeline.config import (
-    CRYO_CORE_CONFIG,
-    CoreConfig,
-    OP_300K_NOMINAL,
-    OP_77K_NOMINAL,
-    OperatingPoint,
-    SKYLAKE_CONFIG,
-)
+from repro.pipeline.config import CRYO_CORE_CONFIG, CoreConfig, SKYLAKE_CONFIG
 from repro.pipeline.model import PipelineModel, PipelineReport
 from repro.power.mcpat import CorePowerModel, CorePowerReport
 from repro.tech.constants import T_LN2
+from repro.tech.operating_point import OP_300K_NOMINAL, OP_77K_NOMINAL, OperatingPoint
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.pipeline.config import CoreConfig, OperatingPoint
+from repro.pipeline.config import CoreConfig
 from repro.pipeline.model import PipelineModel, PipelineReport
 from repro.pipeline.stages import LATCH_OVERHEAD_PS, StageSpec
+from repro.tech.operating_point import OperatingPoint
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,10 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.pipeline.config import CoreConfig, OperatingPoint
+from repro.pipeline.config import CoreConfig
 from repro.pipeline.model import PipelineModel
 from repro.power.mcpat import CorePowerModel, CorePowerReport
+from repro.tech.operating_point import OperatingPoint
 
 
 @dataclass(frozen=True)

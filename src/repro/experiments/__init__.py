@@ -8,21 +8,3 @@ the same rows/series the paper reports. The execution engine
 (:mod:`repro.experiments.engine`) adds parallel fan-out and
 content-addressed result caching on top of the same registry.
 """
-
-from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    ExperimentSpec,
-    get_experiment,
-    get_spec,
-    run_experiment,
-)
-
-__all__ = [
-    "ExperimentResult",
-    "EXPERIMENTS",
-    "ExperimentSpec",
-    "get_experiment",
-    "get_spec",
-    "run_experiment",
-]

@@ -24,10 +24,7 @@ from typing import Sequence
 from repro.core.ipc import IPCModel
 from repro.core.superpipeline import SuperpipelineTransform
 from repro.experiments.base import ExperimentResult
-from repro.pipeline.config import (
-    OP_77K_NOMINAL,
-    SKYLAKE_CONFIG,
-)
+from repro.pipeline.config import SKYLAKE_CONFIG
 from repro.pipeline.model import PipelineModel
 from repro.pipeline.stages import BOOM_STAGES, SUPERPIPELINED_STAGES
 from repro.system.config import (
@@ -40,7 +37,7 @@ from repro.system.config import (
 )
 from repro.system.multicore import MulticoreSystem
 from repro.tech.metal import MetalLayer, WireTechnology
-from repro.tech.operating_point import OP_CRYO
+from repro.tech.operating_point import OP_77K_NOMINAL, OP_CRYO
 from repro.tech.resistivity import CryoResistivityModel
 from repro.tech.wire import CryoWireModel
 from repro.workloads.profiles import PARSEC_2_1

@@ -71,18 +71,18 @@ def _jobs(value: str) -> int:
     return jobs
 
 
-def _timeout(value: str) -> float:
-    timeout = float(value)
-    if timeout < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {timeout}")
-    return timeout
-
-
 def _finite(value: str) -> float:
     number = float(value)
     if not math.isfinite(number):
         raise argparse.ArgumentTypeError(f"must be finite, got {number}")
     return number
+
+
+def _timeout(value: str) -> float:
+    timeout = _finite(value)
+    if timeout < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {timeout}")
+    return timeout
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
@@ -301,7 +301,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(render(rows))
         return 1 if breaches(rows) else 0
     if args.command == "serve":
-        from repro.serve import CryoWireServer
+        from repro.serve.app import CryoWireServer
 
         if args.max_inflight < 1:
             raise SystemExit("error: --max-inflight must be >= 1")

@@ -8,9 +8,10 @@ their critical-path delay at 300 K.
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
-from repro.pipeline.config import OP_300K_NOMINAL, SKYLAKE_CONFIG
+from repro.pipeline.config import SKYLAKE_CONFIG
 from repro.pipeline.model import PipelineModel
 from repro.pipeline.stages import FIG2_STAGES
+from repro.tech.operating_point import OP_300K_NOMINAL
 
 
 def run() -> ExperimentResult:

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from repro.core.superpipeline import SuperpipelineTransform
 from repro.experiments.base import ExperimentResult
-from repro.pipeline.config import OP_300K_NOMINAL, OP_77K_NOMINAL, SKYLAKE_CONFIG
+from repro.pipeline.config import SKYLAKE_CONFIG
 from repro.pipeline.model import PipelineModel
+from repro.tech.operating_point import OP_300K_NOMINAL, OP_77K_NOMINAL
 
 
 def _stage_rows(result, report, norm, label):

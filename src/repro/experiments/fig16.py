@@ -15,8 +15,8 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.noc.bus import SharedBusDesign
 from repro.noc.latency import AnalyticNocModel
 from repro.noc.topology import CMesh, FlattenedButterfly, Mesh
-from repro.pipeline.config import OP_NOC_300K, OP_NOC_77K
 from repro.tech.constants import T_LN2, T_ROOM
+from repro.tech.operating_point import OP_NOC_300K, OP_NOC_77K
 
 
 def _fabrics(temperature_k: float):

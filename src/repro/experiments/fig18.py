@@ -19,11 +19,10 @@ from repro.noc.link import WireLinkModel
 from repro.noc.measure import load_latency_curve
 from repro.noc.simulator import NocSimulator
 from repro.noc.traffic import make_pattern
-from repro.pipeline.config import OP_NOC_300K, OP_NOC_77K
 from repro.system.config import CHP_77K_CRYOBUS
 from repro.system.multicore import MulticoreSystem
 from repro.tech.constants import T_LN2, T_ROOM
-from repro.tech.operating_point import OperatingPoint
+from repro.tech.operating_point import OP_NOC_300K, OP_NOC_77K, OperatingPoint
 from repro.workloads.profiles import ALL_SUITES
 
 DEFAULT_RATES = (0.0005, 0.001, 0.0015, 0.002, 0.0025, 0.003, 0.004, 0.005)

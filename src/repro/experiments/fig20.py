@@ -12,9 +12,8 @@ from __future__ import annotations
 from repro.experiments.base import ExperimentResult
 from repro.noc.bus import CryoBusDesign, HTreeBus300K, SharedBusDesign
 from repro.noc.link import WireLinkModel
-from repro.pipeline.config import OP_NOC_300K, OP_NOC_77K
 from repro.tech.constants import T_LN2, T_ROOM
-from repro.tech.operating_point import OperatingPoint
+from repro.tech.operating_point import OP_NOC_300K, OP_NOC_77K, OperatingPoint
 
 #: Broadcast cycles that cover every Fig. 18 workload without contention.
 TARGET_BROADCAST_CYCLES = 1

@@ -9,13 +9,13 @@ driving wire that the packet does not need.
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
-from repro.pipeline.config import OP_NOC_300K, OP_NOC_77K
 from repro.power.orion import (
     CRYOBUS_64_PROFILE,
     MESH_64_PROFILE,
     NocPowerModel,
     SHARED_BUS_64_PROFILE,
 )
+from repro.tech.operating_point import OP_NOC_300K, OP_NOC_77K
 
 
 def run() -> ExperimentResult:

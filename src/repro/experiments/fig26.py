@@ -17,8 +17,7 @@ from repro.noc.measure import LATENCY_CAP
 from repro.noc.link import WireLinkModel
 from repro.noc.router import RouterModel
 from repro.noc.topology import CMesh, FlattenedButterfly, Mesh
-from repro.pipeline.config import OP_NOC_77K
-from repro.tech.operating_point import OP_CRYO
+from repro.tech.operating_point import OP_CRYO, OP_NOC_77K
 
 DEFAULT_RATES = (0.0005, 0.001, 0.002, 0.003, 0.005, 0.008)
 

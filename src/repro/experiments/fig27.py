@@ -17,13 +17,6 @@ from typing import Sequence
 from repro.experiments.base import ExperimentResult
 from repro.memory.cache import CacheDesign, CacheLevelSpec, MEMORY_300K, MEMORY_77K
 from repro.memory.dram import DramDesign, DRAM_300K, DRAM_77K
-from repro.pipeline.config import (
-    OP_CRYOSP,
-    OP_NOC_300K,
-    OP_NOC_77K,
-    OP_300K_NOMINAL,
-    OperatingPoint,
-)
 from repro.power.cooling import carnot_cooling_overhead
 from repro.power.mcpat import CorePowerModel
 from repro.system.config import (
@@ -35,6 +28,13 @@ from repro.system.config import (
 )
 from repro.system.multicore import MulticoreSystem
 from repro.tech.constants import T_LN2, T_ROOM
+from repro.tech.operating_point import (
+    OP_300K_NOMINAL,
+    OP_CRYOSP,
+    OP_NOC_300K,
+    OP_NOC_77K,
+    OperatingPoint,
+)
 from repro.workloads.profiles import SPEC2006
 
 DEFAULT_TEMPS = (77.0, 100.0, 125.0, 150.0, 200.0, 250.0, 300.0)

@@ -18,17 +18,13 @@ from typing import Sequence
 from repro.core.superpipeline import SuperpipelineTransform
 from repro.core.voltage import VoltageOptimizer
 from repro.experiments.base import ExperimentResult
-from repro.pipeline.config import (
-    CRYO_CORE_CONFIG,
-    OP_300K_NOMINAL,
-    OP_77K_NOMINAL,
-    SKYLAKE_CONFIG,
-)
+from repro.pipeline.config import CRYO_CORE_CONFIG, SKYLAKE_CONFIG
 from repro.pipeline.model import PipelineModel
 from repro.pipeline.stages import StageKind
 from repro.tech.constants import T_LN2
 from repro.tech.metal import FREEPDK45_STACK, MetalLayer, WireTechnology
 from repro.tech.mosfet import FREEPDK45_CARD
+from repro.tech.operating_point import OP_300K_NOMINAL, OP_77K_NOMINAL
 from repro.tech.resistivity import CryoResistivityModel
 from repro.tech.wire import CryoWireModel
 

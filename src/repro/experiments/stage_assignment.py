@@ -6,7 +6,7 @@ experiment sweeps the memory-system components (core+L2 co-located,
 DRAM, and the quantum-controller DSP) over the standard 300/77/4 K
 stack, with electrical or optical links carrying the traffic across
 every stage boundary the placement creates, and prices each assignment
-through the :class:`~repro.thermal.Cryostat` heat ledger.
+through the :class:`~repro.thermal.cryostat.Cryostat` heat ledger.
 
 Device power follows the stage: parking silicon on a colder plate buys
 the paper's voltage-scaling saving (CryoSP-style at 77 K, marginally
@@ -23,14 +23,8 @@ from typing import Dict, List, Tuple
 
 from repro.experiments.base import ExperimentResult
 from repro.power.tco import cryostat_tco_w
-from repro.thermal import (
-    ComponentPlacement,
-    Cryostat,
-    InterStageLink,
-    electrical_link,
-    optical_link,
-    standard_stack,
-)
+from repro.thermal.cryostat import ComponentPlacement, Cryostat, standard_stack
+from repro.thermal.stage import InterStageLink, electrical_link, optical_link
 
 #: 300 K device power of each placed component (W). Core+L2 are one
 #: co-located block (they share a clock domain and a die); the

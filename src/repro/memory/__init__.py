@@ -7,35 +7,3 @@ both functional correctness (for the protocol property tests) and the
 traversal-count accounting that prices directory indirection against
 snooping broadcasts in the system model.
 """
-
-from repro.memory.cache import CacheDesign, FunctionalCache, MEMORY_300K, MEMORY_77K
-from repro.memory.cacti import CacheTiming, CactiModel
-from repro.memory.cll_dram import CllDramModel, DramTiming
-from repro.memory.dram import DramDesign, DRAM_300K, DRAM_77K
-from repro.memory.coherence import (
-    CoherenceProtocol,
-    DirectoryProtocol,
-    ProtocolStats,
-    SnoopingProtocol,
-)
-from repro.memory.hierarchy import L3AccessBreakdown, MemoryHierarchy
-
-__all__ = [
-    "CacheDesign",
-    "CactiModel",
-    "CacheTiming",
-    "CllDramModel",
-    "DramTiming",
-    "FunctionalCache",
-    "MEMORY_300K",
-    "MEMORY_77K",
-    "DramDesign",
-    "DRAM_300K",
-    "DRAM_77K",
-    "CoherenceProtocol",
-    "DirectoryProtocol",
-    "SnoopingProtocol",
-    "ProtocolStats",
-    "MemoryHierarchy",
-    "L3AccessBreakdown",
-]

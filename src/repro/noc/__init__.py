@@ -23,77 +23,3 @@
 * :mod:`repro.noc.equivalence` -- the cross-engine agreement harness
   (flit vs packet vs analytic, tolerance-banded).
 """
-
-from repro.noc.link import NOC_LINK_CARD, WireLinkModel
-from repro.noc.router import RouterModel
-from repro.noc.topology import (
-    CMesh,
-    FlattenedButterfly,
-    Mesh,
-    RouterTopology,
-    Topology,
-)
-from repro.noc.arbiter import MatrixArbiter
-from repro.noc.bus import (
-    BusDesign,
-    CryoBusDesign,
-    HTree,
-    HTreeBus300K,
-    SharedBusDesign,
-)
-from repro.noc.equivalence import (
-    EnginePoint,
-    compare_engines,
-    max_low_load_disagreement,
-)
-from repro.noc.flitsim import FlitLevelSimulator
-from repro.noc.hybrid import HybridCryoBus
-from repro.noc.measure import (
-    LATENCY_CAP,
-    SATURATION_FACTOR,
-    LatencyMeter,
-    LoadLatencyPoint,
-    load_latency_curve,
-)
-from repro.noc.traffic import TrafficPattern, make_pattern
-from repro.noc.simulator import NocSimulator
-from repro.noc.latency import (
-    AnalyticNocModel,
-    NocLatencyBreakdown,
-    analytic_simulator_latency,
-    n_directed_links,
-)
-
-__all__ = [
-    "WireLinkModel",
-    "NOC_LINK_CARD",
-    "RouterModel",
-    "Topology",
-    "RouterTopology",
-    "Mesh",
-    "CMesh",
-    "FlattenedButterfly",
-    "MatrixArbiter",
-    "BusDesign",
-    "SharedBusDesign",
-    "CryoBusDesign",
-    "HTreeBus300K",
-    "HTree",
-    "HybridCryoBus",
-    "FlitLevelSimulator",
-    "TrafficPattern",
-    "make_pattern",
-    "NocSimulator",
-    "LoadLatencyPoint",
-    "LatencyMeter",
-    "load_latency_curve",
-    "LATENCY_CAP",
-    "SATURATION_FACTOR",
-    "AnalyticNocModel",
-    "NocLatencyBreakdown",
-    "analytic_simulator_latency",
-    "n_directed_links",
-    "EnginePoint",
-    "compare_engines",
-    "max_low_load_disagreement",
-]

@@ -29,16 +29,10 @@ from typing import Deque, Dict, List, Set, Tuple
 
 from repro.noc.arbiter import MatrixArbiter
 from repro.noc.bus import BusDesign
-from repro.noc.measure import SATURATION_FACTOR, LatencyMeter, LoadLatencyPoint
+from repro.noc.measure import LatencyMeter, LoadLatencyPoint
 from repro.noc.topology import LinkRoute, RouterTopology
 from repro.noc.traffic import Trace, TrafficPattern
 from repro.util.guards import SimulationStalled
-
-__all__ = [
-    "LoadLatencyPoint",
-    "NocSimulator",
-    "SATURATION_FACTOR",
-]
 
 
 class NocSimulator:

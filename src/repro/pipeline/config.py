@@ -6,25 +6,14 @@ captures the *electrical* ones (temperature, V_dd, V_th). The critical-
 path model takes both, because structure sets wire lengths and logic
 sizes while the operating point sets device speed.
 
-:class:`OperatingPoint` itself (and the named Table 3 / Table 4 points)
-now lives in :mod:`repro.tech.operating_point` -- the whole physical
-stack speaks it, not just the pipeline. The re-exports below keep every
-pre-existing import path working.
+:class:`OperatingPoint` and the named Table 3 / Table 4 points live in
+:mod:`repro.tech.operating_point`: the whole physical stack speaks
+them, not just the pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
-from repro.tech.operating_point import (  # noqa: F401  (compat re-exports)
-    OP_300K_NOMINAL,
-    OP_77K_NOMINAL,
-    OP_CHP,
-    OP_CRYOSP,
-    OP_NOC_300K,
-    OP_NOC_77K,
-    OperatingPoint,
-)
 
 
 @dataclass(frozen=True)

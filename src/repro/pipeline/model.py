@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.pipeline.config import CoreConfig, OperatingPoint
+from repro.pipeline.config import CoreConfig
 from repro.pipeline.floorplan import SKYLAKE_FLOORPLAN, Floorplan
 from repro.pipeline.stages import (
     BOOM_STAGES,
@@ -24,6 +24,7 @@ from repro.pipeline.stages import (
 )
 from repro.tech.batch import OperatingPointBatchLike, as_operating_point_batch
 from repro.tech.mosfet import CryoMOSFET, FREEPDK45_CARD, MOSFETCard
+from repro.tech.operating_point import OperatingPoint
 from repro.tech.wire import CryoWireModel
 
 

@@ -7,31 +7,3 @@ dynamic power scales with switched capacitance, V_dd^2, frequency and
 activity; static power follows the cryo-MOSFET leakage -- and integrate
 the cooling overhead of Eq. (1)/(2).
 """
-
-from repro.power.cooling import (
-    COOLING_OVERHEAD_77K,
-    CoolingModel,
-    carnot_cooling_overhead,
-)
-from repro.power.mcpat import CorePowerModel, CorePowerReport
-from repro.power.orion import (
-    NocPowerModel,
-    NocPowerReport,
-    profile_from_bus,
-    profile_from_mesh,
-)
-from repro.power.tco import TemperatureOptimizer, TemperaturePoint
-
-__all__ = [
-    "CoolingModel",
-    "COOLING_OVERHEAD_77K",
-    "carnot_cooling_overhead",
-    "CorePowerModel",
-    "CorePowerReport",
-    "NocPowerModel",
-    "NocPowerReport",
-    "profile_from_mesh",
-    "profile_from_bus",
-    "TemperatureOptimizer",
-    "TemperaturePoint",
-]

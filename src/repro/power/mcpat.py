@@ -18,14 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.pipeline.config import (
-    CoreConfig,
-    OperatingPoint,
-    OP_300K_NOMINAL,
-    SKYLAKE_CONFIG,
-)
+from repro.pipeline.config import CoreConfig, SKYLAKE_CONFIG
 from repro.power.cooling import CoolingModel
 from repro.tech.mosfet import CryoMOSFET, FREEPDK45_CARD, MOSFETCard
+from repro.tech.operating_point import OP_300K_NOMINAL, OperatingPoint
 
 #: Reference frequency of the 300 K baseline core (GHz).
 REFERENCE_FREQUENCY_GHZ = 4.0

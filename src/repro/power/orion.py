@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.pipeline.config import OP_NOC_300K, OperatingPoint
 from repro.power.cooling import CoolingModel
 from repro.tech.mosfet import CryoMOSFET, FREEPDK45_CARD, MOSFETCard
+from repro.tech.operating_point import OP_NOC_300K, OperatingPoint
 
 #: Energy of one router traversal, in units of 1 mm of activated link
 #: wire. Wide 4-VC routers cost roughly a dozen mm-equivalents (Orion's

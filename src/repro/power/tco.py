@@ -25,16 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-from repro.pipeline.config import (
-    CRYO_CORE_CONFIG,
-    OP_CRYOSP,
-    OP_300K_NOMINAL,
-    OperatingPoint,
-    SKYLAKE_CONFIG,
-)
+from repro.pipeline.config import CRYO_CORE_CONFIG, SKYLAKE_CONFIG
 from repro.power.cooling import carnot_cooling_overhead
 from repro.power.mcpat import CorePowerModel
 from repro.tech.constants import T_LN2, T_ROOM
+from repro.tech.operating_point import OP_300K_NOMINAL, OP_CRYOSP, OperatingPoint
 from repro.util.guards import warn
 
 #: Amortised cryo-cooler capital per watt of lifted heat, expressed as a
@@ -102,7 +97,7 @@ class TemperaturePoint:
     def total_power_rel(self) -> float:
         """Wall-plug power, priced through the degenerate two-stage cryostat.
 
-        Evaluates :meth:`repro.thermal.Cryostat.two_stage` with this
+        Evaluates :meth:`repro.thermal.cryostat.Cryostat.two_stage` with this
         point's already-computed overhead; the ledger arithmetic is
         bit-identical to the historic ``(1 + CO) * P_dev`` closed form
         (enforced by ``tests/test_thermal.py``).
@@ -140,7 +135,7 @@ def cryostat_tco_w(cryostat) -> float:
     """TCO rate of an arbitrary cryostat, in watt-equivalents.
 
     Generalizes :attr:`TemperaturePoint.tco_rel` from the degenerate
-    two-stage world to any :class:`repro.thermal.Cryostat`: the
+    two-stage world to any :class:`repro.thermal.cryostat.Cryostat`: the
     recurring wall-plug bill, plus amortised cryo-cooler capital priced
     against each stage's cooling power, plus LN2-class inventory priced
     against the device power parked below ambient.

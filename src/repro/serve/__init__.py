@@ -20,30 +20,3 @@ HTTP/JSON API (stdlib ``asyncio`` only — no framework):
   graceful drain), plus :func:`serve_in_thread` for tests and
   benchmarks.
 """
-
-from repro.serve.app import CryoWireServer, ServerHandle, serve_in_thread
-from repro.serve.batching import MicroBatcher
-from repro.serve.overload import (
-    AdmissionGate,
-    BatcherClosed,
-    Deadline,
-    DeadlineExceeded,
-    InvalidDeadline,
-)
-from repro.serve.service import ModelService, PointQuery, QueryError, WireSpec
-
-__all__ = [
-    "AdmissionGate",
-    "BatcherClosed",
-    "CryoWireServer",
-    "Deadline",
-    "DeadlineExceeded",
-    "InvalidDeadline",
-    "MicroBatcher",
-    "ModelService",
-    "PointQuery",
-    "QueryError",
-    "ServerHandle",
-    "serve_in_thread",
-    "WireSpec",
-]

@@ -53,15 +53,13 @@ from repro.tech.metal import FREEPDK45_STACK
 from repro.tech.mosfet import DEVICE_CARDS, CryoMOSFET, MOSFETCard, cryo_mosfet
 from repro.tech.operating_point import OperatingPoint
 from repro.tech.wire import CryoWireModel
-from repro.thermal import (
-    LINK_KINDS,
-    ComponentPlacement,
-    Cryostat,
+from repro.thermal.cryostat import ComponentPlacement, Cryostat, standard_stack
+from repro.thermal.stage import (
     InterStageLink,
+    LINK_KINDS,
     ThermalStage,
     electrical_link,
     optical_link,
-    standard_stack,
 )
 from repro.util.guards import (
     ERROR,
@@ -150,13 +148,18 @@ def _wire_layer(layer) -> str:
 
 
 def _finite(value, field: str) -> float:
-    """``float(value)`` for a client number, which must be finite.
+    """``float(value)`` for a client number, which must be a finite JSON
+    number.
 
-    Raises ``ValueError``, which each parser maps to its 422 code, for
-    NaN, infinities and integers too large for a float. JSON has no
-    literal for NaN or infinity, so a response echoing one would not
+    Raises ``TypeError`` for anything but an ``int`` or ``float`` (a
+    string or a boolean is not a number, even where ``float()`` would
+    read one), and ``ValueError`` for NaN, infinities and integers too
+    large for a float; each parser maps both to its 422 code. JSON has
+    no literal for NaN or infinity, so a response echoing one would not
     parse; and a NaN voltage in a batch column reads as "card nominal".
     """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{field} must be a JSON number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:

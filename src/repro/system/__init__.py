@@ -5,39 +5,3 @@ is the gem5-substitute analytic multicore simulator producing CPI stacks
 and execution times with a closed injection loop (slower systems inject
 less NoC traffic, exactly like a full-system simulation would show).
 """
-
-from repro.system.config import (
-    BASELINE_300K_MESH,
-    CHP_77K_CRYOBUS,
-    CHP_77K_MESH,
-    CRYOSP_77K_CRYOBUS,
-    CRYOSP_77K_CRYOBUS_2WAY,
-    CRYOSP_77K_MESH,
-    EVALUATION_SYSTEMS,
-    CoreSpec,
-    NocSpec,
-    SystemConfig,
-)
-from repro.system.multicore import (
-    ConvergenceInfo,
-    CpiStack,
-    MulticoreSystem,
-    WorkloadResult,
-)
-
-__all__ = [
-    "CoreSpec",
-    "NocSpec",
-    "SystemConfig",
-    "BASELINE_300K_MESH",
-    "CHP_77K_MESH",
-    "CRYOSP_77K_MESH",
-    "CHP_77K_CRYOBUS",
-    "CRYOSP_77K_CRYOBUS",
-    "CRYOSP_77K_CRYOBUS_2WAY",
-    "EVALUATION_SYSTEMS",
-    "MulticoreSystem",
-    "WorkloadResult",
-    "CpiStack",
-    "ConvergenceInfo",
-]

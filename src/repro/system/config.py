@@ -15,14 +15,8 @@ from typing import Dict, Optional, Tuple
 
 from repro.memory.cache import CacheDesign, MEMORY_300K, MEMORY_77K
 from repro.memory.dram import DramDesign, DRAM_300K, DRAM_77K
-from repro.pipeline.config import (
-    CRYO_CORE_CONFIG,
-    CoreConfig,
-    OP_NOC_300K,
-    OP_NOC_77K,
-    OperatingPoint,
-    SKYLAKE_CONFIG,
-)
+from repro.pipeline.config import CRYO_CORE_CONFIG, CoreConfig, SKYLAKE_CONFIG
+from repro.tech.operating_point import OP_NOC_300K, OP_NOC_77K, OperatingPoint
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,8 @@ surface a structure is being evaluated.
 Every quantity in the physical-modeling stack -- transistor drive, wire
 resistance, repeater placement, cache access time, router frequency --
 is a function of the electrical operating point. This module is the
-foundational home of :class:`OperatingPoint` (it is re-exported from
-:mod:`repro.pipeline` for compatibility with older callers) together
-with the named Table 3 / Table 4 points.
+one home of :class:`OperatingPoint` and the named Table 3 / Table 4
+points.
 
 Every scalar model entry point takes exactly one ``op: OperatingPoint``,
 defaulting to :data:`OP_ROOM`. No function outside this module and

@@ -18,41 +18,3 @@ layer's micro-batched query path. The cryostat invariants (colder ⇒
 higher CO, ledger conservation, moving-colder-never-cheaper) are
 asserted by ``tests/test_thermal.py`` and ``tests/test_power.py``.
 """
-
-from repro.thermal.cryostat import (
-    ComponentPlacement,
-    Cryostat,
-    CryostatLedger,
-    StageLedger,
-    standard_stack,
-)
-from repro.thermal.stage import (
-    ELECTRICAL,
-    LINK_KINDS,
-    OPTICAL,
-    STAGE_300K,
-    STAGE_4K,
-    STAGE_77K,
-    InterStageLink,
-    ThermalStage,
-    electrical_link,
-    optical_link,
-)
-
-__all__ = [
-    "ComponentPlacement",
-    "Cryostat",
-    "CryostatLedger",
-    "ELECTRICAL",
-    "InterStageLink",
-    "LINK_KINDS",
-    "OPTICAL",
-    "STAGE_300K",
-    "STAGE_4K",
-    "STAGE_77K",
-    "StageLedger",
-    "ThermalStage",
-    "electrical_link",
-    "optical_link",
-    "standard_stack",
-]

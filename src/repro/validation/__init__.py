@@ -10,27 +10,3 @@ projection of wire/transistor temperature response, plus measurement
 noise and boot-failure quantisation), so comparing the CC-Model
 predictions against it is a genuine check, not a tautology.
 """
-
-from repro.validation.measurements import (
-    CpuRig,
-    FrequencyMeasurement,
-    MeasurementCampaign,
-    VALIDATION_RIGS,
-)
-from repro.validation.validate import (
-    ModelValidation,
-    validate_pipeline_model,
-    validate_router_model,
-    validate_wire_link_model,
-)
-
-__all__ = [
-    "CpuRig",
-    "FrequencyMeasurement",
-    "MeasurementCampaign",
-    "VALIDATION_RIGS",
-    "ModelValidation",
-    "validate_pipeline_model",
-    "validate_router_model",
-    "validate_wire_link_model",
-]

@@ -17,13 +17,10 @@ from typing import Dict, Optional
 from repro.circuits.simulator import CircuitSimulator
 from repro.noc.link import NOC_LINK_CARD, WireLinkModel
 from repro.noc.router import RouterModel
-from repro.pipeline.config import (
-    OperatingPoint,
-    SKYLAKE_CONFIG,
-)
+from repro.pipeline.config import SKYLAKE_CONFIG
 from repro.pipeline.model import PipelineModel
 from repro.tech.constants import T_ROOM, T_VALIDATION
-from repro.tech.operating_point import OP_ROOM
+from repro.tech.operating_point import OP_ROOM, OperatingPoint
 from repro.tech.repeater import RepeaterOptimizer
 from repro.tech.metal import FREEPDK45_STACK
 from repro.tech.scaling import project_speedup

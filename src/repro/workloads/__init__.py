@@ -13,32 +13,3 @@ extends the pack past the paper: the classical readout/pulse/decoder
 kernels a 4 K-stage quantum controller runs (the cryostat scenarios'
 coldest compute).
 """
-
-from repro.workloads.profiles import (
-    ALL_SUITES,
-    CLOUDSUITE,
-    PARSEC_2_1,
-    QUANTUM,
-    SPEC2006,
-    SPEC2017,
-    WorkloadProfile,
-    by_name,
-    injection_rate_range,
-)
-from repro.workloads.prefetch import StridePrefetcher
-from repro.workloads.synthetic import SyntheticTraceGenerator, MemoryRequest
-
-__all__ = [
-    "WorkloadProfile",
-    "PARSEC_2_1",
-    "SPEC2006",
-    "SPEC2017",
-    "CLOUDSUITE",
-    "QUANTUM",
-    "ALL_SUITES",
-    "by_name",
-    "injection_rate_range",
-    "StridePrefetcher",
-    "SyntheticTraceGenerator",
-    "MemoryRequest",
-]

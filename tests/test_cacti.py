@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.memory.cacti import CactiModel
 from repro.memory.cache import MEMORY_300K
-from repro.pipeline.config import OP_NOC_300K, OP_NOC_77K, OperatingPoint
+from repro.tech.operating_point import OP_NOC_300K, OP_NOC_77K, OperatingPoint
 
 
 @pytest.fixture(scope="module")

@@ -122,8 +122,12 @@ class TestFaultToleranceFlags:
     def test_rejects_negative_jobs_and_timeout(self):
         with pytest.raises(SystemExit):
             main(["run", "fig20", "--jobs", "-1"])
-        with pytest.raises(SystemExit):
-            main(["run", "fig20", "--timeout", "-2"])
+        # A budget is a finite number of seconds: ``inf`` overflows the
+        # wait on the driver thread and ``nan`` would disable the budget.
+        for timeout in ("-2", "inf", "nan"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["run", "fig20", "--timeout", timeout])
+            assert excinfo.value.code == 2, timeout
 
 
 class TestRerunAfterFailures:

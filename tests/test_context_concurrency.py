@@ -24,14 +24,10 @@ from repro.noc.link import WireLinkModel
 from repro.noc.router import RouterModel
 from repro.system.config import EVALUATION_SYSTEMS
 from repro.system.multicore import MulticoreSystem
-from repro.tech import (
-    CryoWireModel,
-    OperatingPoint,
-    TechContext,
-    cryo_mosfet,
-    use_context,
-)
-from repro.tech.mosfet import FREEPDK45_CARD
+from repro.tech.context import TechContext, use_context
+from repro.tech.mosfet import FREEPDK45_CARD, cryo_mosfet
+from repro.tech.operating_point import OperatingPoint
+from repro.tech.wire import CryoWireModel
 from repro.workloads.profiles import PARSEC_2_1
 
 

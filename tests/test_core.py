@@ -5,15 +5,11 @@ import pytest
 from repro.core.cryosp import CryoSPDesigner
 from repro.core.ipc import IPCModel
 from repro.core.voltage import VoltageOptimizer
-from repro.pipeline.config import (
-    CRYO_CORE_CONFIG,
-    OP_300K_NOMINAL,
-    OP_77K_NOMINAL,
-    SKYLAKE_CONFIG,
-)
+from repro.pipeline.config import CRYO_CORE_CONFIG, SKYLAKE_CONFIG
 from repro.pipeline.model import PipelineModel
 from repro.pipeline.stages import StageKind, SUPERPIPELINED_STAGES
 from repro.tech.constants import T_LN2
+from repro.tech.operating_point import OP_300K_NOMINAL, OP_77K_NOMINAL
 from repro.workloads.profiles import PARSEC_2_1
 
 

@@ -5,11 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.memory.cacti import CactiModel
 from repro.memory.cll_dram import CllDramModel
-from repro.pipeline.config import CoreConfig, OperatingPoint, SKYLAKE_CONFIG
+from repro.pipeline.config import CoreConfig, SKYLAKE_CONFIG
 from repro.pipeline.model import PipelineModel
 from repro.power.mcpat import CorePowerModel
 from repro.system.config import CHP_77K_CRYOBUS, CHP_77K_MESH
 from repro.system.multicore import MulticoreSystem
+from repro.tech.operating_point import OperatingPoint
 from repro.workloads.profiles import PARSEC_2_1, WorkloadProfile
 
 temperatures = st.floats(min_value=77.0, max_value=300.0)

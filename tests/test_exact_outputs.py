@@ -23,16 +23,12 @@ from repro.noc.measure import LoadLatencyPoint
 from repro.noc.simulator import NocSimulator
 from repro.noc.topology import CMesh, FlattenedButterfly, Mesh
 from repro.noc.traffic import make_pattern
-from repro.pipeline.config import (
-    CRYO_CORE_CONFIG,
-    OP_77K_NOMINAL,
-    SKYLAKE_CONFIG,
-    OperatingPoint,
-)
+from repro.pipeline.config import CRYO_CORE_CONFIG, SKYLAKE_CONFIG
 from repro.pipeline.model import PipelineModel
 from repro.power.mcpat import CorePowerModel, CorePowerReport
 from repro.tech.constants import T_LN2
 from repro.tech.mosfet import FREEPDK45_CARD
+from repro.tech.operating_point import OP_77K_NOMINAL, OperatingPoint
 from repro.tech.wire import CryoWireModel
 
 N_CYCLES = 1500

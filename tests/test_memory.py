@@ -13,9 +13,8 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.noc.bus import CryoBusDesign
 from repro.noc.latency import AnalyticNocModel, IdealNoc
 from repro.noc.topology import Mesh
-from repro.pipeline.config import OP_NOC_77K
 from repro.tech.constants import T_LN2, T_ROOM
-from repro.tech.operating_point import OP_ROOM
+from repro.tech.operating_point import OP_NOC_77K, OP_ROOM
 
 
 class TestCacheDesigns:

@@ -10,8 +10,7 @@ from repro.noc.latency import AnalyticNocModel, IdealNoc
 from repro.noc.simulator import NocSimulator
 from repro.noc.topology import Mesh
 from repro.noc.traffic import make_pattern
-from repro.pipeline.config import OP_NOC_77K
-from repro.tech.operating_point import OP_ROOM
+from repro.tech.operating_point import OP_NOC_77K, OP_ROOM
 
 
 @pytest.fixture(scope="module")

@@ -12,20 +12,17 @@ import pytest
 from repro.memory.cacti import CactiModel
 from repro.noc.link import WireLinkModel
 from repro.noc.router import RouterModel
-from repro.tech import (
-    CryoMOSFET,
-    FREEPDK45_CARD,
-    CryoWireModel,
-    OP_77K_NOMINAL,
-    OP_NOC_77K,
-    OperatingPoint,
+from repro.tech.constants import T_ROOM
+from repro.tech.context import (
     TechContext,
     clear_context,
     get_context,
     set_context,
     use_context,
 )
-from repro.tech.constants import T_ROOM
+from repro.tech.mosfet import CryoMOSFET, FREEPDK45_CARD
+from repro.tech.operating_point import OP_77K_NOMINAL, OP_NOC_77K, OperatingPoint
+from repro.tech.wire import CryoWireModel
 
 
 # ----------------------------------------------------------------------
@@ -54,11 +51,6 @@ class TestOperatingPoint:
     def test_is_cryogenic(self):
         assert OP_77K_NOMINAL.is_cryogenic
         assert not OperatingPoint.at(T_ROOM).is_cryogenic
-
-    def test_pipeline_reexport_is_same_object(self):
-        from repro.pipeline.config import OperatingPoint as PipelineOP
-
-        assert PipelineOP is OperatingPoint
 
 
 # ----------------------------------------------------------------------

@@ -3,14 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.pipeline.config import (
-    CRYO_CORE_CONFIG,
-    CoreConfig,
-    OP_300K_NOMINAL,
-    OP_77K_NOMINAL,
-    OperatingPoint,
-    SKYLAKE_CONFIG,
-)
+from repro.pipeline.config import CRYO_CORE_CONFIG, CoreConfig, SKYLAKE_CONFIG
 from repro.pipeline.floorplan import (
     ALU_GEOMETRY,
     REGFILE_GEOMETRY,
@@ -24,6 +17,7 @@ from repro.pipeline.stages import (
     SUPERPIPELINED_STAGES,
     stage_by_name,
 )
+from repro.tech.operating_point import OP_300K_NOMINAL, OP_77K_NOMINAL, OperatingPoint
 
 
 class TestCoreConfig:

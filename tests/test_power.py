@@ -3,16 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.pipeline.config import (
-    CRYO_CORE_CONFIG,
-    OP_CHP,
-    OP_CRYOSP,
-    OP_NOC_300K,
-    OP_NOC_77K,
-    OP_300K_NOMINAL,
-    OP_77K_NOMINAL,
-    SKYLAKE_CONFIG,
-)
+from repro.pipeline.config import CRYO_CORE_CONFIG, SKYLAKE_CONFIG
 from repro.power.cooling import (
     COOLING_OVERHEAD_77K,
     MEASURED_COOLING_OVERHEADS,
@@ -27,6 +18,14 @@ from repro.power.orion import (
     MESH_64_PROFILE,
     NocPowerModel,
     SHARED_BUS_64_PROFILE,
+)
+from repro.tech.operating_point import (
+    OP_300K_NOMINAL,
+    OP_77K_NOMINAL,
+    OP_CHP,
+    OP_CRYOSP,
+    OP_NOC_300K,
+    OP_NOC_77K,
 )
 
 

@@ -6,7 +6,6 @@ from repro.memory.cll_dram import CllDramModel
 from repro.memory.dram import DRAM_300K, DRAM_77K
 from repro.noc.bus import CryoBusDesign, SharedBusDesign
 from repro.noc.topology import Mesh
-from repro.pipeline.config import OP_NOC_77K
 from repro.power.orion import (
     CRYOBUS_64_PROFILE,
     MESH_64_PROFILE,
@@ -16,7 +15,7 @@ from repro.power.orion import (
     profile_from_mesh,
 )
 from repro.power.tco import TemperatureOptimizer, default_device_power
-from repro.tech.operating_point import OP_CRYO, OP_ROOM, OperatingPoint
+from repro.tech.operating_point import OP_CRYO, OP_NOC_77K, OP_ROOM, OperatingPoint
 
 
 class TestDerivedNocProfiles:

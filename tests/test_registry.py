@@ -1,6 +1,8 @@
 """The experiment catalog: every row names a real driver, every driver
-module has a row, and a cached run imports no model code."""
+module has a row, and a cached run imports no model code. Serving loads
+only what its endpoints call, and no package ``__init__`` imports."""
 
+import ast
 import inspect
 import json
 import os
@@ -12,7 +14,8 @@ import repro
 from repro.experiments.engine import ExecutionEngine
 from repro.experiments.registry import CATALOG, EXPERIMENTS, get_spec
 
-EXPERIMENTS_DIR = Path(repro.__file__).parent / "experiments"
+PACKAGE_DIR = Path(repro.__file__).parent
+EXPERIMENTS_DIR = PACKAGE_DIR / "experiments"
 
 #: Modules of ``repro/experiments/`` that run experiments but drive none.
 INFRASTRUCTURE = {"__init__", "base", "cache", "cli", "engine", "registry", "report"}
@@ -97,5 +100,39 @@ class TestColdImports:
         """numpy's random package costs the server ~2.3 MB of peak RSS;
         only drawing traffic needs it, so importing the model must not."""
         loaded = _modules_loaded_by("import repro.serve.app", tmp_path / "cache")
-        assert "repro.noc.traffic" in loaded  # the NoC layer really loaded
+        assert "repro.noc.latency" in loaded  # the NoC layer really loaded
         assert [m for m in loaded if m.startswith("numpy.random")] == []
+
+    def test_serving_loads_no_engine_it_never_calls(self, tmp_path):
+        """No endpoint reaches the cycle-level engines, the traffic
+        generator, CACTI, CLL-DRAM or the coherence engines, so serving
+        does not load them."""
+        loaded = _modules_loaded_by("import repro.serve.app", tmp_path / "cache")
+        assert "repro.tech.mosfet" in loaded  # the model really loaded
+        unreached = {
+            "repro.noc.flitsim", "repro.noc.equivalence", "repro.noc.simulator",
+            "repro.noc.traffic", "repro.core.ooosim", "repro.memory.cacti",
+            "repro.memory.cll_dram", "repro.memory.coherence",
+            "repro.workloads.synthetic",
+        }
+        assert unreached.isdisjoint(loaded)
+
+
+class TestPackageInits:
+    def test_inits_import_nothing_and_repro_binds_only_its_version(self):
+        """Each name has one home, the module that defines it. A package
+        ``__init__`` that re-exported names would run every sibling it
+        names on any submodule import; ``repro`` keeps only the version
+        the result cache reads."""
+        for init in PACKAGE_DIR.rglob("__init__.py"):
+            tree = ast.parse(init.read_text())
+            imports = [
+                node.lineno for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+            ]
+            assert imports == [], f"{init} imports on lines {imports}"
+        top = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
+        _docstring, *statements = top.body
+        assert [ast.unparse(node) for node in statements] == [
+            f"__version__ = {repro.__version__!r}"
+        ]

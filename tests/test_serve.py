@@ -31,30 +31,24 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.cli import main
-from repro.serve import (
-    BatcherClosed,
-    CryoWireServer,
-    DeadlineExceeded,
-    MicroBatcher,
+from repro.experiments.cache import payload_digest
+from repro.serve.app import CryoWireServer, serve_in_thread
+from repro.serve.batching import MicroBatcher
+from repro.serve.overload import BatcherClosed, Deadline, DeadlineExceeded
+from repro.serve.service import (
     ModelService,
     PointQuery,
     QueryError,
     WireSpec,
-    serve_in_thread,
+    parse_cryostat_request,
+    parse_point_query,
 )
-from repro.experiments.cache import payload_digest
-from repro.serve.overload import Deadline
-from repro.serve.service import parse_cryostat_request, parse_point_query
 from repro.system.config import CHP_77K_MESH
 from repro.system.multicore import MulticoreSystem
-from repro.tech import (
-    FREEPDK45_CARD,
-    CryoWireModel,
-    OperatingPoint,
-    TechContext,
-    cryo_mosfet,
-    use_context,
-)
+from repro.tech.context import TechContext, use_context
+from repro.tech.mosfet import FREEPDK45_CARD, cryo_mosfet
+from repro.tech.operating_point import OperatingPoint
+from repro.tech.wire import CryoWireModel
 from repro.workloads.profiles import by_name as workload_by_name
 
 OP_CRYOSP_VOLTAGES = {"temperature_k": 77.0, "vdd_v": 0.64, "vth_v": 0.25}
@@ -212,6 +206,11 @@ class TestEndpoints:
             {"temperature_k": 10**400},
             {"temperature_k": 77, "vdd_v": "nan"},
             {"temperature_k": 77, "vth_v": float("-inf")},
+            # JSON numbers only: float() would read these as 77 K and 1 V.
+            {"temperature_k": "77"},
+            {"temperature_k": "77", "vdd_v": True},
+            {"temperature_k": 77, "vdd_v": True},
+            {"temperature_k": 77, "vth_v": "0.25"},
         ):
             status, payload = _post(server, "/v1/query", {"operating_point": point})
             assert status == 422, point
@@ -342,6 +341,7 @@ class TestEndpoints:
             {"temperature_k": [77.0], "vth_v": [float("inf")]},
             {"mode": "product", "temperature_k": [77.0], "vdd_v": ["nan"]},
             {"mode": "product", "temperature_k": ["inf"]},
+            {"temperature_k": [77.0], "vdd_v": [True]},
         ):
             status, payload = _post(server, "/v1/grid", body)
             assert status == 422, body
@@ -358,12 +358,8 @@ class TestEndpoints:
 
     def test_cryostat_matches_direct_ledger(self, server):
         from repro.power.tco import cryostat_tco_w
-        from repro.thermal import (
-            ComponentPlacement,
-            Cryostat,
-            electrical_link,
-            standard_stack,
-        )
+        from repro.thermal.cryostat import ComponentPlacement, Cryostat, standard_stack
+        from repro.thermal.stage import electrical_link
 
         status, payload = _post(
             server,
@@ -465,6 +461,7 @@ class TestEndpoints:
             },
             {"links": [{**link, "conducted_w": "nan"}], "placements": [core]},
             {"links": [{**link, "lanes": float("inf")}], "placements": [core]},
+            {"placements": [{**core, "device_power_w": True}]},
         ):
             status, payload = _post(server, "/v1/cryostat", body)
             assert status == 422, body
@@ -671,6 +668,8 @@ class TestFailureIsolation:
             {"layer": "global", "length_um": "nan"},
             {"layer": "global", "length_um": "inf"},
             {"layer": "global", "length_um": float("inf")},
+            {"layer": "global", "length_um": "2000"},
+            {"layer": "global", "length_um": True},
         ):
             with pytest.raises(QueryError) as excinfo:
                 parse_point_query(

@@ -34,14 +34,11 @@ import time
 
 import pytest
 
-from repro.serve import ModelService, serve_in_thread
-from repro.tech import (
-    FREEPDK45_CARD,
-    OperatingPoint,
-    TechContext,
-    cryo_mosfet,
-    use_context,
-)
+from repro.serve.app import serve_in_thread
+from repro.serve.service import ModelService
+from repro.tech.context import TechContext, use_context
+from repro.tech.mosfet import FREEPDK45_CARD, cryo_mosfet
+from repro.tech.operating_point import OperatingPoint
 
 pytestmark = pytest.mark.chaos
 

@@ -11,17 +11,15 @@ from repro.power.tco import (
     COOLER_CAPEX_FACTOR,
     LN2_INVENTORY_FACTOR,
 )
-from repro.thermal import (
-    ComponentPlacement,
-    Cryostat,
+from repro.thermal.cryostat import ComponentPlacement, Cryostat, standard_stack
+from repro.thermal.stage import (
     InterStageLink,
+    STAGE_300K,
     STAGE_4K,
     STAGE_77K,
-    STAGE_300K,
     ThermalStage,
     electrical_link,
     optical_link,
-    standard_stack,
 )
 
 

@@ -310,7 +310,7 @@ def run_loadtest(
     own_server = url is None
     handle = None
     if own_server:
-        from repro.serve import serve_in_thread
+        from repro.serve.app import serve_in_thread
 
         handle = serve_in_thread()
         url = handle.url
@@ -340,7 +340,7 @@ def run_loadtest(
 
 def run_ab_phase(duration_s: float, clients: int, seed: int) -> Dict:
     """Throughput with micro-batching on vs off (fresh server each)."""
-    from repro.serve import serve_in_thread
+    from repro.serve.app import serve_in_thread
 
     results = {}
     for label, enabled in (("batched", True), ("unbatched", False)):
@@ -386,7 +386,7 @@ def run_overload_phase(
 
     Returns a report with a ``checks`` list and an overall ``ok``.
     """
-    from repro.serve import serve_in_thread
+    from repro.serve.app import serve_in_thread
 
     clients = max(2, int(max_inflight * overload_factor))
     handle = serve_in_thread(
