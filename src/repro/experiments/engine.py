@@ -42,6 +42,7 @@ from __future__ import annotations
 import datetime as _datetime
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -415,7 +416,7 @@ class ExecutionEngine:
     ``jobs`` caps the worker processes; ``jobs=0`` means one per CPU.
     ``use_cache=False`` disables memoization but keeps the manifest
     instrumentation. ``timeout_s`` is the wall-clock budget per
-    experiment: ``None`` defers to the cost-scaled
+    experiment, finite and ``>= 0``: ``None`` defers to the cost-scaled
     :data:`DEFAULT_TIMEOUT_S`, and ``0`` disables timeouts (the driver
     then runs on the calling thread). Under ``strict`` the
     drivers run in a strict guard context: the first model-validity
@@ -434,6 +435,8 @@ class ExecutionEngine:
     ) -> None:
         if jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {jobs}")
+        if timeout_s is not None and not (math.isfinite(timeout_s) and timeout_s >= 0):
+            raise ValueError(f"timeout_s must be None or finite and >= 0, got {timeout_s}")
         self.jobs = jobs or os.cpu_count() or 1
         self.cache = ResultCache(cache_dir)
         self.use_cache = use_cache

@@ -14,19 +14,27 @@ the sweep time goes.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Optional, Sequence
+from functools import lru_cache, partial
+from typing import Optional, Sequence, Tuple
 
 from repro.experiments.base import ExperimentResult
 from repro.noc.bus import CryoBusDesign, SharedBusDesign
 from repro.noc.link import WireLinkModel
 from repro.noc.measure import load_latency_curve
 from repro.noc.simulator import NocSimulator
-from repro.noc.topology import CMesh, FlattenedButterfly, Mesh
+from repro.noc.topology import CMesh, FlattenedButterfly, Mesh, RouterTopology
 from repro.noc.traffic import make_pattern
 from repro.tech.operating_point import OP_CRYO
 
 DEFAULT_RATES = (0.001, 0.002, 0.004, 0.006, 0.008, 0.012)
+
+
+@lru_cache(maxsize=None)
+def _router_topologies() -> Tuple[RouterTopology, ...]:
+    """One of each router topology, shared by every series and call (Fig.
+    25 calls :func:`run` once per pattern): each memoizes its route
+    table per ``hops_per_cycle``."""
+    return (Mesh(64), CMesh(64), FlattenedButterfly(64))
 
 
 def run(
@@ -60,7 +68,7 @@ def run(
             )
 
     for router_cycles in include_routers or ():
-        for topo in (Mesh(64), CMesh(64), FlattenedButterfly(64)):
+        for topo in _router_topologies():
             add_series(
                 f"{topo.name}_{router_cycles}cyc",
                 partial(

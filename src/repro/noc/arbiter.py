@@ -13,11 +13,20 @@ forever: the order in which requesters were last served. It is stored as
 that order -- one last-served stamp per requester -- so the winner is
 simply the active requester served longest ago, and
 :meth:`MatrixArbiter.priority_snapshot` renders the equivalent matrix.
+
+A requester raises its request line with :meth:`MatrixArbiter.request`
+and keeps it raised until it wins a :meth:`MatrixArbiter.grant`. The
+raised lines wait in a heap keyed by stamp: a stamp changes only when
+its requester wins, and the winner leaves the heap, so the heap's top is
+always the active requester served longest ago and a grant is one pop.
+A heap entry is the one int ``stamp * n + requester``: stamps are
+distinct, so it orders as the stamp does.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+import heapq
+from typing import List, Optional
 
 
 class MatrixArbiter:
@@ -31,21 +40,29 @@ class MatrixArbiter:
         # initial stamps encode the starting order (lower index wins).
         self._served: List[int] = list(range(-n, 0))
         self._clock = 0
+        self._raised = [False] * n
+        self._waiting: List[int] = []  # stamp * n + requester
 
-    def grant(self, requests: Iterable[int]) -> Optional[int]:
-        """Pick a winner among ``requests`` and rotate its priority.
+    def request(self, requester: int) -> None:
+        """Raise ``requester``'s request line; a raised line stays
+        raised until the requester wins a grant."""
+        if not 0 <= requester < self.n:
+            raise ValueError(f"requester {requester} out of range")
+        if not self._raised[requester]:
+            self._raised[requester] = True
+            heapq.heappush(self._waiting, self._served[requester] * self.n + requester)
+
+    def grant(self) -> Optional[int]:
+        """Pick a winner among the raised requests and rotate its priority.
 
         Returns ``None`` when nothing is requested; otherwise the
         requester that beats every other one, which then drops to the
-        lowest priority.
+        lowest priority and lowers its request line.
         """
-        active = requests if isinstance(requests, (set, frozenset)) else set(requests)
-        if not active:
+        if not self._waiting:
             return None
-        low, high = min(active), max(active)
-        if low < 0 or high >= self.n:
-            raise ValueError(f"requester {low if low < 0 else high} out of range")
-        winner = min(active, key=self._served.__getitem__)
+        winner = heapq.heappop(self._waiting) % self.n
+        self._raised[winner] = False
         self._served[winner] = self._clock
         self._clock += 1
         return winner

@@ -20,7 +20,7 @@ from typing import Optional
 from repro.noc.bus import BusDesign
 from repro.noc.link import WireLinkModel
 from repro.noc.router import RouterModel
-from repro.noc.topology import RouterTopology, link_cycles
+from repro.noc.topology import RouterTopology
 from repro.tech.operating_point import OP_ROOM, OperatingPoint
 
 #: Per-port clock penalty of routers beyond the 5-port mesh baseline.
@@ -173,18 +173,8 @@ class AnalyticNocModel:
             return self._base_cycles_cache
         assert self.topology is not None and self.router is not None
         avg_hops = self.topology.average_hops()
-        # Mean link cycles, weighted over routes (hop lengths may vary).
-        total = count = 0
-        for src in range(0, self.topology.n_nodes, 7):  # sampled pairs
-            for dst in range(self.topology.n_nodes):
-                if src == dst:
-                    continue
-                for _, _, length in self.topology.route(
-                    self.topology.router_of(src), self.topology.router_of(dst)
-                ):
-                    total += link_cycles(length, self.hops_per_cycle)
-                    count += 1
-        mean_link = total / count if count else 1.0
+        # Mean link cycles over routes (hop lengths may vary).
+        mean_link = self.topology.mean_link_cycles(self.hops_per_cycle)
         per_hop = self.router.pipeline_cycles + mean_link
         self._base_cycles_cache = 2.0 + avg_hops * per_hop + (self.packet_flits - 1)
         return self._base_cycles_cache

@@ -125,6 +125,12 @@ class LatencyMeter:
         self.latencies.append(latency)
         self._total += latency
 
+    def deliver_all(self, latencies: List[int]) -> None:
+        """Record measured packets by their latencies, for an engine that
+        computes them in bulk."""
+        self.latencies.extend(latencies)
+        self._total += sum(latencies)
+
     def deliver_local(self, packet_flits: int) -> None:
         """Record a same-router delivery: injection + ejection +
         tail-flit serialisation, no fabric traversal."""

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterator, List, Tuple
+
+import numpy as np
 
 #: Core tile pitch (mm): the 64-core CPU is a 16 mm x 16 mm die with an
 #: 8x8 grid of 2 mm tiles; larger core counts grow the die accordingly.
@@ -19,10 +22,6 @@ TILE_PITCH_MM = 2.0
 
 #: Physical hop granularity of the link model (mm).
 LINK_HOP_MM = 2.0
-
-#: A route as the packet engine walks it: (port, link_cycles) per hop.
-LinkRoute = Tuple[Tuple[int, int], ...]
-
 
 def die_edge_mm(n_nodes: int) -> float:
     """Die edge for ``n_nodes`` cores at the standard tile pitch."""
@@ -34,6 +33,25 @@ def link_cycles(length_mm: float, hops_per_cycle: float) -> int:
     ``hops_per_cycle`` link hops per cycle (at least one cycle)."""
     hops = max(length_mm / LINK_HOP_MM, 1.0)
     return max(1, math.ceil(hops / hops_per_cycle))
+
+
+@dataclass(frozen=True, eq=False)
+class LinkTable:
+    """Every node-to-node route as flat ``int32`` arrays.
+
+    The route from node ``src`` to node ``dst`` is hops
+    ``offset[k] .. offset[k] + count[k] - 1`` of ``port`` and ``link``,
+    with ``k = src * n_nodes + dst``; a route inside one router has no
+    hops. ``port`` numbers the directed links the routing uses, ``0 ..
+    n_ports - 1``, and ``link`` is the hop's :func:`link_cycles`. Node
+    pairs on the same two routers share one run of hops.
+    """
+
+    offset: np.ndarray
+    count: np.ndarray
+    port: np.ndarray
+    link: np.ndarray
+    n_ports: int
 
 
 class Topology(ABC):
@@ -133,39 +151,58 @@ class RouterTopology(Topology):
         return self._route_stats[2]
 
     @cached_property
-    def _link_tables(self) -> Dict[float, Tuple[Tuple[LinkRoute, ...], ...]]:
+    def _link_tables(self) -> Dict[float, LinkTable]:
         return {}
 
-    def link_table(self, hops_per_cycle: float) -> Tuple[Tuple[LinkRoute, ...], ...]:
-        """``link_table(h)[src][dst]``: the route between two *nodes* as
-        ``(port, link_cycles)`` pairs, one per hop.
-
-        ``port`` numbers the directed link ``from * n_routers + to``;
-        ``link_cycles`` is :func:`link_cycles` of the hop's length at
-        ``hops_per_cycle``. Memoized per ``hops_per_cycle``.
-        """
+    def link_table(self, hops_per_cycle: float) -> LinkTable:
+        """The routes between nodes with their link cycles at
+        ``hops_per_cycle``, memoized per ``hops_per_cycle``."""
         table = self._link_tables.get(hops_per_cycle)
         if table is None:
             n = self.n_routers
-            # One shared (port, link_cycles) pair per directed link.
-            entries: Dict[Tuple[int, int, float], Tuple[int, int]] = {}
-
-            def entry(hop: Tuple[int, int, float]) -> Tuple[int, int]:
-                found = entries.get(hop)
-                if found is None:
-                    frm, to, length = hop
-                    found = (frm * n + to, link_cycles(length, hops_per_cycle))
-                    entries[hop] = found
-                return found
-
-            by_router = [
-                [tuple(entry(hop) for hop in self.route(src, dst)) for dst in range(n)]
-                for src in range(n)
-            ]
-            routers = [self.router_of(node) for node in range(self.n_nodes)]
-            table = tuple(tuple(by_router[src][dst] for dst in routers) for src in routers)
+            cycles: Dict[float, int] = {}  # link cycles per hop length
+            port_of: Dict[Tuple[int, int], int] = {}  # directed link -> port
+            ports: List[int] = []
+            links: List[int] = []
+            counts: List[int] = []
+            for src in range(n):
+                for dst in range(n):
+                    route = self.route(src, dst)
+                    counts.append(len(route))
+                    for frm, to, length in route:
+                        found = cycles.get(length)
+                        if found is None:
+                            found = cycles[length] = link_cycles(length, hops_per_cycle)
+                        ports.append(port_of.setdefault((frm, to), len(port_of)))
+                        links.append(found)
+            count = np.array(counts, dtype=np.int32)
+            offset = np.cumsum(count, dtype=np.int32) - count
+            routers = np.array(
+                [self.router_of(node) for node in range(self.n_nodes)], dtype=np.int32
+            )
+            pair = (routers[:, None] * n + routers[None, :]).ravel()
+            table = LinkTable(
+                offset=offset[pair],
+                count=count[pair],
+                port=np.array(ports, dtype=np.int32),
+                link=np.array(links, dtype=np.int32),
+                n_ports=len(port_of),
+            )
             self._link_tables[hops_per_cycle] = table
         return table
+
+    def mean_link_cycles(self, hops_per_cycle: float) -> float:
+        """Mean link cycles per hop over the routes from every 7th node
+        (a sample of the routes), or 1.0 when none leaves its router."""
+        total = count = 0
+        for src in range(0, self.n_nodes, 7):
+            for dst in range(self.n_nodes):
+                if src == dst:
+                    continue
+                for _, _, length in self.route(self.router_of(src), self.router_of(dst)):
+                    total += link_cycles(length, hops_per_cycle)
+                    count += 1
+        return total / count if count else 1.0
 
     def average_distance_mm(self) -> float:
         total = count = 0.0
@@ -229,6 +266,14 @@ class Mesh(RouterTopology):
             2 * (side - 1),
             4 * side * (side - 1),
         )
+
+    def mean_link_cycles(self, hops_per_cycle: float) -> float:
+        """The sampled pass's value in closed form: every XY hop is one
+        ``hop_length_mm`` link, so the pass divides an integer multiple of
+        that link's cycles by its hop count."""
+        if self.n_routers == 1:
+            return 1.0
+        return float(link_cycles(self.hop_length_mm, hops_per_cycle))
 
     def route(self, src_router: int, dst_router: int) -> List[Tuple[int, int, float]]:
         sx, sy = self._coords(src_router)

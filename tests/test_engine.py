@@ -367,6 +367,11 @@ class TestEngine:
         assert ExecutionEngine(jobs=1, timeout_s=5.0)._timeout_for(fast) == 5.0
         assert ExecutionEngine(jobs=1, timeout_s=0)._timeout_for(fast) is None
 
+    @pytest.mark.parametrize("timeout_s", [float("inf"), float("nan"), -1.0])
+    def test_rejects_non_finite_and_negative_timeouts(self, timeout_s):
+        with pytest.raises(ValueError, match="timeout_s"):
+            ExecutionEngine(jobs=1, timeout_s=timeout_s, use_cache=False)
+
     def test_resume_skips_completed_experiments(self, tmp_path):
         """A plain rerun recomputes nothing that completed."""
         engine = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")

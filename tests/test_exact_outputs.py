@@ -183,12 +183,17 @@ class TestVoltageSearchExact:
 )
 def test_arbiter_priority_is_a_strict_total_order(n, rounds):
     arbiter = MatrixArbiter(n)
+    raised = set()  # request lines stay raised until granted
     for requests in rounds:
-        requests = {r % n for r in requests}
+        for requester in requests:
+            arbiter.request(requester % n)
+            raised.add(requester % n)
         before = arbiter.priority_snapshot()
-        winner = arbiter.grant(requests)
+        winner = arbiter.grant()
         # The winner beat every other requester under the old priorities.
-        assert all(before[winner][other] for other in requests if other != winner)
+        assert winner in raised
+        assert all(before[winner][other] for other in raised if other != winner)
+        raised.discard(winner)
         matrix = arbiter.priority_snapshot()
         for i in range(n):
             assert not matrix[i][i]

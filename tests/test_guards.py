@@ -556,7 +556,10 @@ class TestWatchdogs:
             def __init__(self, n_inputs):
                 pass
 
-            def grant(self, requesters):
+            def request(self, requester):
+                pass
+
+            def grant(self):
                 return None  # never grants anything
 
         monkeypatch.setattr(noc_sim, "MatrixArbiter", DeafArbiter)

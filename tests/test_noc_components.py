@@ -103,6 +103,18 @@ class TestMesh:
                 assert stats == RouterTopology._route_stats.func(mesh)
                 assert [type(v) for v in stats] == [float, int, int]
 
+    @pytest.mark.parametrize("concentration", (1, 4))
+    def test_closed_form_link_mean_matches_the_sampled_pass(self, concentration):
+        for side in range(1, 7):
+            n_nodes = concentration * side * side
+            if n_nodes < 2:
+                continue
+            mesh = Mesh(n_nodes, concentration)
+            for hops_per_cycle in (0.3, 1, 4, 12):
+                mean = mesh.mean_link_cycles(hops_per_cycle)
+                assert mean == RouterTopology.mean_link_cycles(mesh, hops_per_cycle)
+                assert type(mean) is float
+
     @settings(max_examples=40, deadline=None)
     @given(src=st.integers(0, 63), dst=st.integers(0, 63))
     def test_route_length_is_manhattan(self, src, dst):
@@ -133,42 +145,65 @@ class TestConcentratedTopologies:
         assert fb.route(fb.router_of(0), fb.router_of(1)) == []
 
 
+def _round(arbiter, requests):
+    """Raise every line in ``requests`` (raised lines stay raised) and
+    grant once."""
+    for requester in requests:
+        arbiter.request(requester)
+    return arbiter.grant()
+
+
 class TestMatrixArbiter:
     def test_single_requester_wins(self):
-        assert MatrixArbiter(4).grant([2]) == 2
+        assert _round(MatrixArbiter(4), [2]) == 2
 
     def test_empty_grant_is_none(self):
-        assert MatrixArbiter(4).grant([]) is None
+        arbiter = MatrixArbiter(4)
+        assert arbiter.grant() is None
+        assert _round(arbiter, [1]) == 1
+        assert arbiter.grant() is None  # the winner's line dropped
 
     def test_round_robin_like_rotation(self):
         arbiter = MatrixArbiter(3)
-        winners = [arbiter.grant([0, 1, 2]) for _ in range(3)]
+        winners = [_round(arbiter, [0, 1, 2]) for _ in range(3)]
         assert sorted(winners) == [0, 1, 2]
 
     def test_starvation_freedom_under_full_load(self):
         """Every requester is served within n rounds of continuous load."""
         n = 8
         arbiter = MatrixArbiter(n)
-        winners = [arbiter.grant(range(n)) for _ in range(n)]
+        winners = [_round(arbiter, range(n)) for _ in range(n)]
         assert sorted(winners) == list(range(n))
 
     def test_winner_yields_priority(self):
         arbiter = MatrixArbiter(2)
-        first = arbiter.grant([0, 1])
-        second = arbiter.grant([0, 1])
+        first = _round(arbiter, [0, 1])
+        second = _round(arbiter, [0, 1])
         assert {first, second} == {0, 1}
+
+    def test_raised_line_is_granted_once(self):
+        arbiter = MatrixArbiter(3)
+        arbiter.request(1)
+        arbiter.request(1)
+        assert arbiter.grant() == 1
+        assert arbiter.grant() is None
 
     def test_out_of_range_requester_raises(self):
         with pytest.raises(ValueError):
-            MatrixArbiter(2).grant([5])
+            MatrixArbiter(2).request(5)
+        with pytest.raises(ValueError):
+            MatrixArbiter(2).request(-1)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.sets(st.integers(0, 7), min_size=1), min_size=1, max_size=40))
     def test_winner_always_among_requesters(self, rounds):
         arbiter = MatrixArbiter(8)
+        raised = set()
         for requests in rounds:
-            winner = arbiter.grant(requests)
-            assert winner in requests
+            raised |= requests
+            winner = _round(arbiter, requests)
+            assert winner in raised
+            raised.discard(winner)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=2, max_value=10))
@@ -176,7 +211,7 @@ class TestMatrixArbiter:
         arbiter = MatrixArbiter(n)
         served = set()
         for _ in range(n):
-            served.add(arbiter.grant(range(n)))
+            served.add(_round(arbiter, range(n)))
         assert served == set(range(n))
 
 
