@@ -15,13 +15,14 @@ to scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.model import PipelineModel
 from repro.power.mcpat import CorePowerModel, CorePowerReport
+from repro.tech.batch import OperatingPointBatch
 from repro.tech.operating_point import OperatingPoint
 
 
@@ -87,37 +88,41 @@ class VoltageOptimizer:
         """
         if total_power_budget <= 0:
             raise ValueError("power budget must be positive")
-        grid = [
-            OperatingPoint(
-                name=f"{temperature_k:.0f}K Vdd={vdd} Vth={vth}",
-                temperature_k=temperature_k,
-                vdd_v=vdd,
-                vth_v=vth,
-            )
+        pairs = [
+            (vdd, vth)
             for vth in self.vth_grid
             for vdd in self.vdd_grid
             if vdd - vth >= min_overdrive_v
         ]
-        # One batched pipeline evaluation prices the whole grid; power is
-        # then checked point by point, keeping the first of equally fast
+        grid = OperatingPointBatch(
+            np.full(len(pairs), temperature_k),
+            [vdd for vdd, _ in pairs],
+            [vth for _, vth in pairs],
+        )
+        # One batched pipeline evaluation and one batched power check
+        # price the whole grid; the winner is the first of the fastest
         # feasible points in grid order.
         frequencies = self.pipeline.evaluate_batch(config, grid).frequency_ghz
-        best: Optional[Tuple[OperatingPoint, float, CorePowerReport]] = None
-        for op, freq in zip(grid, frequencies.tolist()):
-            power = self.power.report(config, op, freq)
-            if power.total_rel > total_power_budget:
-                continue
-            if best is None or freq > best[1]:
-                best = (op, freq, power)
-        if best is None:
+        power = self.power.report_batch(config, grid, frequencies)
+        # Not over budget, as the scalar check read it (NaN included).
+        feasible = ~(power.total_rel > total_power_budget)
+        if not bool(feasible.any()):
             raise RuntimeError(
                 f"no feasible operating point at {temperature_k} K within "
                 f"total power budget {total_power_budget}"
             )
-        op, freq, power = best
+        best = int(np.argmax(np.where(feasible, frequencies, -np.inf)))
+        best_vdd, best_vth = pairs[best]
+        op = OperatingPoint(
+            name=f"{temperature_k:.0f}K Vdd={best_vdd} Vth={best_vth}",
+            temperature_k=temperature_k,
+            vdd_v=best_vdd,
+            vth_v=best_vth,
+        )
+        frequency = float(frequencies[best])
         return VoltageSearchResult(
             operating_point=op,
-            frequency_ghz=freq,
-            power=power,
+            frequency_ghz=frequency,
+            power=self.power.report(config, op, frequency),
             evaluated_points=len(grid),
         )

@@ -23,6 +23,7 @@ CryoBus in the paper's Fig. 23.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil, log2
 
 from repro.memory.cache import CacheDesign
@@ -46,6 +47,17 @@ class L3AccessBreakdown:
     def noc_fraction(self) -> float:
         total = self.total_ns
         return self.noc_ns / total if total > 0 else 0.0
+
+
+@dataclass(frozen=True)
+class LoadLatencies:
+    """What one CPI stack prices at one NoC load (ns)."""
+
+    l3_hit: L3AccessBreakdown
+    l3_miss: L3AccessBreakdown
+    cache_to_cache: L3AccessBreakdown
+    barrier_ns: float
+    lock_ns: float
 
 
 #: Payload of a data response in flits (64 B line over a 64-bit fabric).
@@ -84,14 +96,7 @@ class MemoryHierarchy:
         self.protocol = protocol
 
     # ------------------------------------------------------------------
-    def _traversal_ns(self, load: float, flits: int = 1) -> float:
-        """One NoC transfer: a one-way route (mesh) or a bus transaction."""
-        breakdown = self.noc.one_way(load)
-        extra_cycles = float(flits - 1)
-        if self.protocol == "directory" and breakdown.base_cycles > 0:
-            extra_cycles += NI_CYCLES
-        return breakdown.total_ns + extra_cycles / self.noc.clock_ghz
-
+    @cached_property
     def _home_service_ns(self) -> float:
         """Directory-controller occupancy at the home node."""
         if self.protocol != "directory":
@@ -100,52 +105,70 @@ class MemoryHierarchy:
             return 0.0  # ideal fabric: no protocol machinery either
         return HOME_SERVICE_CYCLES / self.noc.clock_ghz
 
-    def _directory_lookup_ns(self) -> float:
-        # Tag + directory-state access: roughly half a slice access.
-        return 0.5 * self.caches.l3_latency_ns
+    def at_load(
+        self,
+        load: float = 0.0,
+        n_cores: int = 1,
+        contenders: int = LOCK_CONTENDERS,
+    ) -> LoadLatencies:
+        """Every latency a CPI stack prices at NoC load ``load``.
+
+        One NoC traversal at ``load`` gives both transfers: a request
+        (1 flit) and a data response (:data:`DATA_FLITS`), each a
+        one-way route (mesh) or a bus transaction. :meth:`l3_hit`,
+        :meth:`l3_miss`, :meth:`cache_to_cache`, :meth:`barrier_ns` and
+        :meth:`lock_ns` are views of this one method.
+        """
+        if contenders < 1:
+            raise ValueError("need at least one contender")
+        traversal = self.noc.one_way(load)
+        ni_cycles = 0.0
+        if self.protocol == "directory" and traversal.base_cycles > 0:
+            ni_cycles = float(NI_CYCLES)
+        total_ns, clock_ghz = traversal.total_ns, self.noc.clock_ghz
+        request = total_ns + ni_cycles / clock_ghz
+        data = total_ns + (float(DATA_FLITS - 1) + ni_cycles) / clock_ghz
+        caches = self.caches
+        if self.protocol == "directory":
+            home = self._home_service_ns
+            # Tag + directory-state access: roughly half a slice access.
+            lookup = 0.5 * caches.l3_latency_ns
+            # A miss goes requestor -> home, home -> memory controller,
+            # data back; dirty-remote data goes requestor -> home
+            # (service + lookup), home -> owner forward, owner ->
+            # requestor data.
+            indirect = 2 * request + data + home
+            hit = L3AccessBreakdown(request + data + home, lookup + caches.l3_latency_ns)
+            miss = L3AccessBreakdown(indirect, lookup, self.dram.random_access_ns)
+            c2c = L3AccessBreakdown(indirect, lookup + caches.l2_latency_ns)
+            round_ns = c2c.total_ns
+            per_core, lock = 0.75 * round_ns, contenders * round_ns
+        else:
+            # The broadcast reaches home and the owner at once; a miss
+            # only checks the tag.
+            hit = L3AccessBreakdown(request + data, caches.l3_latency_ns)
+            miss = L3AccessBreakdown(
+                request + data, 0.5 * caches.l3_latency_ns, self.dram.random_access_ns
+            )
+            c2c = L3AccessBreakdown(request + data, caches.l2_latency_ns)
+            per_core, lock = 0.5 * request, contenders * request
+        barrier = 0.0
+        if n_cores >= 2:
+            barrier = n_cores * per_core + 2.0 * ceil(log2(n_cores)) * request
+        return LoadLatencies(hit, miss, c2c, barrier, lock)
 
     # ------------------------------------------------------------------
     def l3_hit(self, load: float = 0.0) -> L3AccessBreakdown:
         """L2 miss that hits in the shared L3 (clean data at home)."""
-        request = self._traversal_ns(load)
-        data = self._traversal_ns(load, DATA_FLITS)
-        if self.protocol == "directory":
-            noc = request + data + self._home_service_ns()
-            cache = self._directory_lookup_ns() + self.caches.l3_latency_ns
-        else:
-            noc = request + data
-            cache = self.caches.l3_latency_ns
-        return L3AccessBreakdown(noc_ns=noc, cache_ns=cache)
+        return self.at_load(load).l3_hit
 
     def l3_miss(self, load: float = 0.0) -> L3AccessBreakdown:
         """L2 miss that also misses in L3 and goes to DRAM."""
-        request = self._traversal_ns(load)
-        data = self._traversal_ns(load, DATA_FLITS)
-        if self.protocol == "directory":
-            # requestor -> home, home -> memory controller, data back.
-            noc = 2 * request + data + self._home_service_ns()
-            cache = self._directory_lookup_ns()
-        else:
-            noc = request + data
-            cache = 0.5 * self.caches.l3_latency_ns  # tag check only
-        return L3AccessBreakdown(
-            noc_ns=noc, cache_ns=cache, dram_ns=self.dram.random_access_ns
-        )
+        return self.at_load(load).l3_miss
 
     def cache_to_cache(self, load: float = 0.0) -> L3AccessBreakdown:
         """L2 miss served by another core's dirty copy."""
-        request = self._traversal_ns(load)
-        data = self._traversal_ns(load, DATA_FLITS)
-        if self.protocol == "directory":
-            # requestor -> home (service + lookup), home -> owner
-            # forward, owner -> requestor data.
-            noc = 2 * request + data + self._home_service_ns()
-            cache = self._directory_lookup_ns() + self.caches.l2_latency_ns
-        else:
-            # The broadcast reaches the owner directly.
-            noc = request + data
-            cache = self.caches.l2_latency_ns
-        return L3AccessBreakdown(noc_ns=noc, cache_ns=cache)
+        return self.at_load(load).cache_to_cache
 
     # ------------------------------------------------------------------
     # synchronisation
@@ -158,14 +181,7 @@ class MemoryHierarchy:
         holder, fetch, update); on a snooping bus each arrival is one
         broadcast and the release is observed by everyone at once.
         """
-        if n_cores < 2:
-            return 0.0
-        fan = 2.0 * ceil(log2(n_cores)) * self._traversal_ns(load)
-        if self.protocol == "directory":
-            per_core = 0.75 * self.cache_to_cache(load).total_ns
-        else:
-            per_core = 0.5 * self._traversal_ns(load)
-        return n_cores * per_core + fan
+        return self.at_load(load, n_cores).barrier_ns
 
     def lock_ns(self, load: float = 0.0, contenders: int = LOCK_CONTENDERS) -> float:
         """Cost of one contended lock acquisition episode.
@@ -174,8 +190,4 @@ class MemoryHierarchy:
         is a full dirty-remote round under a directory but a single
         broadcast on a snooping bus.
         """
-        if contenders < 1:
-            raise ValueError("need at least one contender")
-        if self.protocol == "directory":
-            return contenders * self.cache_to_cache(load).total_ns
-        return contenders * self._traversal_ns(load)
+        return self.at_load(load, contenders=contenders).lock_ns

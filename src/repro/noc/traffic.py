@@ -123,7 +123,7 @@ class TrafficPattern:
                 state = np.where(last >= 0, (last & 1) == 1, on)
                 on = state[-1]
                 fires = state & (rng.random((rows, n)) < rate)
-            cycle, src = fires.nonzero()
+            cycle, src = np.divmod(np.flatnonzero(fires), n)
             cycles.append(cycle + start)
             sources.append(src)
         return np.concatenate(cycles), np.concatenate(sources)

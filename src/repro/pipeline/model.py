@@ -172,10 +172,11 @@ class PipelineModel:
 
         ``ops`` is an :class:`~repro.tech.batch.OperatingPointBatch` or a
         sequence of :class:`OperatingPoint` (whose names the per-point
-        reports keep). Each stage costs one vectorized wire kernel call
-        for the whole batch; this is the only implementation of the
-        stage-delay composition, and :meth:`evaluate` is its length-1
-        view.
+        reports keep). Each metal layer costs one vectorized wire kernel
+        call for the whole batch, pricing the wires of all the stages on
+        it as one column of lengths; this is the only implementation of
+        the stage-delay composition, and :meth:`evaluate` is its
+        length-1 view.
         """
         if isinstance(ops, OperatingPoint):
             ops = (ops,)
@@ -183,22 +184,26 @@ class PipelineModel:
         points = ops if isinstance(ops, (list, tuple)) else batch
         gate = self.logic.gate_delay_factor_batch(batch)
         forwarding = self.floorplan.forwarding_wire_length_um(config)
-        transistor, wire = [], []
-        for spec in self.stages:
-            transistor.append(spec.transistor_delay_ps(config) * gate)
-            length = spec.wire.length_um(config, forwarding)
-            breakdown = self.wires.unrepeated_breakdown_batch(
-                spec.wire.layer, length, batch
-            )
+        transistor = np.array(
+            [spec.transistor_delay_ps(config) * gate for spec in self.stages]
+        )
+        layers = [spec.wire.layer for spec in self.stages]
+        lengths = np.array(
+            [[spec.wire.length_um(config, forwarding)] for spec in self.stages]
+        )
+        wire = np.empty_like(transistor)
+        for layer in dict.fromkeys(layers):
+            rows = [k for k, name in enumerate(layers) if name == layer]
+            breakdown = self.wires.unrepeated_breakdown_batch(layer, lengths[rows], batch)
             # The wire component (driver + flight) is reported as Design
             # Compiler would report net delay: it belongs to the wire bucket.
-            wire.append(NODE_SCALE * breakdown.total_ns * 1e3)
+            wire[rows] = NODE_SCALE * breakdown.total_ns * 1e3
         return PipelineReportBatch(
             config_name=config.name,
             operating_points=points,
             stages=self.stages,
-            transistor_ps=np.array(transistor),
-            wire_ps=np.array(wire),
+            transistor_ps=transistor,
+            wire_ps=wire,
         )
 
     def evaluate(self, config: CoreConfig, op: OperatingPoint) -> PipelineReport:

@@ -17,9 +17,17 @@ way Section 6.1.2 describes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence, Union
+
+import numpy as np
 
 from repro.pipeline.config import CoreConfig, SKYLAKE_CONFIG
 from repro.power.cooling import CoolingModel
+from repro.tech.batch import (
+    OperatingPointBatch,
+    OperatingPointBatchLike,
+    as_operating_point_batch,
+)
 from repro.tech.mosfet import CryoMOSFET, FREEPDK45_CARD, MOSFETCard
 from repro.tech.operating_point import OP_300K_NOMINAL, OperatingPoint
 
@@ -45,6 +53,43 @@ class CorePowerReport:
     @property
     def total_rel(self) -> float:
         """Device plus cooling power (the Table 3 'Total power' row)."""
+        return self.device_rel + self.cooling_rel
+
+
+@dataclass(frozen=True, eq=False)
+class CorePowerReportBatch:
+    """Power of one core design at a batch of operating points (the
+    plural of :class:`CorePowerReport`: same fields, array-valued
+    columns).
+
+    ``report[i]`` is the scalar :class:`CorePowerReport` of point ``i``,
+    named after the point it was given.
+    """
+
+    config_name: str
+    operating_points: Union[Sequence[OperatingPoint], OperatingPointBatch]
+    dynamic_rel: np.ndarray
+    static_rel: np.ndarray
+    cooling_rel: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.dynamic_rel.shape[0])
+
+    def __getitem__(self, index: int) -> CorePowerReport:
+        return CorePowerReport(
+            design_name=f"{self.config_name}@{self.operating_points[index].name}",
+            dynamic_rel=float(self.dynamic_rel[index]),
+            static_rel=float(self.static_rel[index]),
+            cooling_rel=float(self.cooling_rel[index]),
+        )
+
+    @property
+    def device_rel(self) -> np.ndarray:
+        return self.dynamic_rel + self.static_rel
+
+    @property
+    def total_rel(self) -> np.ndarray:
+        """Per-point :attr:`CorePowerReport.total_rel`."""
         return self.device_rel + self.cooling_rel
 
 
@@ -81,20 +126,59 @@ class CorePowerModel:
         )
         return mix**self.CAPACITANCE_EXPONENT * latch
 
+    def report_batch(
+        self, config: CoreConfig, ops: OperatingPointBatchLike, frequency_ghz
+    ) -> CorePowerReportBatch:
+        """Full power accounting at many (operating point, frequency) pairs.
+
+        ``ops`` is an :class:`~repro.tech.batch.OperatingPointBatch` or a
+        sequence of :class:`OperatingPoint` (whose names the per-point
+        reports keep); ``frequency_ghz`` is one frequency or one per
+        point. A card-nominal ``vdd_v`` is the logic card's rail. This
+        is the only implementation of the power formula; :meth:`report`,
+        :meth:`dynamic_rel` and :meth:`static_rel` are its length-1
+        views.
+        """
+        if isinstance(ops, OperatingPoint):
+            ops = (ops,)
+        batch = as_operating_point_batch(ops)
+        points = ops if isinstance(ops, (list, tuple)) else batch
+        frequency = np.asarray(frequency_ghz, dtype=float)
+        if bool((frequency <= 0).any()):
+            raise ValueError("frequency must be positive")
+        capacitance = self.capacitance_rel(config)
+        vdd = np.where(np.isnan(batch.vdd_v), self._vdd_ref, batch.vdd_v)
+        v_ratio = vdd / self._vdd_ref
+        f_ratio = frequency / REFERENCE_FREQUENCY_GHZ
+        dynamic = self.DYNAMIC_FRACTION * capacitance * v_ratio**2 * f_ratio
+        # Leaking width scales with the same structural mix as switched C.
+        leak = self.mosfet.leakage_factor_batch(batch)
+        static = self.STATIC_FRACTION * capacitance * leak
+        device = dynamic + static
+        if bool((device < 0).any()):
+            raise ValueError("device power must be non-negative")
+        temperatures, index = np.unique(batch.temperature_k, return_inverse=True)
+        overhead = np.array(
+            [CoolingModel(float(t)).overhead for t in temperatures]
+        )[index]
+        return CorePowerReportBatch(
+            config_name=config.name,
+            operating_points=points,
+            dynamic_rel=dynamic,
+            static_rel=static,
+            cooling_rel=device * overhead,
+        )
+
     def dynamic_rel(
         self, config: CoreConfig, op: OperatingPoint, frequency_ghz: float
     ) -> float:
-        if frequency_ghz <= 0:
-            raise ValueError("frequency must be positive")
-        v_ratio = op.vdd_v / self._vdd_ref
-        f_ratio = frequency_ghz / REFERENCE_FREQUENCY_GHZ
-        return self.DYNAMIC_FRACTION * self.capacitance_rel(config) * v_ratio**2 * f_ratio
+        return float(self.report_batch(config, op, frequency_ghz).dynamic_rel[0])
 
     def static_rel(self, config: CoreConfig, op: OperatingPoint) -> float:
-        leak = self.mosfet.leakage_factor(op)
-        # Leaking width scales with the same structural mix as switched C.
-        area = self.capacitance_rel(config)
-        return self.STATIC_FRACTION * area * leak
+        # Static power does not depend on the clock.
+        return float(
+            self.report_batch(config, op, REFERENCE_FREQUENCY_GHZ).static_rel[0]
+        )
 
     def report(
         self, config: CoreConfig, op: OperatingPoint, frequency_ghz: float
@@ -105,15 +189,7 @@ class CorePowerModel:
         4 GHz) whose report evaluates to device power 1.0 by
         construction.
         """
-        dynamic = self.dynamic_rel(config, op, frequency_ghz)
-        static = self.static_rel(config, op)
-        cooling = CoolingModel(op.temperature_k).cooling_power(dynamic + static)
-        return CorePowerReport(
-            design_name=f"{config.name}@{op.name}",
-            dynamic_rel=dynamic,
-            static_rel=static,
-            cooling_rel=cooling,
-        )
+        return self.report_batch(config, op, frequency_ghz)[0]
 
     def baseline_report(self) -> CorePowerReport:
         """The normalisation anchor (should be exactly 1.0 device power)."""

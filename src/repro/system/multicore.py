@@ -227,11 +227,10 @@ class MulticoreSystem:
         """The CPI stack when the NoC carries ``load`` packets/NoC-cycle."""
         cfg = self.config
         f_core = cfg.core.frequency_ghz
-        hit = self.hierarchy.l3_hit(load)
-        miss = self.hierarchy.l3_miss(load)
-        c2c = self.hierarchy.cache_to_cache(load)
-        barrier_ns = self.hierarchy.barrier_ns(cfg.n_cores, load)
-        lock_ns = self.hierarchy.lock_ns(load)
+        latencies = self.hierarchy.at_load(load, cfg.n_cores)
+        hit = latencies.l3_hit
+        miss = latencies.l3_miss
+        c2c = latencies.cache_to_cache
 
         def stall(rate_pki: float, latency_ns: float) -> float:
             return rate_pki / 1000.0 * latency_ns * f_core * self.exposure
@@ -251,8 +250,8 @@ class MulticoreSystem:
         # Synchronisation stalls are fully exposed (nothing overlaps
         # a barrier wait or a contended lock handoff).
         sync_cpi = (
-            profile.barrier_pki / 1000.0 * barrier_ns
-            + profile.lock_pki / 1000.0 * lock_ns
+            profile.barrier_pki / 1000.0 * latencies.barrier_ns
+            + profile.lock_pki / 1000.0 * latencies.lock_ns
         ) * f_core
 
         return CpiStack(

@@ -69,7 +69,8 @@ class WireDelayBreakdownBatch:
     :class:`WireDelayBreakdown`: same fields, array-valued columns).
 
     ``batch[i]`` yields the scalar :class:`WireDelayBreakdown` of point
-    ``i``.
+    ``i``; for ``(k, n)`` columns (a column of lengths), ``batch[i, j]``
+    is wire ``i`` at point ``j``.
     """
 
     transistor_ns: np.ndarray
@@ -180,9 +181,14 @@ class CryoWireModel:
 
         Either side broadcasts from length 1; element ``i`` is
         bit-identical to ``unrepeated_breakdown(lengths[i], batch[i])``.
+        A ``(k, 1)`` column of lengths prices ``k`` wires at every point:
+        the columns are then ``(k, n)`` and element ``[i, j]`` is
+        bit-identical to ``unrepeated_breakdown(lengths[i], batch[j])``.
         """
         batch = as_operating_point_batch(op)
-        lengths, batch = broadcast_lengths(lengths_um, batch)
+        lengths = np.asarray(lengths_um, dtype=float)
+        if lengths.ndim != 2 or lengths.shape[1] != 1:
+            lengths, batch = broadcast_lengths(lengths, batch)
         if bool((lengths < 0).any()):
             raise ValueError("length must be non-negative")
         return self._unrepeated_breakdown_batch(
@@ -201,7 +207,10 @@ class CryoWireModel:
         c = layer.capacitance_f_per_um
         flight = _DW * r * c * lengths_um**2 * OHM_FF_TO_NS
         load = _SW * r * lengths_um * load_ff * OHM_FF_TO_NS
-        return WireDelayBreakdownBatch(transistor_ns=drive, wire_ns=flight + load)
+        wire = flight + load
+        return WireDelayBreakdownBatch(
+            transistor_ns=np.broadcast_to(drive, wire.shape), wire_ns=wire
+        )
 
     def unrepeated_delay(
         self, layer_name: str, length_um: float, op: OperatingPoint = OP_ROOM

@@ -1,5 +1,7 @@
 """Power models: cooling, core (McPAT-like), NoC (Orion-like)."""
 
+from dataclasses import replace as dc_replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,6 +28,7 @@ from repro.tech.operating_point import (
     OP_CRYOSP,
     OP_NOC_300K,
     OP_NOC_77K,
+    OperatingPoint,
 )
 
 
@@ -166,6 +169,15 @@ class TestCorePower:
     def test_rejects_nonpositive_frequency(self, model):
         with pytest.raises(ValueError):
             model.dynamic_rel(SKYLAKE_CONFIG, OP_300K_NOMINAL, 0.0)
+
+    def test_card_nominal_point_prices_the_card_rail(self, model):
+        """``vdd_v=None`` is the logic card's rail (1.25 V, V_th 0.47 V)."""
+        for bare, named in ((300.0, OP_300K_NOMINAL), (77.0, OP_77K_NOMINAL)):
+            nominal = model.report(SKYLAKE_CONFIG, OperatingPoint.at(bare), 4.0)
+            explicit = model.report(SKYLAKE_CONFIG, named, 4.0)
+            assert nominal == dc_replace(explicit, design_name=nominal.design_name)
+        room = model.report(SKYLAKE_CONFIG, OperatingPoint.at(300.0), 4.0)
+        assert (room.dynamic_rel, room.static_rel, room.cooling_rel) == (0.8, 0.2, 0.0)
 
 
 class TestNocPower:
