@@ -85,6 +85,13 @@ def _timeout(value: str) -> float:
     return timeout
 
 
+def _port(value: str) -> int:
+    port = int(value)
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"must be in 0-65535, got {port}")
+    return port
+
+
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
@@ -197,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--port",
-        type=int,
+        type=_port,
         default=8077,
         metavar="PORT",
         help="bind port (default 8077; 0 = ephemeral)",

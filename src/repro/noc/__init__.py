@@ -16,10 +16,8 @@
   saturation-aware sweep helper.
 * :mod:`repro.noc.simulator` -- cycle-accurate packet simulator (the
   repo's BookSim) for load-latency sweeps.
-* :mod:`repro.noc.flitsim` -- flit-level wormhole/VC/credit simulator,
-  the BookSim-fidelity reference certifying the packet-level shortcuts.
+* :mod:`repro.noc.hybrid` -- the 256-core hybrid CryoBus (Fig. 26):
+  four 64-core CryoBus clusters on a small global mesh.
 * :mod:`repro.noc.latency` -- analytic zero-load + contention models used
   by the system simulator and cross-checked against the simulator.
-* :mod:`repro.noc.equivalence` -- the cross-engine agreement harness
-  (flit vs packet vs analytic, tolerance-banded).
 """

@@ -27,50 +27,6 @@ from repro.tech.operating_point import OP_ROOM, OperatingPoint
 RADIX_CLOCK_PENALTY = 0.04
 
 
-def n_directed_links(topology: RouterTopology) -> int:
-    """Directed router-to-router links actually used by the routing."""
-    return topology.n_directed_links()
-
-
-def analytic_simulator_latency(
-    topology: RouterTopology,
-    injection_rate: float,
-    router_cycles: int = 1,
-    link_cycles: int = 1,
-    packet_flits: int = 1,
-) -> float:
-    """Mean packet latency (simulator cycles) from the M/D/1 composition.
-
-    The low-load reference both simulation engines are checked against
-    (:mod:`repro.noc.equivalence`): per-hop router and link stages +
-    tail serialisation + endpoint machinery, plus per-hop M/D/1 queueing
-    at the mean channel load.  Unlike :class:`AnalyticNocModel` this
-    speaks raw *simulator* cycles (``router_cycles``/``link_cycles`` per
-    hop), so it is directly comparable with
-    :class:`repro.noc.simulator.NocSimulator` and
-    :class:`repro.noc.flitsim.FlitLevelSimulator` output.
-
-    The two simulators book endpoint overhead differently: the flit
-    engine overlaps injection with the first router traversal and pays
-    only the ejection cycle; the packet engine charges an explicit
-    source-queue cycle on top.  The bound charges the midpoint
-    (1.5 cycles), staying equidistant from both conventions.
-
-    ``injection_rate`` is per node, packets/cycle.  Returns ``inf`` at
-    or beyond the saturation load.
-    """
-    if injection_rate < 0:
-        raise ValueError("rate must be non-negative")
-    avg_hops = topology.average_hops()
-    base = 1.5 + avg_hops * (router_cycles + link_cycles) + (packet_flits - 1)
-    aggregate = injection_rate * topology.n_nodes
-    rho = aggregate * avg_hops * packet_flits / n_directed_links(topology)
-    if rho >= 1.0:
-        return math.inf
-    wait_per_hop = rho * packet_flits / (2.0 * (1.0 - rho))
-    return base + avg_hops * wait_per_hop
-
-
 @dataclass(frozen=True)
 class NocLatencyBreakdown:
     """One-way latency decomposition (cycles at the fabric clock)."""

@@ -1,17 +1,14 @@
-"""Shared load-latency measurement core for the three NoC engines.
+"""Shared load-latency measurement core for the NoC engines.
 
 Every headline NoC claim in the paper (Figs. 18/21/25/26) rests on
-load-latency curves, and three engines produce them: the analytic model
-(:mod:`repro.noc.latency`), the packet-level simulator
-(:mod:`repro.noc.simulator`) and the flit-level simulator
-(:mod:`repro.noc.flitsim`).  They must agree on what the numbers *mean*,
-so the accounting lives here, once:
+load-latency curves. Two engines measure them: the packet-level
+simulator (:mod:`repro.noc.simulator`) and the 256-core hybrid
+(:mod:`repro.noc.hybrid`). What the numbers *mean* lives here, once:
 
 * **offered** -- measured packets the pattern injected after warmup,
   *including* packets whose source and destination share a router
-  (those still cost an injection and an ejection, exactly as in the
-  packet engine, and dropping them from the count would deflate
-  acceptance on concentrated topologies);
+  (those still cost an injection and an ejection, and dropping them
+  from the count would deflate acceptance on concentrated topologies);
 * **delivered** -- measured packets whose latency was recorded before
   the engine's horizon; everything else counts as undelivered;
 * **saturated** -- mean latency above ``SATURATION_FACTOR`` x zero-load,
@@ -91,13 +88,14 @@ def summarise(
 class LatencyMeter:
     """Offered/delivered accounting for one simulation run.
 
-    Engines call :meth:`offer` for every injected packet, then exactly
-    one of :meth:`deliver` / :meth:`deliver_local` when (and if) the
-    packet completes.  Undelivered packets need no bookkeeping: they are
-    the gap between offered and delivered.
+    Engines register injected packets with :meth:`offer_all` (or
+    :meth:`offer`, one at a time) and record each measured packet that
+    completes with :meth:`deliver_all`, :meth:`deliver` or
+    :meth:`deliver_local`.  Undelivered packets need no bookkeeping:
+    they are the gap between offered and delivered.
     """
 
-    __slots__ = ("warmup", "offered", "latencies", "_total")
+    __slots__ = ("warmup", "offered", "latencies")
 
     def __init__(self, warmup: int):
         if warmup < 0:
@@ -105,7 +103,6 @@ class LatencyMeter:
         self.warmup = warmup
         self.offered = 0
         self.latencies: List[int] = []
-        self._total = 0
 
     def offer(self, inject_cycle: int) -> bool:
         """Register an injected packet; return whether it is measured."""
@@ -121,39 +118,17 @@ class LatencyMeter:
 
     def deliver(self, inject_cycle: int, done_cycle: int) -> None:
         """Record a measured packet completing at ``done_cycle``."""
-        latency = done_cycle - inject_cycle
-        self.latencies.append(latency)
-        self._total += latency
+        self.latencies.append(done_cycle - inject_cycle)
 
     def deliver_all(self, latencies: List[int]) -> None:
         """Record measured packets by their latencies, for an engine that
         computes them in bulk."""
         self.latencies.extend(latencies)
-        self._total += sum(latencies)
 
     def deliver_local(self, packet_flits: int) -> None:
         """Record a same-router delivery: injection + ejection +
         tail-flit serialisation, no fabric traversal."""
-        latency = 2 + packet_flits - 1
-        self.latencies.append(latency)
-        self._total += latency
-
-    @property
-    def delivered(self) -> int:
-        return len(self.latencies)
-
-    def mean_saturated(self, zero_load_estimate: float) -> bool:
-        """True once the running mean alone settles the saturated flag.
-
-        Used by engines to bound drain work: when the mean latency of
-        already-delivered packets exceeds the saturation threshold, the
-        point is declared saturated and the remaining backlog counts as
-        undelivered instead of being drained for O(horizon) cycles.
-        """
-        if not self.latencies:
-            return False
-        mean = self._total / len(self.latencies)
-        return mean > SATURATION_FACTOR * max(zero_load_estimate, 1.0)
+        self.latencies.append(2 + packet_flits - 1)
 
     def summarise(
         self, injection_rate: float, zero_load_estimate: float

@@ -13,8 +13,8 @@ Two execution engines share one result type:
   wall of Figs. 18/21 comes from. Address interleaving (Section 7.1)
   splits traffic across independent ways.
 
-Offered/delivered/saturation accounting is shared with the flit-level
-engine through :mod:`repro.noc.measure`, so all engines mean the same
+Offered/delivered/saturation accounting is shared with the hybrid
+engine through :mod:`repro.noc.measure`, so both engines mean the same
 thing by "acceptance" and "saturated".
 
 Latencies are reported in NoC cycles; divide by the design's clock to

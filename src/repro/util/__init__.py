@@ -1,5 +1,5 @@
-"""Shared utilities: physical units, deterministic RNG, table formatting,
-content hashing, deterministic fault injection, and physics guardrails.
+"""Shared utilities: deterministic RNG, table formatting, content
+hashing, deterministic fault injection, and physics guardrails.
 
 Import each from its own module (``repro.util.guards``,
 ``repro.util.rng``, ...). The package re-exports nothing, so a caller

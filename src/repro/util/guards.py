@@ -38,9 +38,9 @@ the mirrored values stay in sync):
 * electrical sanity ``vdd > vth > 0`` with at least the drive model's
   0.05 V overdrive floor.
 
-:class:`SimulationStalled` also lives here: the no-forward-progress
-watchdogs of the flit-level and bus simulators raise it with a state
-snapshot instead of spinning to the horizon (or crashing opaquely).
+:class:`SimulationStalled` also lives here: the bus simulator's
+no-forward-progress watchdog raises it with a state snapshot instead of
+crashing opaquely.
 """
 
 from __future__ import annotations
@@ -150,10 +150,10 @@ class ModelValidityError(ValueError):
 class SimulationStalled(RuntimeError):
     """A simulator made no forward progress; ``snapshot`` says where.
 
-    Raised by the watchdogs in :mod:`repro.noc.flitsim` and
-    :meth:`repro.noc.simulator.NocSimulator.simulate_bus` when work is
-    buffered but nothing is being delivered — a deadlocked or livelocked
-    configuration fails in seconds instead of grinding to the horizon.
+    Raised by the watchdog in
+    :meth:`repro.noc.simulator.NocSimulator.simulate_bus` when requests
+    are pending but the arbiter grants none of them; the snapshot holds
+    the cycle, the ``winner`` and the ``requesters``.
     """
 
     def __init__(self, message: str, snapshot: Optional[Dict] = None) -> None:

@@ -14,9 +14,7 @@ from repro.experiments.base import ExperimentResult
 from repro.experiments.engine import ExecutionEngine, ExperimentExecutionError
 from repro.experiments.registry import run_experiment
 from repro.noc.bus import CryoBusDesign
-from repro.noc.flitsim import FlitLevelSimulator
 from repro.noc.simulator import NocSimulator
-from repro.noc.topology import Mesh
 from repro.noc.traffic import make_pattern
 from repro.system.config import (
     BASELINE_300K_MESH,
@@ -512,43 +510,7 @@ class TestRCLadderDegradation:
 # ---------------------------------------------------------------------------
 
 
-class _BounceMesh(Mesh):
-    """Malicious routing: every route ping-pongs between routers 0 and 1,
-    so packets destined anywhere else circulate forever (livelock)."""
-
-    def route(self, src_router, dst_router):
-        if src_router == 0:
-            return [(0, 1, 2.0)]
-        return [(src_router, 0, 2.0)]
-
-
 class TestWatchdogs:
-    def test_flit_livelock_raises_stalled_well_before_horizon(self):
-        sim = FlitLevelSimulator(_BounceMesh(16))
-        pattern = make_pattern("uniform", 16)
-        with pytest.raises(SimulationStalled) as excinfo:
-            sim.simulate(
-                pattern,
-                0.05,
-                n_cycles=400,
-                stall_cycles=256,
-                drain_cycles=200_000,
-            )
-        snapshot = excinfo.value.snapshot
-        assert snapshot["cycle"] < 10_000  # horizon is 200 400 cycles
-        assert snapshot["stalled_for"] > 256
-        assert snapshot["buffered_flits"] + snapshot["in_flight_flits"] > 0
-
-    def test_healthy_mesh_never_trips_the_watchdog(self):
-        sim = FlitLevelSimulator(Mesh(16))
-        point = sim.simulate(make_pattern("uniform", 16), 0.02, n_cycles=1000)
-        assert point.mean_latency_cycles > 0
-
-    def test_stall_cycles_must_be_positive(self):
-        sim = FlitLevelSimulator(Mesh(16))
-        with pytest.raises(ValueError, match="stall_cycles"):
-            sim.simulate(make_pattern("uniform", 16), 0.02, stall_cycles=0)
-
     def test_broken_bus_arbiter_raises_stalled(self, monkeypatch):
         import repro.noc.simulator as noc_sim
 

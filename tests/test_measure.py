@@ -6,7 +6,6 @@ import pytest
 
 from repro.noc.measure import (
     LATENCY_CAP,
-    SATURATION_FACTOR,
     LatencyMeter,
     LoadLatencyPoint,
     load_latency_curve,
@@ -46,16 +45,6 @@ class TestLatencyMeter:
         point = meter.summarise(0.01, zero_load_estimate=10.0)
         assert point.acceptance == pytest.approx(0.1)
         assert point.saturated  # > 10 % undelivered
-
-    def test_mean_saturated_tracks_running_mean(self):
-        meter = LatencyMeter(warmup=0)
-        assert not meter.mean_saturated(5.0)  # nothing delivered yet
-        meter.offer(0)
-        meter.deliver(0, 4)
-        assert not meter.mean_saturated(5.0)
-        meter.offer(0)
-        meter.deliver(0, int(5.0 * SATURATION_FACTOR * 10))
-        assert meter.mean_saturated(5.0)
 
     def test_rejects_negative_warmup(self):
         with pytest.raises(ValueError):

@@ -47,13 +47,26 @@ class TestCatalog:
         assert modules - INFRASTRUCTURE == {row[1] for row in CATALOG}
 
 
-def _modules_loaded_by(code, cache_dir):
-    """Model modules in ``sys.modules`` of a fresh interpreter after it
-    runs ``code``."""
+#: Modules that no experiment, CLI command or serve endpoint imports,
+#: each with the reason it stays in the package.
+UNREACHED = {
+    "repro.system.tracesim": "counts bus transactions from real cache "
+    "state: a candidate referee for diagnosing the multicore saturation "
+    "clamp",
+    "repro.memory.coherence": "the functional protocols tracesim runs",
+    "repro.workloads.synthetic": "the memory traces tracesim runs",
+    "repro.memory.cacti": "re-derives Table 4's cache latencies",
+    "repro.memory.cll_dram": "re-derives Table 4's DRAM latency",
+}
+
+
+def _modules_loaded_by(code, cache_dir, prefixes=MODEL_MODULES):
+    """Modules under ``prefixes`` in ``sys.modules`` of a fresh
+    interpreter after it runs ``code``."""
     probe = (
         "import json, sys\n"
         f"{code}\n"
-        f"heavy = {MODEL_MODULES!r}\n"
+        f"heavy = {prefixes!r}\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "    if any(m == h or m.startswith(h + '.') for h in heavy))))\n"
     )
@@ -104,18 +117,36 @@ class TestColdImports:
         assert [m for m in loaded if m.startswith("numpy.random")] == []
 
     def test_serving_loads_no_engine_it_never_calls(self, tmp_path):
-        """No endpoint reaches the cycle-level engines, the traffic
-        generator, CACTI, CLL-DRAM or the coherence engines, so serving
-        does not load them."""
+        """No endpoint reaches the packet-level NoC engine, the traffic
+        generator, CACTI, CLL-DRAM, the coherence engines or trace
+        synthesis, so serving does not load them."""
         loaded = _modules_loaded_by("import repro.serve.app", tmp_path / "cache")
         assert "repro.tech.mosfet" in loaded  # the model really loaded
         unreached = {
-            "repro.noc.flitsim", "repro.noc.equivalence", "repro.noc.simulator",
-            "repro.noc.traffic", "repro.core.ooosim", "repro.memory.cacti",
+            "repro.noc.simulator", "repro.noc.traffic", "repro.memory.cacti",
             "repro.memory.cll_dram", "repro.memory.coherence",
             "repro.workloads.synthetic",
         }
         assert unreached.isdisjoint(loaded)
+
+    def test_every_module_is_reached_or_named(self, tmp_path):
+        """Importing the CLI, the report, serve and every driver loads
+        every module of the package but those :data:`UNREACHED` names,
+        and none of those: a module nothing reaches is named with its
+        reason or deleted."""
+        modules = [
+            "repro.experiments.cli", "repro.experiments.report", "repro.serve.app",
+        ] + [f"repro.experiments.{row[1]}" for row in CATALOG]
+        loaded = set(_modules_loaded_by(
+            f"import importlib\nfor name in {modules!r}: importlib.import_module(name)",
+            tmp_path / "cache",
+            prefixes=("repro",),
+        ))
+        package = set()
+        for path in PACKAGE_DIR.rglob("*.py"):
+            parts = path.relative_to(PACKAGE_DIR.parent).with_suffix("").parts
+            package.add(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+        assert package - loaded == set(UNREACHED)
 
 
 class TestPackageInits:

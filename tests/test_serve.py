@@ -1104,6 +1104,16 @@ class TestServerTeardown:
             with pytest.raises(SystemExit):
                 main(["serve", "--port", "0", "--drain-timeout-s", bad])
 
+    def test_out_of_range_port_is_refused_at_startup(self, monkeypatch, capsys):
+        """argparse refuses a port outside 0-65535, which the event
+        loop's bind would reject with a bare ``OverflowError``."""
+        monkeypatch.setattr(CryoWireServer, "run", _never_run)
+        for bad in ("-1", "65536"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["serve", "--port", bad])
+            assert excinfo.value.code == 2
+            assert f"--port: must be in 0-65535, got {bad}" in capsys.readouterr().err
+
     def test_stop_is_idempotent(self):
         handle = serve_in_thread()
         assert handle.stop() == "graceful"
